@@ -6,10 +6,8 @@ two tail exponents for each leverage tier, at both asset settings and along
 the (theta, sigma) robustness axes.
 """
 
+from cogecon.figures import ASSET_HIGH, ASSET_LOW, F_SIGMA_TIERS, LAMBDA_TIERS
 from cogecon.wealth import EconomyParams, density_stats, drift_diffusion, stationary_wealth_density
-
-LAMBDA_TIERS = (5.0, 25.0, 50.0)
-F_TIERS = (0.2, 0.5, 0.8)
 
 
 def row(theta, sigma, lam, f_sigma):
@@ -23,15 +21,15 @@ def row(theta, sigma, lam, f_sigma):
 
 
 def main() -> None:
-    for theta, sigma in ((0.05, 0.05), (0.5, 0.5)):
+    for theta, sigma in (ASSET_LOW, ASSET_HIGH):
         print(f"fixed friction, asset setting ({theta}, {sigma}):")
         for lam in LAMBDA_TIERS:
             row(theta, sigma, lam, 1.0)
         print(f"paired friction, asset setting ({theta}, {sigma}):")
-        for lam, f in zip(LAMBDA_TIERS, F_TIERS):
+        for lam, f in zip(LAMBDA_TIERS, F_SIGMA_TIERS):
             row(theta, sigma, lam, f)
     print("robustness axes (per tier, both regimes):")
-    for lam, f_paired in zip(LAMBDA_TIERS, F_TIERS):
+    for lam, f_paired in zip(LAMBDA_TIERS, F_SIGMA_TIERS):
         for f in (1.0, f_paired):
             for theta, sigma in ((0.1, 0.3), (0.3, 0.3), (0.1, 0.1)):
                 row(theta, sigma, lam, f)

@@ -62,7 +62,7 @@ from .tax_model import (
     proposition1_check,
     truncated_exp_mean,
 )
-from .validate import run_density_validation, benchmark_combos
+from .validate import benchmark_reports, run_density_validation
 from .wealth import (
     density_stats,
     drift_diffusion,
@@ -167,33 +167,34 @@ def _parse_ensemble_file(path: str, default_j: float, sigma_max: float) -> InfoE
                 raise ConfigError(f"line {lineno}: unknown ensemble block {stripped}")
             block = stripped
             continue
-        if block is None:
-            key, _, raw = stripped.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key == "j":
-                j_coupling = float(raw)
-            elif key == "ref_variance":
-                sigma_max = entropy_cap_from_variance(float(raw))
-            else:
-                raise ConfigError(f"line {lineno}: unknown ensemble header key {key!r}")
-            continue
-        parts = stripped.split()
-        if block == "[sources]":
-            if len(parts) != 2 or parts[0] not in ("uniform", "gaussian"):
-                raise ConfigError(f"line {lineno}: expected 'uniform WIDTH' or "
-                                  f"'gaussian VARIANCE', got {line.strip()!r}")
-            factory = SourceDist.uniform if parts[0] == "uniform" else SourceDist.gaussian
-            try:
+        # float(), int() and the source factories raise ValueError on bad input.
+        try:
+            if block is None:
+                key, _, raw = stripped.partition("=")
+                key, raw = key.strip(), raw.strip()
+                if key == "j":
+                    j_coupling = float(raw)
+                elif key == "ref_variance":
+                    sigma_max = entropy_cap_from_variance(float(raw))
+                else:
+                    raise ConfigError(f"line {lineno}: unknown ensemble header key {key!r}")
+                continue
+            parts = stripped.split()
+            if block == "[sources]":
+                if len(parts) != 2 or parts[0] not in ("uniform", "gaussian"):
+                    raise ConfigError(f"line {lineno}: expected 'uniform WIDTH' or "
+                                      f"'gaussian VARIANCE', got {line.strip()!r}")
+                factory = SourceDist.uniform if parts[0] == "uniform" else SourceDist.gaussian
                 sources.append(factory(float(parts[1])))
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}")
-        else:
-            if len(parts) != 4:
-                raise ConfigError(f"line {lineno}: expected 'i j synergy antagonism', "
-                                  f"got {line.strip()!r}")
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            synergy[(i, j)] = float(parts[2])
-            antagonism[(i, j)] = float(parts[3])
+            else:
+                if len(parts) != 4:
+                    raise ConfigError(f"line {lineno}: expected 'i j synergy antagonism', "
+                                      f"got {line.strip()!r}")
+                i, j = int(parts[0]) - 1, int(parts[1]) - 1
+                synergy[(i, j)] = float(parts[2])
+                antagonism[(i, j)] = float(parts[3])
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     if not sources:
         raise ConfigError(f"ensemble file {path} defines no sources")
     try:
@@ -413,11 +414,7 @@ def validate(config_path, seed, out_dir, explain) -> None:
             f"configured wealth law is degenerate: {exc}") from exc
     echo_report(reports[0])
     click.echo("[benchmark combinations]")
-    for idx, (label, params) in enumerate(benchmark_combos()):
-        rep = run_density_validation(drift_diffusion(params),
-                                     RngSpec(cfg.seed, stream_id=100 + idx),
-                                     label=label, n_points=n_points,
-                                     n_samples=n_samples)
+    for rep in benchmark_reports(cfg.seed, n_points, n_samples):
         echo_report(rep)
         reports.append(rep)
     failed = [r.label for r in reports if not r.passed]

@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .consumption import CawfParams, ShrinkageParams
+from .consumption import CawfParams, ShrinkageParams, bayes_adjustment, implied_shrinkage
 from .cognition import CognitionParams, RetentionParams
 from .errors import ConfigError
 from .sde import OuProcessSpec
-from .tax_model import TaxEconomy
+from .tax_model import TaxEconomy, proposition1_check
 from .wealth import EconomyParams
 
 
@@ -71,7 +71,6 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "sigma_s": _Key(1.0, float, "log dispersion of the true adjustment"),
         "sigma_n": _Key(0.5, float, "log noise of the observed estimate"),
         "mu_s": _Key(0.0, float, "log-mean of the true adjustment"),
-        "n_draws": _Key(100000, int, "Monte Carlo draws for the regression check"),
     },
     "tax": {
         "tau": _Key(0.3, float, "output tax rate"),
@@ -242,8 +241,9 @@ def parse_config(path: str | Path | None) -> ScenarioConfig:
 def revalidate(cfg: ScenarioConfig) -> None:
     """Re-run every module-level invariant over the resolved values.
 
-    Constructing the typed views triggers the dataclass validators, so each
-    bad value is rejected with its own key name and constraint.
+    Constructing the typed views, and calling the functions that consume the
+    remaining keys, triggers their own validators, so each bad value is
+    rejected by the one check that guards it.  Overflow counts as out of range.
     """
     agent_type = cfg.values["wealth"]["agent_type"]
     if agent_type not in ("one", "two"):
@@ -251,38 +251,27 @@ def revalidate(cfg: ScenarioConfig) -> None:
     if agent_type == "two" and cfg.origins["wealth"]["f_sigma"] == "default":
         raise ConfigError("wealth.agent_type = two requires an explicit f_sigma; "
                           "the type pairs the friction weight to the leverage tier")
+    tax = cfg.values["tax"]
     checks = (
         ("cognition", cfg.cognition_params),
         ("retention", cfg.retention_params),
         ("consumption", cfg.cawf_params),
         ("consumption", cfg.shrinkage_params),
-        ("tax", cfg.tax_economy),
+        ("consumption", lambda: bayes_adjustment(cfg.get("consumption", "p1"))),
+        ("shrinkage", lambda: implied_shrinkage(**cfg.values["shrinkage"])),
+        ("tax", lambda: proposition1_check(cfg.tax_economy(), tax["tau_low"], tax["tau_high"])),
         ("wealth", cfg.wealth_params),
         ("equilibrium", cfg.equilibrium_params),
     )
     for section, view in checks:
         try:
             view()
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
-    p1 = cfg.values["consumption"]["p1"]
-    if not 0.5 <= p1 < 1.0:
-        raise ConfigError(f"[consumption] p1 must lie in [0.5, 1), got {p1}")
-    for key in ("sigma_s", "sigma_n"):
-        if cfg.values["shrinkage"][key] <= 0.0:
-            raise ConfigError(f"[shrinkage] {key} must be positive, "
-                              f"got {cfg.values['shrinkage'][key]}")
-    if cfg.values["shrinkage"]["n_draws"] < 10:
-        raise ConfigError(f"[shrinkage] n_draws must be at least 10, "
-                          f"got {cfg.values['shrinkage']['n_draws']}")
     if cfg.values["datavalue"]["j_coupling"] < 0.0:
         raise ConfigError(f"[datavalue] j_coupling must be nonnegative, "
                           f"got {cfg.values['datavalue']['j_coupling']}")
     entropy_cap_from_variance(cfg.values["datavalue"]["ref_variance"])
-    tax = cfg.values["tax"]
-    for key in ("tau_low", "tau_high"):
-        if not 0.0 <= tax[key] < 1.0:
-            raise ConfigError(f"[tax] {key} must lie in [0, 1), got {tax[key]}")
     val = cfg.values["validate"]
     if val["n_points"] < 3:
         raise ConfigError(f"[validate] n_points must be at least 3, got {val['n_points']}")

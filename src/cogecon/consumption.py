@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DegenerateModelError
 from .rng import RngSpec
 from .sde import OuProcessSpec, simulate_ou_reflected
 
@@ -183,7 +184,9 @@ def cawf_montecarlo(p: CawfParams, rng: RngSpec, n_grid=None) -> CawfCurves:
     high = draws[draws > p.d_bar]
     low = draws[draws <= p.d_bar]
     if high.size == 0 or low.size == 0:
-        raise RuntimeError("stationary draws failed to populate both sides of d_bar")
+        raise DegenerateModelError(
+            f"stationary draws failed to populate both sides of d_bar = {p.d_bar:g} "
+            f"({high.size} above, {low.size} at or below)")
 
     def group_mean(values: np.ndarray) -> np.ndarray:
         return np.array([float(np.mean(cawf(values, n, p))) for n in n_grid])

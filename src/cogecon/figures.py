@@ -182,9 +182,9 @@ def _wealth_density_table(cfg: ScenarioConfig, figure_id: int, sweeps,
 
 def _lambda_sweeps(asset: tuple[float, float], paired_f: bool):
     theta, sigma = asset
-    if paired_f:
-        return [(theta, sigma, lam, f) for lam, f in zip(LAMBDA_TIERS, F_SIGMA_TIERS)]
-    return [(theta, sigma, lam, 1.0) for lam in LAMBDA_TIERS]
+    f_values = F_SIGMA_TIERS if paired_f else (1.0, 1.0, 1.0)
+    return ([(theta, sigma, lam, f) for lam, f in zip(LAMBDA_TIERS, f_values)],
+            LAMBDA_LABELS)
 
 
 def _robustness_sweeps(axis: str, values, paired_f: bool):
@@ -200,6 +200,25 @@ def _robustness_sweeps(axis: str, values, paired_f: bool):
     return sweeps, labels
 
 
+# Figure id -> builder of its series.
+_BUILDERS = {
+    1: _figure_retention,
+    2: lambda cfg: _cognition_density_table(cfg, 2, (10, 15, 20, 25), eta_override=None),
+    3: lambda cfg: _cognition_density_table(cfg, 3, (10, 25), eta_override=STRONG_DILUTION_ETA),
+    4: _figure_shrinkage_lines,
+    5: _figure_cawf_slices,
+    6: _figure_cawf_montecarlo,
+    7: lambda cfg: _wealth_density_table(cfg, 7, *_lambda_sweeps(ASSET_LOW, False)),
+    8: lambda cfg: _wealth_density_table(cfg, 8, *_lambda_sweeps(ASSET_HIGH, False)),
+    9: lambda cfg: _wealth_density_table(cfg, 9, *_lambda_sweeps(ASSET_LOW, True)),
+    10: lambda cfg: _wealth_density_table(cfg, 10, *_lambda_sweeps(ASSET_HIGH, True)),
+    11: lambda cfg: _wealth_density_table(cfg, 11, *_robustness_sweeps("theta", ROBUST_THETA, False)),
+    12: lambda cfg: _wealth_density_table(cfg, 12, *_robustness_sweeps("sigma", ROBUST_SIGMA, False)),
+    13: lambda cfg: _wealth_density_table(cfg, 13, *_robustness_sweeps("theta", ROBUST_THETA, True)),
+    14: lambda cfg: _wealth_density_table(cfg, 14, *_robustness_sweeps("sigma", ROBUST_SIGMA, True)),
+}
+
+
 def reproduce(figure_id: int, cfg: ScenarioConfig) -> SeriesTable:
     """Build the data series behind one reference figure (1 through 14)."""
     if figure_id not in FIGURE_IDS:
@@ -211,34 +230,4 @@ def reproduce(figure_id: int, cfg: ScenarioConfig) -> SeriesTable:
     if explicit == "two" and figure_id in TYPE_ONE_FIGURES:
         raise ConfigError(f"figure {figure_id} shows the fixed-friction regime; "
                           "config pins agent_type = two")
-    if figure_id == 1:
-        return _figure_retention(cfg)
-    if figure_id == 2:
-        return _cognition_density_table(cfg, 2, (10, 15, 20, 25), eta_override=None)
-    if figure_id == 3:
-        return _cognition_density_table(cfg, 3, (10, 25), eta_override=STRONG_DILUTION_ETA)
-    if figure_id == 4:
-        return _figure_shrinkage_lines(cfg)
-    if figure_id == 5:
-        return _figure_cawf_slices(cfg)
-    if figure_id == 6:
-        return _figure_cawf_montecarlo(cfg)
-    if figure_id == 7:
-        return _wealth_density_table(cfg, 7, _lambda_sweeps(ASSET_LOW, False), LAMBDA_LABELS)
-    if figure_id == 8:
-        return _wealth_density_table(cfg, 8, _lambda_sweeps(ASSET_HIGH, False), LAMBDA_LABELS)
-    if figure_id == 9:
-        return _wealth_density_table(cfg, 9, _lambda_sweeps(ASSET_LOW, True), LAMBDA_LABELS)
-    if figure_id == 10:
-        return _wealth_density_table(cfg, 10, _lambda_sweeps(ASSET_HIGH, True), LAMBDA_LABELS)
-    if figure_id == 11:
-        sweeps, labels = _robustness_sweeps("theta", ROBUST_THETA, False)
-        return _wealth_density_table(cfg, 11, sweeps, labels)
-    if figure_id == 12:
-        sweeps, labels = _robustness_sweeps("sigma", ROBUST_SIGMA, False)
-        return _wealth_density_table(cfg, 12, sweeps, labels)
-    if figure_id == 13:
-        sweeps, labels = _robustness_sweeps("theta", ROBUST_THETA, True)
-        return _wealth_density_table(cfg, 13, sweeps, labels)
-    sweeps, labels = _robustness_sweeps("sigma", ROBUST_SIGMA, True)
-    return _wealth_density_table(cfg, 14, sweeps, labels)
+    return _BUILDERS[figure_id](cfg)

@@ -10,6 +10,7 @@ than tautology.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,21 +108,25 @@ def run_density_validation(law: WealthLaw, rng: RngSpec, label: str = "",
                        ks_tol=ks_tol)
 
 
+def benchmark_reports(master_seed: int = 42, n_points: int = 4001,
+                      n_samples: int = 1_000_000) -> Iterator[ComboReport]:
+    """Run both oracles over the twelve benchmark combinations, one at a time.
+
+    Monte Carlo streams are keyed by the combination index (stream 100 + idx),
+    so each report is reproducible on its own.
+    """
+    for idx, (label, params) in enumerate(benchmark_combos()):
+        yield run_density_validation(drift_diffusion(params),
+                                     RngSpec(master_seed, stream_id=100 + idx),
+                                     label=label, n_points=n_points,
+                                     n_samples=n_samples)
+
+
 def validate_all(master_seed: int = 42, n_points: int = 4001,
                  n_samples: int = 1_000_000) -> list[ComboReport]:
-    """Run both oracles over all twelve benchmark combinations.
-
-    Raises ValidationError listing every failed combination; returns the full
-    report list when everything passes.  Monte Carlo streams are keyed by the
-    combination index so reports are reproducible one combo at a time.
-    """
-    reports = []
-    for idx, (label, params) in enumerate(benchmark_combos()):
-        law = drift_diffusion(params)
-        rng = RngSpec(master_seed, stream_id=100 + idx)
-        reports.append(run_density_validation(law, rng, label=label,
-                                              n_points=n_points,
-                                              n_samples=n_samples))
+    """All twelve benchmark reports; raises ValidationError listing every
+    failed combination."""
+    reports = list(benchmark_reports(master_seed, n_points, n_samples))
     failed = [r for r in reports if not r.passed]
     if failed:
         detail = "; ".join(

@@ -15,7 +15,7 @@ prices solve a quadratic and are available in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .densities import PiecewiseExpDensity
 from .errors import ConfigError, DegenerateModelError
@@ -268,10 +268,7 @@ def equilibrium_economy(p: EconomyParams) -> EconomyParams:
         raise DegenerateModelError(
             "clearing constant is nonnegative: no valid equilibrium wage exists "
             f"(constant = {prices.clearing_constant:.6g})")
-    return EconomyParams(rho=p.rho, gamma=p.gamma, alpha=p.alpha, delta=p.delta,
-                         beta=p.beta, w=prices.w_star, r=prices.r_star,
-                         theta=p.theta, sigma=p.sigma, lam=p.lam, z=p.z,
-                         f_sigma=p.f_sigma)
+    return replace(p, w=prices.w_star, r=prices.r_star)
 
 
 def equilibrium_density(p: EconomyParams) -> PiecewiseExpDensity:

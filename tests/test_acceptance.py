@@ -5,12 +5,14 @@ Each test prints a single ``PASS criterion N: ...`` or ``FAIL criterion N:
 and runtime budgets are part of the contract and are asserted, not logged.
 """
 
+import hashlib
 import math
 import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +55,8 @@ from cogecon.wealth import (
 LAMBDA_TIERS = (5.0, 25.0, 50.0)
 F_TIERS = (0.2, 0.5, 0.8)
 ASSET_SETTINGS = ((0.05, 0.05), (0.5, 0.5))
+# sha256sum manifest of `cogecon reproduce` at the default config (seed 42).
+GOLDEN_MANIFEST = Path(__file__).parent / "golden" / "reproduce_seed42.sha256"
 
 
 @contextmanager
@@ -300,6 +304,10 @@ def test_criterion_12_reproduce_determinism(tmp_path):
             return files
 
         first = run("a", "1")
+        golden = dict(line.split()[::-1] for line in GOLDEN_MANIFEST.read_text().splitlines())
+        changed = sorted(name for name, raw in first.items()
+                         if hashlib.sha256(raw).hexdigest() != golden.get(name))
+        assert not changed, f"CSVs differ from {GOLDEN_MANIFEST.name}: {', '.join(changed)}"
         second = run("b", "1")
         threaded = run("c", "4")
         assert first == second

@@ -80,6 +80,8 @@ def test_paired_type_requires_explicit_friction(tmp_path):
     ("gamma = 2\n", "outside of any"),
     ("[wealth\ngamma = 2\n", "malformed section"),
     ("[wealth]\njust words\n", "expected 'key = value'"),
+    ("[tax]\ntau_low = 0.5\ntau_high = 0.3\n", r"\[tax\] tau_low must be below tau_high"),
+    ("[shrinkage]\nmu_s = 1e6\n", r"\[shrinkage\] math range error"),
 ])
 def test_parse_errors_carry_line_context(tmp_path, text, needle):
     path = write_config(tmp_path, text)
@@ -151,13 +153,14 @@ def test_degenerate_diffusion_exits_three(tmp_path, capsys):
 
 def test_validation_failure_exits_two(monkeypatch, capsys):
     import cogecon.cli as cli_mod
+    import cogecon.validate as validate_mod
 
     def fake_validation(law, rng, label, n_points, n_samples):
         return ComboReport(label=label, law=law, fd_error=0.5, fd_tol=1e-3,
                            ks_distance=0.5, ks_tol=0.02)
 
     monkeypatch.setattr(cli_mod, "run_density_validation", fake_validation)
-    monkeypatch.setattr(cli_mod, "benchmark_combos", lambda: [])
+    monkeypatch.setattr(validate_mod, "benchmark_combos", lambda: [])
     assert run_cli(["validate"]) == 2
     assert "validation failure" in capsys.readouterr().err
 
@@ -201,6 +204,16 @@ def test_reproduce_rejects_bad_figure_numbers(capsys):
     assert run_cli(["reproduce", "--figure", "zero"]) == 1
 
 
+def test_degenerate_data_value_draws_exit_three(tmp_path, capsys):
+    # zero volatility pins every draw at d_bar, leaving the high side empty
+    path = write_config(tmp_path, "[consumption]\nvolatility = 0\n")
+    assert run_cli(["reproduce", "--figure", "6", "--config", path,
+                    "--out", str(tmp_path / "series")]) == 3
+    err = capsys.readouterr().err
+    assert "degenerate model" in err and "d_bar" in err
+    assert "Traceback" not in err
+
+
 def test_reproduce_rejects_mismatched_agent_type(tmp_path, capsys):
     path = write_config(tmp_path, "[wealth]\nagent_type = one\n")
     assert run_cli(["reproduce", "--figure", "9", "--config", path]) == 1
@@ -235,9 +248,13 @@ gaussian 0.25
     ("[sources]\nuniform 1.0\n[interactions]\n1 2 0.4\n", "synergy"),
     ("mystery = 3\n[sources]\nuniform 1.0\n", "unknown ensemble header"),
     ("\n", "no sources"),
+    ("j = abc\n[sources]\nuniform 1.0\n", "line 1: could not convert"),
+    ("[sources]\nuniform 1.0\n[interactions]\n1 x 0.1 0.1\n", "line 4: invalid literal"),
 ])
 def test_bad_ensemble_files_exit_one(tmp_path, capsys, body, needle):
     path = tmp_path / "sources.txt"
     path.write_text(body)
     assert run_cli(["datavalue", "--ensemble", str(path)]) == 1
-    assert needle in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert needle in err
+    assert "Traceback" not in err
