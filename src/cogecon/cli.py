@@ -167,7 +167,8 @@ def _parse_ensemble_file(path: str, default_j: float, sigma_max: float) -> InfoE
                 raise ConfigError(f"line {lineno}: unknown ensemble block {stripped}")
             block = stripped
             continue
-        # float(), int() and the source factories raise ValueError on bad input.
+        # float(), int() and the source factories raise ValueError on bad input,
+        # entropy_cap_from_variance raises ConfigError; both get the line number here.
         try:
             if block is None:
                 key, _, raw = stripped.partition("=")
@@ -177,23 +178,23 @@ def _parse_ensemble_file(path: str, default_j: float, sigma_max: float) -> InfoE
                 elif key == "ref_variance":
                     sigma_max = entropy_cap_from_variance(float(raw))
                 else:
-                    raise ConfigError(f"line {lineno}: unknown ensemble header key {key!r}")
+                    raise ConfigError(f"unknown ensemble header key {key!r}")
                 continue
             parts = stripped.split()
             if block == "[sources]":
                 if len(parts) != 2 or parts[0] not in ("uniform", "gaussian"):
-                    raise ConfigError(f"line {lineno}: expected 'uniform WIDTH' or "
+                    raise ConfigError(f"expected 'uniform WIDTH' or "
                                       f"'gaussian VARIANCE', got {line.strip()!r}")
                 factory = SourceDist.uniform if parts[0] == "uniform" else SourceDist.gaussian
                 sources.append(factory(float(parts[1])))
             else:
                 if len(parts) != 4:
-                    raise ConfigError(f"line {lineno}: expected 'i j synergy antagonism', "
+                    raise ConfigError(f"expected 'i j synergy antagonism', "
                                       f"got {line.strip()!r}")
                 i, j = int(parts[0]) - 1, int(parts[1]) - 1
                 synergy[(i, j)] = float(parts[2])
                 antagonism[(i, j)] = float(parts[3])
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     if not sources:
         raise ConfigError(f"ensemble file {path} defines no sources")

@@ -3,9 +3,12 @@
 Both are Monte Carlo counterparts to closed-form results elsewhere in the
 package and are written to stay independent of those formulas: the reflected
 OU uses Euler-Maruyama stepping with fold-back reflection, and the reset
-process simulates the Poisson reset clock directly, propagating the state
-between resets with the exact Gaussian transition (arithmetic Brownian motion
-needs no discretization in between events).
+process is sampled exactly in two draws per path.  A path starts at the reset
+point at t = 0, so it behaves as if a reset fired then; Poisson gaps are
+memoryless, so the time back from the recording time to the last reset is
+Exp(reset_rate) cut off at the recording time.  Since the last reset the
+state is arithmetic Brownian motion, whose exact Gaussian transition needs no
+discretization.
 """
 
 from __future__ import annotations
@@ -147,31 +150,23 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
 def simulate_gbm_reset(spec: GbmResetSpec, rng: RngSpec, n_samples: int) -> np.ndarray:
     """Draws of the log state at time burn_in + horizon, one per path.
 
-    Each path starts at reset_point, its reset clock ticks as a Poisson
-    process (simulated through exponential inter-arrival gaps), and between
-    the final reset and the recording time the state advances by the exact
-    Brownian transition.  The recording time is far beyond 10 reset
-    half-lives, so the samples follow the stationary law of the process.
+    Each path starts at reset_point and is reset at the ticks of a Poisson
+    clock of rate reset_rate.  Looking back from the recording time, the gaps
+    of that clock are memoryless, so the age since the last reset is
+    min(Exp(reset_rate), record_time) exactly, the cap being a path that never
+    reset after its start.  Over that age the state advances by the exact
+    Brownian transition.  The recording time is at least 10 reset half-lives,
+    so the samples follow the stationary law of the process.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     gen = rng.generator()
-    t_record = spec.record_time()
-
-    # Walk the reset clock forward path by path, vectorized over the paths
-    # whose clocks have not yet passed the recording time.  last_reset keeps
-    # the most recent event before t_record (0 when no reset fired at all,
-    # which matches starting the path at the reset point).
-    clock = np.zeros(n_samples)
-    last_reset = np.zeros(n_samples)
-    active = np.arange(n_samples)
-    while active.size:
-        gaps = gen.exponential(1.0 / spec.reset_rate, size=active.size)
-        clock[active] += gaps
-        fired = clock[active] <= t_record
-        last_reset[active[fired]] = clock[active[fired]]
-        active = active[fired]
-
-    age = t_record - last_reset
+    age = _reset_ages(spec, gen, n_samples)
     shocks = gen.standard_normal(n_samples)
     return spec.reset_point + spec.drift * age + spec.volatility * np.sqrt(age) * shocks
+
+
+def _reset_ages(spec: GbmResetSpec, gen: np.random.Generator, n_samples: int) -> np.ndarray:
+    """Time since each path's last reset at the recording time, in (0, record_time]."""
+    return np.minimum(gen.exponential(1.0 / spec.reset_rate, size=n_samples),
+                      spec.record_time())

@@ -9,6 +9,7 @@ appear.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -127,11 +128,23 @@ def consumptions(e: TaxEconomy, eps_agg: float, eps_idio: float,
     return c_gov, c_inv
 
 
+@functools.cache
+def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, solved once per n_nodes on first use.
+
+    The arrays are shared by every caller, so they are made read-only.
+    """
+    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _hermite_expectation(fn, sigma: float, n_nodes: int = 64) -> float:
     """E[fn(eps)] for eps ~ N(-sigma^2/2, sigma^2) by Gauss-Hermite quadrature."""
     if sigma == 0.0:
         return float(fn(0.0))
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    nodes, weights = _hermite_rule(n_nodes)
     eps = -0.5 * sigma**2 + math.sqrt(2.0) * sigma * nodes
     return float(np.sum(weights * fn(eps)) / math.sqrt(math.pi))
 

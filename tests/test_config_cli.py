@@ -250,6 +250,8 @@ gaussian 0.25
     ("\n", "no sources"),
     ("j = abc\n[sources]\nuniform 1.0\n", "line 1: could not convert"),
     ("[sources]\nuniform 1.0\n[interactions]\n1 x 0.1 0.1\n", "line 4: invalid literal"),
+    ("j = 0.5\nref_variance = -1\n[sources]\nuniform 1.0\n",
+     "line 2: ref_variance must be positive"),
 ])
 def test_bad_ensemble_files_exit_one(tmp_path, capsys, body, needle):
     path = tmp_path / "sources.txt"

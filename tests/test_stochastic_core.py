@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import ks_2samp
 
 from cogecon.densities import PiecewiseExpDensity
 from cogecon.errors import DegenerateDiffusionError
@@ -13,6 +14,7 @@ from cogecon.rng import RngSpec
 from cogecon.sde import (
     GbmResetSpec,
     OuProcessSpec,
+    _reset_ages,
     simulate_gbm_reset,
     simulate_ou_reflected,
 )
@@ -179,6 +181,43 @@ def test_gbm_reset_matches_closed_form():
     ecdf = np.arange(1, xs.size + 1) / xs.size
     ks = np.max(np.abs(ecdf - d.cdf(xs)))
     assert ks < 0.01
+
+
+def poisson_clock_walk(spec: GbmResetSpec, rng: RngSpec, n_samples: int) -> np.ndarray:
+    """Reference sampler: walk each path's Poisson reset clock forward to the
+    recording time, then take the exact Gaussian step from the last reset."""
+    gen = rng.generator()
+    t_record = spec.record_time()
+    clock = np.zeros(n_samples)
+    last_reset = np.zeros(n_samples)
+    active = np.arange(n_samples)
+    while active.size:
+        clock[active] += gen.exponential(1.0 / spec.reset_rate, size=active.size)
+        fired = clock[active] <= t_record
+        last_reset[active[fired]] = clock[active[fired]]
+        active = active[fired]
+    age = t_record - last_reset
+    shocks = gen.standard_normal(n_samples)
+    return spec.reset_point + spec.drift * age + spec.volatility * np.sqrt(age) * shocks
+
+
+def test_gbm_reset_same_law_as_clock_walk():
+    # Two-sample KS: with probability at least 1 - alpha each empirical cdf
+    # lies within the DKW radius sqrt(ln(4/alpha)/2n) of the common law
+    # (alpha/2 per side), so their distance stays below twice that radius.
+    n, alpha = 200_000, 1e-6
+    bound = 2.0 * math.sqrt(math.log(4.0 / alpha) / (2.0 * n))
+    spec = GbmResetSpec(drift=-0.3, volatility=0.7, reset_rate=0.8, reset_point=0.5)
+    exact = simulate_gbm_reset(spec, RngSpec(21), n_samples=n)
+    walked = poisson_clock_walk(spec, RngSpec(22), n_samples=n)
+    assert ks_2samp(exact, walked).statistic < bound
+
+
+def test_gbm_reset_ages_within_record_time():
+    spec = GbmResetSpec(drift=0.2, volatility=0.4, reset_rate=0.3)
+    age = _reset_ages(spec, RngSpec(4).generator(), 200_000)
+    assert np.all(age > 0.0)
+    assert np.all(age <= spec.record_time())
 
 
 def test_gbm_reset_zero_vol_rejected():
