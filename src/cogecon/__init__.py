@@ -62,7 +62,7 @@ from .errors import (
 from .figures import FIGURE_IDS, SeriesTable, reproduce
 from .kfe import Grid1D, solve_stationary_kfe_fd
 from .rng import RngSpec
-from .sde import GbmResetSpec, OuProcessSpec, simulate_gbm_reset, simulate_ou_reflected
+from .sde import OuProcessSpec, simulate_gbm_reset, simulate_ou_reflected
 from .tax_model import (
     TaxEconomy,
     check_mass_consistency,

@@ -300,6 +300,19 @@ def tax(config_path, seed, out_dir, explain) -> None:
     _kv("investor prefers the lower rate", str(prefers_low).lower())
 
 
+def _echo_wealth_stats(header: str, density) -> None:
+    stats = density_stats(density)
+    click.echo(header)
+    _kv("mean log wealth", _fmt(stats.mean_x))
+    _kv("log wealth variance", _fmt(stats.var_x))
+    _kv("left tail rate", _fmt(stats.tail_exponent_left))
+    _kv("right tail rate", _fmt(stats.tail_exponent_right))
+    if stats.wealth_mean_exists:
+        _kv("mean level wealth", _fmt(stats.wealth_mean))
+    else:
+        _kv("mean level wealth", "divergent (right tail rate <= 1)")
+
+
 @cli.command()
 @scenario_options
 def wealth(config_path, seed, out_dir, explain) -> None:
@@ -326,16 +339,7 @@ def wealth(config_path, seed, out_dir, explain) -> None:
     _kv("drift mu", _fmt(law.mu))
     _kv("volatility sigma_x", _fmt(law.sigma_x))
     _kv("reset rate", _fmt(law.reset_rate))
-    stats = density_stats(stationary_wealth_density(law))
-    click.echo("[stationary density]")
-    _kv("mean log wealth", _fmt(stats.mean_x))
-    _kv("log wealth variance", _fmt(stats.var_x))
-    _kv("left tail rate", _fmt(stats.tail_exponent_left))
-    _kv("right tail rate", _fmt(stats.tail_exponent_right))
-    if stats.wealth_mean_exists:
-        _kv("mean level wealth", _fmt(stats.wealth_mean))
-    else:
-        _kv("mean level wealth", "divergent (right tail rate <= 1)")
+    _echo_wealth_stats("[stationary density]", stationary_wealth_density(law))
 
 
 @cli.command()
@@ -355,13 +359,7 @@ def equilibrium(config_path, seed, out_dir, explain) -> None:
             f"({_fmt(prices.clearing_constant)}); no equilibrium wage exists")
     _kv("equilibrium wage w*", _fmt(prices.w_star))
     eq = equilibrium_economy(p)
-    stats = density_stats(equilibrium_density(p))
-    click.echo("[equilibrium density]")
-    _kv("mean log wealth", _fmt(stats.mean_x))
-    _kv("log wealth variance", _fmt(stats.var_x))
-    _kv("left tail rate", _fmt(stats.tail_exponent_left))
-    _kv("right tail rate", _fmt(stats.tail_exponent_right))
-    _kv("mean level wealth", _fmt(stats.wealth_mean))
+    _echo_wealth_stats("[equilibrium density]", equilibrium_density(p))
     click.echo("[consistency]")
     _kv("labor-market residual", _fmt(labor_market_residual(p)))
     _kv("firm profit rate at w*", _fmt(eq.z * eq.labor_per_capital() ** (1.0 - eq.alpha)

@@ -8,16 +8,17 @@ or absent file resolves to the documented defaults.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .consumption import CawfParams, ShrinkageParams, bayes_adjustment, implied_shrinkage
 from .cognition import CognitionParams, RetentionParams
+from .data_value import gaussian_entropy
 from .errors import ConfigError
+from .rng import RngSpec
 from .sde import OuProcessSpec
 from .tax_model import TaxEconomy, proposition1_check
-from .wealth import EconomyParams
+from .wealth import EconomyParams, productivity_cutoff
 
 
 @dataclass(frozen=True)
@@ -238,6 +239,14 @@ def parse_config(path: str | Path | None) -> ScenarioConfig:
     return cfg
 
 
+def _check(section: str, view) -> None:
+    """Run one callee's own validator; its rejection becomes a ConfigError."""
+    try:
+        view()
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def revalidate(cfg: ScenarioConfig) -> None:
     """Re-run every module-level invariant over the resolved values.
 
@@ -251,8 +260,9 @@ def revalidate(cfg: ScenarioConfig) -> None:
     if agent_type == "two" and cfg.origins["wealth"]["f_sigma"] == "default":
         raise ConfigError("wealth.agent_type = two requires an explicit f_sigma; "
                           "the type pairs the friction weight to the leverage tier")
-    tax = cfg.values["tax"]
+    tax, wealth = cfg.values["tax"], cfg.values["wealth"]
     checks = (
+        ("run", lambda: RngSpec(cfg.seed)),
         ("cognition", cfg.cognition_params),
         ("retention", cfg.retention_params),
         ("consumption", cfg.cawf_params),
@@ -261,13 +271,12 @@ def revalidate(cfg: ScenarioConfig) -> None:
         ("shrinkage", lambda: implied_shrinkage(**cfg.values["shrinkage"])),
         ("tax", lambda: proposition1_check(cfg.tax_economy(), tax["tau_low"], tax["tau_high"])),
         ("wealth", cfg.wealth_params),
+        ("wealth", lambda: productivity_cutoff(wealth["r"], wealth["delta"],
+                                               wealth["alpha"], wealth["w"])),
         ("equilibrium", cfg.equilibrium_params),
     )
     for section, view in checks:
-        try:
-            view()
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"[{section}] {exc}") from exc
+        _check(section, view)
     if cfg.values["datavalue"]["j_coupling"] < 0.0:
         raise ConfigError(f"[datavalue] j_coupling must be nonnegative, "
                           f"got {cfg.values['datavalue']['j_coupling']}")
@@ -281,8 +290,7 @@ def revalidate(cfg: ScenarioConfig) -> None:
 
 def apply_overrides(cfg: ScenarioConfig, seed: int | None, out: str | None) -> ScenarioConfig:
     if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"seed must fit in an unsigned 64-bit int, got {seed}")
+        _check("run", lambda: RngSpec(seed))
         cfg.values["run"]["seed"] = seed
         cfg.origins["run"]["seed"] = "flag"
     if out is not None:
@@ -307,7 +315,7 @@ def entropy_cap_from_variance(ref_variance: float) -> float:
     """Entropy cap implied by a reference gaussian variance."""
     if ref_variance <= 0.0:
         raise ConfigError(f"ref_variance must be positive, got {ref_variance}")
-    cap = 0.5 * math.log(2.0 * math.pi * math.e * ref_variance)
+    cap = gaussian_entropy(ref_variance)
     if cap <= 0.0:
         raise ConfigError(
             f"ref_variance {ref_variance} implies a nonpositive entropy cap {cap:.6g}")

@@ -21,28 +21,22 @@ _UNIT_NORM_TOL = 1e-9
 class SourceDist:
     """One data source's distribution, described just well enough to score it.
 
-    kind "uniform" carries width epsilon, "gaussian" carries a variance, and
-    "grid" carries a sampled density (renormalized at construction).
+    kind "uniform" carries width epsilon and "gaussian" carries a variance.
     """
 
     kind: str
     width: float | None = None
     variance: float | None = None
-    grid_x: np.ndarray | None = None
-    grid_p: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "gaussian", "grid"):
+        if self.kind not in ("uniform", "gaussian"):
             raise ValueError(f"unknown source kind {self.kind!r}")
         if self.kind == "uniform":
             if self.width is None or self.width <= 0.0:
                 raise ValueError("uniform source needs a positive width")
-        elif self.kind == "gaussian":
+        else:
             if self.variance is None or self.variance <= 0.0:
                 raise ValueError("gaussian source needs a positive variance")
-        else:
-            if self.grid_x is None or self.grid_p is None:
-                raise ValueError("grid source needs grid_x and grid_p")
 
     @classmethod
     def uniform(cls, width: float) -> "SourceDist":
@@ -51,21 +45,6 @@ class SourceDist:
     @classmethod
     def gaussian(cls, variance: float) -> "SourceDist":
         return cls(kind="gaussian", variance=float(variance))
-
-    @classmethod
-    def from_grid(cls, x, p) -> "SourceDist":
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        if x.ndim != 1 or x.shape != p.shape or x.size < 3:
-            raise ValueError("grid source needs matching 1-d arrays with at least 3 points")
-        if np.any(np.diff(x) <= 0.0):
-            raise ValueError("grid_x must be strictly increasing")
-        if np.any(p < 0.0):
-            raise ValueError("grid_p must be nonnegative")
-        mass = np.trapezoid(p, x)
-        if mass <= 0.0:
-            raise ValueError("grid density has no mass")
-        return cls(kind="grid", grid_x=x, grid_p=p / mass)
 
 
 def gaussian_entropy(variance: float) -> float:
@@ -80,17 +59,12 @@ def differential_entropy(d: SourceDist) -> float:
 
     The clamp encodes the convention that a unit-width uniform (entropy 0) is
     the most informative source worth distinguishing; anything sharper scores
-    the same.  Grid sources are integrated by the trapezoid rule with
-    0 log 0 = 0.
+    the same.
     """
     if d.kind == "uniform":
         h = math.log(d.width)
-    elif d.kind == "gaussian":
-        h = gaussian_entropy(d.variance)
     else:
-        p = d.grid_p
-        integrand = np.where(p > 0.0, -p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-        h = float(np.trapezoid(integrand, d.grid_x))
+        h = gaussian_entropy(d.variance)
     return max(h, 0.0)
 
 

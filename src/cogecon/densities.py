@@ -10,13 +10,11 @@ different coefficient maps feeding the same algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateDiffusionError
-
-_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -24,26 +22,19 @@ class PiecewiseExpDensity:
     """p(x) = K exp(rate_left * x) for x < 0, K exp(-rate_right * x) for x >= 0.
 
     The support is centered on the reset point (x = 0 in these coordinates).
-    norm_K is redundant given the rates; it is stored for convenience and
-    checked against (1/rate_left + 1/rate_right)^-1 at construction.
+    norm_K = (1/rate_left + 1/rate_right)^-1 follows from the rates and is
+    derived once at construction.
     """
 
-    norm_K: float
     rate_left: float
     rate_right: float
+    norm_K: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (self.rate_left > 0.0 and self.rate_right > 0.0):
             raise ValueError(
                 f"decay rates must be positive, got left={self.rate_left}, right={self.rate_right}")
-        k = 1.0 / (1.0 / self.rate_left + 1.0 / self.rate_right)
-        if not math.isclose(self.norm_K, k, rel_tol=_REL_TOL):
-            raise ValueError(f"norm_K={self.norm_K} inconsistent with rates (expected {k})")
-
-    @classmethod
-    def from_rates(cls, rate_left: float, rate_right: float) -> "PiecewiseExpDensity":
-        k = 1.0 / (1.0 / rate_left + 1.0 / rate_right)
-        return cls(norm_K=k, rate_left=rate_left, rate_right=rate_right)
+        object.__setattr__(self, "norm_K", 1.0 / (1.0 / self.rate_left + 1.0 / self.rate_right))
 
     @classmethod
     def from_reset_law(cls, drift: float, vol: float, reset_rate: float) -> "PiecewiseExpDensity":
@@ -60,7 +51,7 @@ class PiecewiseExpDensity:
         s = math.sqrt(drift * drift + 2.0 * reset_rate * v2)
         rate_left = (s + drift) / v2
         rate_right = (s - drift) / v2
-        return cls.from_rates(rate_left, rate_right)
+        return cls(rate_left, rate_right)
 
     # -- pointwise evaluation -------------------------------------------------
 

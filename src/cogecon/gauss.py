@@ -6,15 +6,6 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 
-def normal_cdf(x):
-    """Standard normal CDF, accurate deep into both tails.
-
-    Backed by the complementary-error-function evaluation, so normal_cdf(-30)
-    is a faithful ~1e-198 rather than 0.
-    """
-    return ndtr(x)
-
-
 def normal_sf(x):
     """Standard normal survival function 1 - Phi(x) without cancellation."""
     return ndtr(-np.asarray(x, dtype=float))

@@ -1,6 +1,6 @@
 """Finite-difference solver for the stationary forward equation with resets.
 
-Solves  0 = -mu p'(x) + (sigma^2/2) p''(x) - beta p(x) + beta delta(x - x0)
+Solves  0 = -mu p'(x) + (sigma^2/2) p''(x) - beta p(x) + beta delta(x)
 on a uniform grid with zero boundary values.  The advection term is handled
 with exponentially fitted upwinding (Scharfetter-Gummel fluxes), which
 reduces to central differencing for small cell Peclet numbers and to plain
@@ -67,8 +67,8 @@ def _bernoulli(z: float) -> float:
 
 
 def solve_stationary_kfe_fd(drift: float, sigma: float, reset_rate: float,
-                            grid: Grid1D, reset_point: float = 0.0) -> np.ndarray:
-    """Stationary density of the reset process on the grid nodes.
+                            grid: Grid1D) -> np.ndarray:
+    """Stationary density of the process reset to x = 0, on the grid nodes.
 
     sigma is the volatility of the log state: it enters the equation as the
     diffusion coefficient sigma^2 / 2.  The returned vector is normalized to
@@ -78,8 +78,8 @@ def solve_stationary_kfe_fd(drift: float, sigma: float, reset_rate: float,
         raise DegenerateDiffusionError("zero volatility: the stationary equation loses its diffusion term")
     if reset_rate <= 0.0:
         raise ValueError(f"reset_rate must be positive, got {reset_rate}")
-    if not grid.x_min < reset_point < grid.x_max:
-        raise ValueError("reset_point must lie strictly inside the grid")
+    if not grid.x_min < 0.0 < grid.x_max:
+        raise ValueError("the reset point 0 must lie strictly inside the grid")
 
     n = grid.n_points
     h = grid.h
@@ -104,7 +104,7 @@ def solve_stationary_kfe_fd(drift: float, sigma: float, reset_rate: float,
     lower[-1] = 0.0
 
     rhs = np.zeros(n)
-    source_idx = int(round((reset_point - grid.x_min) / h))
+    source_idx = int(round(-grid.x_min / h))
     source_idx = min(max(source_idx, 1), n - 2)
     rhs[source_idx] = reset_rate / h
 

@@ -3,12 +3,10 @@
 Both are Monte Carlo counterparts to closed-form results elsewhere in the
 package and are written to stay independent of those formulas: the reflected
 OU uses Euler-Maruyama stepping with fold-back reflection, and the reset
-process is sampled exactly in two draws per path.  A path starts at the reset
-point at t = 0, so it behaves as if a reset fired then; Poisson gaps are
-memoryless, so the time back from the recording time to the last reset is
-Exp(reset_rate) cut off at the recording time.  Since the last reset the
-state is arithmetic Brownian motion, whose exact Gaussian transition needs no
-discretization.
+process is sampled from its stationary law exactly, in two draws per path.
+Poisson gaps are memoryless, so the time back to the last reset is
+Exp(reset_rate); since then the state is arithmetic Brownian motion, whose
+exact Gaussian transition needs no discretization.
 """
 
 from __future__ import annotations
@@ -58,39 +56,6 @@ class OuProcessSpec:
     def step_size(self) -> float:
         """Default step keeps reversion-per-step at 1e-3."""
         return self.dt if self.dt is not None else 1e-3 / self.reversion
-
-
-@dataclass(frozen=True)
-class GbmResetSpec:
-    """Log state following arithmetic Brownian motion, reset at Poisson times.
-
-    Between resets d(log X) = drift dt + volatility dW; at reset events the
-    log state jumps back to reset_point.  burn_in must cover many reset
-    half-lives so the recorded samples have forgotten the initial condition.
-    """
-
-    drift: float
-    volatility: float
-    reset_rate: float
-    reset_point: float = 0.0
-    burn_in: float | None = None
-    horizon: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.volatility == 0.0:
-            raise DegenerateDiffusionError("zero volatility: reset process collapses onto the drift line")
-        if self.reset_rate <= 0.0:
-            raise ValueError(f"reset_rate must be positive, got {self.reset_rate}")
-        if self.burn_in is not None and self.burn_in < 10.0 / self.reset_rate:
-            raise ValueError(
-                f"burn_in {self.burn_in} is below 10/reset_rate = {10.0 / self.reset_rate}; "
-                "samples would remember the start point")
-        if self.horizon < 0.0:
-            raise ValueError(f"horizon must be nonnegative, got {self.horizon}")
-
-    def record_time(self) -> float:
-        burn = self.burn_in if self.burn_in is not None else 10.0 / self.reset_rate
-        return burn + self.horizon
 
 
 def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
@@ -147,26 +112,23 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
     return out
 
 
-def simulate_gbm_reset(spec: GbmResetSpec, rng: RngSpec, n_samples: int) -> np.ndarray:
-    """Draws of the log state at time burn_in + horizon, one per path.
+def simulate_gbm_reset(drift: float, volatility: float, reset_rate: float,
+                       rng: RngSpec, n_samples: int) -> np.ndarray:
+    """Draws from the stationary law of the log state, one per path.
 
-    Each path starts at reset_point and is reset at the ticks of a Poisson
-    clock of rate reset_rate.  Looking back from the recording time, the gaps
-    of that clock are memoryless, so the age since the last reset is
-    min(Exp(reset_rate), record_time) exactly, the cap being a path that never
-    reset after its start.  Over that age the state advances by the exact
-    Brownian transition.  The recording time is at least 10 reset half-lives,
-    so the samples follow the stationary law of the process.
+    Between resets d(log X) = drift dt + volatility dW; at the ticks of a
+    Poisson clock of rate reset_rate the log state jumps back to 0.  Looking
+    back from any time in the stationary regime, the gaps of that clock are
+    memoryless, so the age since the last reset is Exp(reset_rate) exactly.
+    Over that age the state advances by the exact Brownian transition.
     """
+    if volatility == 0.0:
+        raise DegenerateDiffusionError("zero volatility: reset process collapses onto the drift line")
+    if reset_rate <= 0.0:
+        raise ValueError(f"reset_rate must be positive, got {reset_rate}")
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     gen = rng.generator()
-    age = _reset_ages(spec, gen, n_samples)
+    age = gen.exponential(1.0 / reset_rate, size=n_samples)
     shocks = gen.standard_normal(n_samples)
-    return spec.reset_point + spec.drift * age + spec.volatility * np.sqrt(age) * shocks
-
-
-def _reset_ages(spec: GbmResetSpec, gen: np.random.Generator, n_samples: int) -> np.ndarray:
-    """Time since each path's last reset at the recording time, in (0, record_time]."""
-    return np.minimum(gen.exponential(1.0 / spec.reset_rate, size=n_samples),
-                      spec.record_time())
+    return drift * age + volatility * np.sqrt(age) * shocks

@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .figures import ASSET_HIGH, ASSET_LOW, F_SIGMA_TIERS, LAMBDA_TIERS
 from .kfe import Grid1D, solve_stationary_kfe_fd
 from .rng import RngSpec
-from .sde import GbmResetSpec, simulate_gbm_reset
+from .sde import simulate_gbm_reset
 from .wealth import EconomyParams, WealthLaw, drift_diffusion, stationary_wealth_density
 
 # ln(1e8): the FD domain extends until each exponential tail has decayed by
@@ -98,9 +98,7 @@ def fd_density_error(law: WealthLaw, n_points: int = 4001) -> float:
 
 def mc_ks_for(law: WealthLaw, rng: RngSpec, n_samples: int = 1_000_000) -> float:
     """KS distance between exact reset-diffusion samples and the closed form."""
-    spec = GbmResetSpec(drift=law.mu, volatility=abs(law.sigma_x),
-                        reset_rate=law.reset_rate)
-    samples = simulate_gbm_reset(spec, rng, n_samples)
+    samples = simulate_gbm_reset(law.mu, abs(law.sigma_x), law.reset_rate, rng, n_samples)
     return ks_distance(samples, stationary_wealth_density(law))
 
 

@@ -82,6 +82,9 @@ def test_paired_type_requires_explicit_friction(tmp_path):
     ("[wealth]\njust words\n", "expected 'key = value'"),
     ("[tax]\ntau_low = 0.5\ntau_high = 0.3\n", r"\[tax\] tau_low must be below tau_high"),
     ("[shrinkage]\nmu_s = 1e6\n", r"\[shrinkage\] math range error"),
+    ("[run]\nseed = -1\n", r"\[run\] master_seed must fit"),
+    (f"[run]\nseed = {2**64}\n", r"\[run\] master_seed must fit"),
+    ("[wealth]\nr = -0.7\n", r"\[wealth\] r \+ delta must be positive"),
 ])
 def test_parse_errors_carry_line_context(tmp_path, text, needle):
     path = write_config(tmp_path, text)
@@ -212,6 +215,16 @@ def test_degenerate_data_value_draws_exit_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "degenerate model" in err and "d_bar" in err
     assert "Traceback" not in err
+
+
+def test_divergent_equilibrium_wealth_mean_exits_three(tmp_path, capsys):
+    # a tiny friction leaves the right tail rate below one: no level mean
+    path = write_config(tmp_path, "[equilibrium]\nf_sigma = 0.001\n")
+    assert run_cli(["equilibrium", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert "divergent" in captured.out
+    assert "degenerate model" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_reproduce_rejects_mismatched_agent_type(tmp_path, capsys):

@@ -11,13 +11,7 @@ from cogecon.densities import PiecewiseExpDensity
 from cogecon.errors import DegenerateDiffusionError
 from cogecon.kfe import Grid1D, _bernoulli, solve_stationary_kfe_fd
 from cogecon.rng import RngSpec
-from cogecon.sde import (
-    GbmResetSpec,
-    OuProcessSpec,
-    _reset_ages,
-    simulate_gbm_reset,
-    simulate_ou_reflected,
-)
+from cogecon.sde import OuProcessSpec, simulate_gbm_reset, simulate_ou_reflected
 
 drifts = st.floats(min_value=-2.0, max_value=2.0)
 vols = st.floats(min_value=0.05, max_value=3.0)
@@ -96,11 +90,6 @@ def test_zero_vol_degenerates():
         PiecewiseExpDensity.from_reset_law(drift=0.1, vol=0.0, reset_rate=0.3)
 
 
-def test_inconsistent_norm_rejected():
-    with pytest.raises(ValueError):
-        PiecewiseExpDensity(norm_K=0.9, rate_left=2.0, rate_right=3.0)
-
-
 # -- rng ----------------------------------------------------------------------
 
 def test_rng_bit_identical_reruns():
@@ -167,15 +156,13 @@ def test_ou_spec_validation():
 # -- reset diffusion ----------------------------------------------------------
 
 def test_gbm_reset_deterministic():
-    spec = GbmResetSpec(drift=0.2, volatility=0.4, reset_rate=0.3)
-    a = simulate_gbm_reset(spec, RngSpec(5), n_samples=5000)
-    b = simulate_gbm_reset(spec, RngSpec(5), n_samples=5000)
+    a = simulate_gbm_reset(0.2, 0.4, 0.3, RngSpec(5), n_samples=5000)
+    b = simulate_gbm_reset(0.2, 0.4, 0.3, RngSpec(5), n_samples=5000)
     assert np.array_equal(a, b)
 
 
 def test_gbm_reset_matches_closed_form():
-    spec = GbmResetSpec(drift=0.2, volatility=0.4, reset_rate=0.3)
-    x = simulate_gbm_reset(spec, RngSpec(9), n_samples=200_000)
+    x = simulate_gbm_reset(0.2, 0.4, 0.3, RngSpec(9), n_samples=200_000)
     d = PiecewiseExpDensity.from_reset_law(drift=0.2, vol=0.4, reset_rate=0.3)
     xs = np.sort(x)
     ecdf = np.arange(1, xs.size + 1) / xs.size
@@ -183,22 +170,39 @@ def test_gbm_reset_matches_closed_form():
     assert ks < 0.01
 
 
-def poisson_clock_walk(spec: GbmResetSpec, rng: RngSpec, n_samples: int) -> np.ndarray:
-    """Reference sampler: walk each path's Poisson reset clock forward to the
-    recording time, then take the exact Gaussian step from the last reset."""
+def test_gbm_reset_stationary_moments():
+    # X = drift A + vol sqrt(A) Z with A ~ Exp(rate): E[X] = drift / rate and
+    # Var[X] = vol^2 / rate + drift^2 / rate^2.  Each estimate is compared at
+    # z = 4.89 (two-sided alpha = 1e-6) standard errors of n draws; the
+    # variance's standard error uses the sample's fourth central moment.
+    drift, vol, rate, n, z = 0.2, 0.4, 0.3, 1_000_000, 4.89
+    x = simulate_gbm_reset(drift, vol, rate, RngSpec(13), n_samples=n)
+    mean, var = drift / rate, vol**2 / rate + drift**2 / rate**2
+    dev = x - x.mean()
+    m2 = np.mean(dev**2)
+    assert abs(x.mean() - mean) < z * math.sqrt(var / n)
+    assert abs(m2 - var) < z * math.sqrt((np.mean(dev**4) - m2**2) / n)
+
+
+def poisson_clock_walk(drift: float, volatility: float, reset_rate: float,
+                       rng: RngSpec, n_samples: int) -> np.ndarray:
+    """Reference sampler: start each path at 0, walk its Poisson reset clock
+    forward to t_record = 10 / reset_rate, then take the exact Gaussian step
+    from the last reset.  It differs from the stationary law by the paths
+    that never reset, a share e^-10 of them."""
     gen = rng.generator()
-    t_record = spec.record_time()
+    t_record = 10.0 / reset_rate
     clock = np.zeros(n_samples)
     last_reset = np.zeros(n_samples)
     active = np.arange(n_samples)
     while active.size:
-        clock[active] += gen.exponential(1.0 / spec.reset_rate, size=active.size)
+        clock[active] += gen.exponential(1.0 / reset_rate, size=active.size)
         fired = clock[active] <= t_record
         last_reset[active[fired]] = clock[active[fired]]
         active = active[fired]
     age = t_record - last_reset
     shocks = gen.standard_normal(n_samples)
-    return spec.reset_point + spec.drift * age + spec.volatility * np.sqrt(age) * shocks
+    return drift * age + volatility * np.sqrt(age) * shocks
 
 
 def test_gbm_reset_same_law_as_clock_walk():
@@ -207,27 +211,20 @@ def test_gbm_reset_same_law_as_clock_walk():
     # (alpha/2 per side), so their distance stays below twice that radius.
     n, alpha = 200_000, 1e-6
     bound = 2.0 * math.sqrt(math.log(4.0 / alpha) / (2.0 * n))
-    spec = GbmResetSpec(drift=-0.3, volatility=0.7, reset_rate=0.8, reset_point=0.5)
-    exact = simulate_gbm_reset(spec, RngSpec(21), n_samples=n)
-    walked = poisson_clock_walk(spec, RngSpec(22), n_samples=n)
+    exact = simulate_gbm_reset(-0.3, 0.7, 0.8, RngSpec(21), n_samples=n)
+    walked = poisson_clock_walk(-0.3, 0.7, 0.8, RngSpec(22), n_samples=n)
     assert ks_2samp(exact, walked).statistic < bound
-
-
-def test_gbm_reset_ages_within_record_time():
-    spec = GbmResetSpec(drift=0.2, volatility=0.4, reset_rate=0.3)
-    age = _reset_ages(spec, RngSpec(4).generator(), 200_000)
-    assert np.all(age > 0.0)
-    assert np.all(age <= spec.record_time())
 
 
 def test_gbm_reset_zero_vol_rejected():
     with pytest.raises(DegenerateDiffusionError):
-        GbmResetSpec(drift=0.2, volatility=0.0, reset_rate=0.3)
+        simulate_gbm_reset(0.2, 0.0, 0.3, RngSpec(1), n_samples=10)
 
 
-def test_gbm_reset_burn_in_floor():
+@pytest.mark.parametrize("reset_rate,n_samples", [(0.0, 10), (-0.3, 10), (0.3, 0)])
+def test_gbm_reset_rejects_bad_rate_and_size(reset_rate, n_samples):
     with pytest.raises(ValueError):
-        GbmResetSpec(drift=0.2, volatility=0.4, reset_rate=0.3, burn_in=1.0)
+        simulate_gbm_reset(0.2, 0.4, reset_rate, RngSpec(1), n_samples=n_samples)
 
 
 # -- stationary forward equation, finite differences --------------------------
@@ -273,4 +270,4 @@ def test_fd_validation():
     with pytest.raises(ValueError):
         solve_stationary_kfe_fd(0.1, 0.4, -0.3, grid)
     with pytest.raises(ValueError):
-        solve_stationary_kfe_fd(0.1, 0.4, 0.3, grid, reset_point=9.0)
+        solve_stationary_kfe_fd(0.1, 0.4, 0.3, Grid1D(1.0, 5.0, 201))
