@@ -2,12 +2,13 @@
 
 The format is deliberately small: [section] headers, key = value pairs, #
 comments (whole-line or trailing), blank lines.  Unknown sections or keys are
-rejected with the offending line number, as are unparseable values.  An empty
-or absent file resolves to the documented defaults.
+rejected with the offending line number, as are unparseable or non-finite
+values.  An empty or absent file resolves to the documented defaults.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -198,10 +199,13 @@ def _parse_value(raw: str, spec: _Key, lineno: int, section: str, key: str):
     try:
         if spec.kind is int:
             return int(raw)
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(
             f"line {lineno}: value {raw!r} for {section}.{key} is not a valid {spec.kind.__name__}")
+    if not math.isfinite(value):
+        raise ConfigError(f"line {lineno}: value {raw!r} for {section}.{key} is not a finite float")
+    return value
 
 
 def parse_config(path: str | Path | None) -> ScenarioConfig:

@@ -1,18 +1,26 @@
-"""Gaussian tail helpers used by several model components."""
+"""Gaussian tail helpers used by several model components.
+
+scipy.special is imported on first use, not with the module: only the tax
+model needs these tails, and importing it takes longer than importing the
+rest of the package, a cost every other command would pay at start-up.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 
 def normal_sf(x):
     """Standard normal survival function 1 - Phi(x) without cancellation."""
+    from scipy.special import ndtr
+
     return ndtr(-np.asarray(x, dtype=float))
 
 
 def normal_log_sf(x):
     """log(1 - Phi(x)), finite far beyond where the survival value underflows."""
+    from scipy.special import log_ndtr
+
     return log_ndtr(-np.asarray(x, dtype=float))
 
 

@@ -1,4 +1,7 @@
-"""Scenario-file parsing, override plumbing, and CLI exit codes."""
+"""Scenario-file parsing, override plumbing, CLI exit codes and cold start."""
+
+import subprocess
+import sys
 
 import pytest
 
@@ -85,6 +88,9 @@ def test_paired_type_requires_explicit_friction(tmp_path):
     ("[run]\nseed = -1\n", r"\[run\] master_seed must fit"),
     (f"[run]\nseed = {2**64}\n", r"\[run\] master_seed must fit"),
     ("[wealth]\nr = -0.7\n", r"\[wealth\] r \+ delta must be positive"),
+    ("[wealth]\nlam = nan\n", r"line 2: value 'nan' for wealth\.lam is not a finite float"),
+    ("[cognition]\nbeta_c = inf\n", r"line 2: value 'inf' for cognition\.beta_c is not a finite"),
+    ("[equilibrium]\nrho = -inf\n", r"line 2: value '-inf' for equilibrium\.rho is not a finite"),
 ])
 def test_parse_errors_carry_line_context(tmp_path, text, needle):
     path = write_config(tmp_path, text)
@@ -139,6 +145,14 @@ def test_bad_config_path_is_usage_error():
 def test_invalid_parameter_exits_one(tmp_path):
     path = write_config(tmp_path, "[wealth]\ngamma = -1\n")
     assert run_cli(["wealth", "--config", path]) == 1
+
+
+def test_non_finite_value_exits_one_without_traceback(tmp_path, capsys):
+    path = write_config(tmp_path, "[wealth]\nlam = inf\n")
+    assert run_cli(["wealth", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "line 2: value 'inf' for wealth.lam is not a finite float" in err
+    assert "Traceback" not in err
 
 
 def test_wrong_equilibrium_exponent_exits_one(tmp_path, capsys):
@@ -273,3 +287,29 @@ def test_bad_ensemble_files_exit_one(tmp_path, capsys, body, needle):
     err = capsys.readouterr().err
     assert needle in err
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------------- cold start ---
+
+# Runs in a fresh interpreter so that sys.modules shows only what these two
+# commands load.  No --config: a scenario file's [tax] check needs scipy.
+NO_SCIPY_PROBE = """
+import sys
+from cogecon.cli import main
+from cogecon.validate import benchmark_reports
+try:
+    main(["reproduce", "--figure", "all", "--out", sys.argv[1]])
+except SystemExit as exc:
+    assert not exc.code, exc.code
+for _ in benchmark_reports(7, 401, 10_000):
+    pass
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_reproduce_and_validate_load_no_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.iterdir())) == 14
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -5,13 +5,19 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.stats import ks_2samp
 
+from cogecon import kfe
+from cogecon.config import default_config
 from cogecon.densities import PiecewiseExpDensity
 from cogecon.errors import DegenerateDiffusionError
 from cogecon.kfe import Grid1D, _bernoulli, solve_stationary_kfe_fd
 from cogecon.rng import RngSpec
 from cogecon.sde import OuProcessSpec, simulate_gbm_reset, simulate_ou_reflected
+from cogecon.validate import benchmark_combos, fd_grid_for
+from cogecon.wealth import drift_diffusion
 
 drifts = st.floats(min_value=-2.0, max_value=2.0)
 vols = st.floats(min_value=0.05, max_value=3.0)
@@ -216,6 +222,19 @@ def test_gbm_reset_same_law_as_clock_walk():
     assert ks_2samp(exact, walked).statistic < bound
 
 
+@pytest.mark.parametrize("drift,volatility,reset_rate",
+                         [(0.3, 0.5, 0.4), (-0.7, 1.2, 0.05), (1e-3, 3.0, 2.0)])
+def test_gbm_reset_equals_plain_formula(drift, volatility, reset_rate):
+    # The sampler evaluates the step in place; the bits must not change.
+    n = 100_000
+    rng = RngSpec(5, stream_id=3)
+    samples = simulate_gbm_reset(drift, volatility, reset_rate, rng, n_samples=n)
+    gen = rng.generator()
+    age = gen.exponential(1.0 / reset_rate, size=n)
+    shocks = gen.standard_normal(n)
+    assert np.array_equal(samples, drift * age + volatility * np.sqrt(age) * shocks)
+
+
 def test_gbm_reset_zero_vol_rejected():
     with pytest.raises(DegenerateDiffusionError):
         simulate_gbm_reset(0.2, 0.0, 0.3, RngSpec(1), n_samples=10)
@@ -271,3 +290,24 @@ def test_fd_validation():
         solve_stationary_kfe_fd(0.1, 0.4, -0.3, grid)
     with pytest.raises(ValueError):
         solve_stationary_kfe_fd(0.1, 0.4, 0.3, Grid1D(1.0, 5.0, 201))
+
+
+def _sparse_direct_solve(lower, main, upper, rhs):
+    matrix = sp.diags([lower, main, upper], offsets=[-1, 0, 1], format="csc")
+    return spla.spsolve(matrix, rhs)
+
+
+def test_thomas_sweep_matches_sparse_direct_solve(monkeypatch):
+    # The same discretization, solved by the Thomas sweep and by a sparse LU,
+    # on the twelve benchmark laws and the default configured law.
+    laws = [drift_diffusion(params) for _, params in benchmark_combos()]
+    laws.append(drift_diffusion(default_config().wealth_params()))
+
+    def solve_all():
+        return [solve_stationary_kfe_fd(law.mu, abs(law.sigma_x), law.reset_rate,
+                                        fd_grid_for(law, 4001)) for law in laws]
+
+    thomas = solve_all()
+    monkeypatch.setattr(kfe, "_solve_tridiagonal", _sparse_direct_solve)
+    for swept, reference in zip(thomas, solve_all()):
+        assert np.max(np.abs(swept - reference)) <= 1e-10 * np.max(reference)
