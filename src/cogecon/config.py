@@ -9,17 +9,24 @@ values.  An empty or absent file resolves to the documented defaults.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from .consumption import CawfParams, ShrinkageParams, bayes_adjustment, implied_shrinkage
 from .cognition import CognitionParams, RetentionParams
 from .data_value import gaussian_entropy
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateModelError
 from .rng import RngSpec
 from .sde import OuProcessSpec
 from .tax_model import TaxEconomy, proposition1_check
-from .wealth import EconomyParams, productivity_cutoff
+from .wealth import (
+    EconomyParams,
+    drift_diffusion,
+    equilibrium_economy,
+    productivity_cutoff,
+    stationary_wealth_density,
+)
 
 
 @dataclass(frozen=True)
@@ -247,8 +254,26 @@ def _check(section: str, view) -> None:
     """Run one callee's own validator; its rejection becomes a ConfigError."""
     try:
         view()
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
+    except ArithmeticError as exc:
+        raise ConfigError(f"[{section}] {exc} (values out of floating-point range)") from exc
+
+
+def _wealth_law_in_range(economy: Callable[[], EconomyParams]) -> None:
+    """Evaluate the closed-form stationary wealth law of economy().
+
+    Values that each pass their own check can still take the closed form out
+    of floating-point range: an overflow, a division by zero, or a decay rate
+    that cancels to 0.  Evaluating it once here rejects them at load.  A
+    degenerate law is in range; the verbs that use it exit 3 on it.
+    """
+    try:
+        stationary_wealth_density(drift_diffusion(economy()))
+    except DegenerateModelError:
+        return
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"stationary wealth law out of floating-point range ({exc})") from exc
 
 
 def revalidate(cfg: ScenarioConfig) -> None:
@@ -256,7 +281,8 @@ def revalidate(cfg: ScenarioConfig) -> None:
 
     Constructing the typed views, and calling the functions that consume the
     remaining keys, triggers their own validators, so each bad value is
-    rejected by the one check that guards it.  Overflow counts as out of range.
+    rejected by the one check that guards it.  Overflow and division by zero
+    count as out of range.
     """
     agent_type = cfg.values["wealth"]["agent_type"]
     if agent_type not in ("one", "two"):
@@ -277,7 +303,10 @@ def revalidate(cfg: ScenarioConfig) -> None:
         ("wealth", cfg.wealth_params),
         ("wealth", lambda: productivity_cutoff(wealth["r"], wealth["delta"],
                                                wealth["alpha"], wealth["w"])),
+        ("wealth", lambda: _wealth_law_in_range(cfg.wealth_params)),
         ("equilibrium", cfg.equilibrium_params),
+        ("equilibrium", lambda: _wealth_law_in_range(
+            lambda: equilibrium_economy(cfg.equilibrium_params()))),
     )
     for section, view in checks:
         _check(section, view)

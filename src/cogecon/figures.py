@@ -63,8 +63,8 @@ class SeriesTable:
     def to_csv_bytes(self) -> bytes:
         lines = [f"# {key}: {value}" for key, value in self.meta.items()]
         lines.append(",".join(self.columns))
-        for row in self.data:
-            lines.append(",".join(f"{v:.17g}" for v in row))
+        row_format = ",".join(["%.17g"] * len(self.columns))
+        lines.extend(row_format % tuple(row) for row in self.data.tolist())
         return ("\r\n".join(lines) + "\r\n").encode("ascii")
 
     def write(self, out_dir: str | Path) -> Path:

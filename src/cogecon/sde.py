@@ -11,6 +11,7 @@ exact Gaussian transition needs no discretization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,11 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
 
     lo, hi = spec.lower_bound, spec.upper_bound
     period = 2.0 * (hi - lo)
+    # One step's scratch, reused so that stepping allocates nothing.
+    shocks = np.empty(n_paths)
+    y = np.empty(n_paths)
+    tmp = np.empty(n_paths)
+    negative = np.empty(n_paths, dtype=bool)
 
     t = 0.0
     next_record = 0
@@ -95,13 +101,31 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
         step = min(dt, record_times[-1] - t)
         if step <= 0.0:
             break
-        shocks = gen.standard_normal(n_paths)
-        x = x + spec.reversion * (spec.mean - x) * step \
-            + spec.volatility * np.sqrt(step) * shocks
-        # Fold back into [lo, hi]; the modular form resolves any number of
-        # bounces in one shot.
-        y = np.mod(x - lo, period)
-        x = lo + np.minimum(y, period - y)
+        gen.standard_normal(out=shocks)
+        # x + (reversion*(mean - x))*step + (volatility*sqrt(step))*shocks,
+        # in place: each product and sum is the formula's own, at most with
+        # its operands swapped, so the bits are the formula's.
+        np.subtract(spec.mean, x, out=tmp)
+        tmp *= spec.reversion
+        tmp *= step
+        x += tmp
+        shocks *= spec.volatility * math.sqrt(step)
+        x += shocks
+        # Fold back into [lo, hi] as lo + min(y, period - y) with
+        # y = (x - lo) mod period; the modular form resolves any number of
+        # bounces in one shot.  For period > 0, np.mod's remainder is fmod's
+        # (which is exact), plus period where that is negative, and +0 where
+        # it is zero.  Adding period*[y < 0] does both at once: where y >= 0
+        # it adds 0.0, which changes no value but turns -0 into +0.  So y has
+        # np.mod's bits without its full floor-divmod.
+        np.subtract(x, lo, out=y)
+        np.fmod(y, period, out=y)
+        np.less(y, 0.0, out=negative)
+        np.multiply(negative, period, out=tmp)
+        y += tmp
+        np.subtract(period, y, out=tmp)
+        np.minimum(y, tmp, out=x)
+        x += lo
         t += step
         while next_record < record_times.size and record_times[next_record] <= t + 1e-12:
             out[:, next_record] = x

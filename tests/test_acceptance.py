@@ -235,7 +235,7 @@ def test_criterion_9_shrinkage_regression():
 
 def test_criterion_10_tax_model_properties():
     with criterion(10, "lower tax preferred on 100 draws; truncated means "
-                       "within 3 SE of a 1e7-draw oracle; hazard ordering "
+                       "within rtol 1e-10 of adaptive quadrature; hazard ordering "
                        "holds on the full sweep"):
         t0 = time.perf_counter()
         gen = np.random.default_rng(5)
@@ -254,16 +254,25 @@ def test_criterion_10_tax_model_properties():
             mu_b = float(gen.uniform(-0.5, 0.5))
             assert proposition1_check(e, tau_low, tau_high, mu_b)[2]
 
+        # Oracle: adaptive quadrature of E[e^mu; mu >= k] and P(mu >= k),
+        # each to rtol 1e-11, so their ratio is good to well inside 1e-10.
         oracle = np.random.default_rng(11)
         for _ in range(20):
             mu_bar = float(oracle.uniform(-0.5, 0.5))
             sigma = float(oracle.uniform(0.3, 1.2))
             k = float(oracle.uniform(mu_bar - sigma, mu_bar + 1.5 * sigma))
-            draws = oracle.normal(mu_bar, sigma, size=10_000_000)
-            kept = np.exp(draws[draws >= k])
-            se = float(kept.std()) / math.sqrt(kept.size)
-            gap = abs(truncated_exp_mean(mu_bar, sigma, k) - float(kept.mean()))
-            assert gap < 3.0 * se
+            norm = sigma * math.sqrt(2.0 * math.pi)
+
+            def log_density(x):
+                return -0.5 * ((x - mu_bar) / sigma) ** 2
+
+            num, num_err = quad(lambda x: math.exp(x + log_density(x)) / norm, k, math.inf,
+                                epsabs=0.0, epsrel=1e-11, limit=200)
+            mass, mass_err = quad(lambda x: math.exp(log_density(x)) / norm, k, math.inf,
+                                  epsabs=0.0, epsrel=1e-11, limit=200)
+            assert num_err <= 1e-11 * num and mass_err <= 1e-11 * mass
+            expected = num / mass
+            assert abs(truncated_exp_mean(mu_bar, sigma, k) - expected) <= 1e-10 * expected
 
         for sigma in (0.25, 0.5, 1.0, 2.0, 4.0):
             for mu_k in np.linspace(-5.0, 5.0, 101):

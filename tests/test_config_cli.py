@@ -155,6 +155,32 @@ def test_non_finite_value_exits_one_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["wealth", "equilibrium"])
+@pytest.mark.parametrize("section,line", [
+    ("wealth", "f_sigma = 1e-300"),   # drift**2 overflows in the decay rates
+    ("wealth", "gamma = 1e-300"),     # sigma_x**2 overflows
+    ("wealth", "z = 1e9"),            # the right decay rate cancels to 0
+    ("wealth", "w = 1e308"),          # the productivity cutoff divides by 0
+    ("equilibrium", "f_sigma = 1e-300"),
+    ("equilibrium", "gamma = 1e-300"),
+    ("equilibrium", "rho = 1e308"),   # the equilibrium wage underflows to 0
+])
+def test_finite_extremes_exit_one_without_traceback(tmp_path, capsys, verb, section, line):
+    path = write_config(tmp_path, f"[{section}]\n{line}\n")
+    assert run_cli([verb, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [{section}] ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_no_equilibrium_wage_exits_three_only_under_equilibrium(tmp_path, capsys):
+    # a degenerate law is in range at load: only the verb that needs it fails
+    path = write_config(tmp_path, "[equilibrium]\nsigma = 1.0\n")
+    assert run_cli(["equilibrium", "--config", path]) == 3
+    assert "no equilibrium wage" in capsys.readouterr().err
+    assert run_cli(["wealth", "--config", path]) == 0
+
+
 def test_wrong_equilibrium_exponent_exits_one(tmp_path, capsys):
     path = write_config(tmp_path, "[equilibrium]\nalpha = 0.3\n")
     assert run_cli(["equilibrium", "--config", path]) == 1
@@ -166,6 +192,8 @@ def test_degenerate_diffusion_exits_three(tmp_path, capsys):
     path = write_config(tmp_path, "[wealth]\ntheta = 0.01\nr = 0.01\n")
     assert run_cli(["wealth", "--config", path]) == 3
     assert "degenerate" in capsys.readouterr().err
+    # in range at load, so a verb that does not use the wealth law still runs
+    assert run_cli(["equilibrium", "--config", path]) == 0
 
 
 def test_validation_failure_exits_two(monkeypatch, capsys):

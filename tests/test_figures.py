@@ -92,6 +92,32 @@ def test_csv_bytes_roundtrip_at_full_precision(cfg, tmp_path):
     assert target.read_bytes() == raw
 
 
+def per_element_csv_bytes(t: SeriesTable) -> bytes:
+    """Reference formatter: one f-string per numpy scalar."""
+    lines = [f"# {key}: {value}" for key, value in t.meta.items()]
+    lines.append(",".join(t.columns))
+    for row in t.data:
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return ("\r\n".join(lines) + "\r\n").encode("ascii")
+
+
+EDGE_VALUES = (-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+               1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e-17, 123456789.0,
+               -7.0, 3.0, 2.0**53, 2.0**53 + 2.0, 1e22)
+
+
+@pytest.mark.parametrize("data", [
+    np.array(EDGE_VALUES[:15]).reshape(5, 3),
+    np.array(EDGE_VALUES).reshape(1, -1),
+    np.array(EDGE_VALUES).reshape(-1, 1),
+    np.array([[-3, 0, 7], [2**53 + 1, -(2**62), 1]], dtype=np.int64),
+], ids=["edges", "one-row", "one-column", "int64"])
+def test_csv_bytes_equal_per_element_formatter(data):
+    t = SeriesTable("t", tuple(f"c{j}" for j in range(data.shape[1])), data,
+                    {"figure": 0, "seed": "unused"})
+    assert t.to_csv_bytes() == per_element_csv_bytes(t)
+
+
 def test_reproduce_rejects_unknown_figure(cfg):
     with pytest.raises(ValueError, match="figure"):
         reproduce(0, cfg)

@@ -150,6 +150,78 @@ def test_ou_zero_vol_relaxes_to_mean():
     assert np.max(np.abs(path - analytic)) < 1e-2
 
 
+def plain_ou_loop(spec: OuProcessSpec, rng: RngSpec, n_paths: int, record_times):
+    """Reference stepper: the reflected-OU loop written as plain expressions,
+    with np.mod for the fold.  Also returns the largest |x - lo| met before a
+    fold, to show when a step overshoots by more than a whole period."""
+    record_times = np.asarray(sorted(record_times), dtype=float)
+    dt = spec.step_size()
+    gen = rng.generator()
+    x = np.full(n_paths, spec.mean if spec.start is None else spec.start, dtype=float)
+    out = np.empty((n_paths, record_times.size), dtype=float)
+    lo, hi = spec.lower_bound, spec.upper_bound
+    period = 2.0 * (hi - lo)
+    widest = 0.0
+    t = 0.0
+    next_record = 0
+    while next_record < record_times.size and record_times[next_record] <= t:
+        out[:, next_record] = x
+        next_record += 1
+    n_steps = int(np.ceil((record_times[-1] - t) / dt))
+    for _ in range(n_steps):
+        step = min(dt, record_times[-1] - t)
+        if step <= 0.0:
+            break
+        shocks = gen.standard_normal(n_paths)
+        x = x + spec.reversion * (spec.mean - x) * step \
+            + spec.volatility * np.sqrt(step) * shocks
+        widest = max(widest, float(np.max(np.abs(x - lo))))
+        y = np.mod(x - lo, period)
+        x = lo + np.minimum(y, period - y)
+        t += step
+        while next_record < record_times.size and record_times[next_record] <= t + 1e-12:
+            out[:, next_record] = x
+            next_record += 1
+    while next_record < record_times.size:
+        out[:, next_record] = x
+        next_record += 1
+    return out, widest
+
+
+FIGURE6_OU = OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8,
+                           lower_bound=0.0, upper_bound=1.0, horizon=60.0)
+
+
+@pytest.mark.parametrize("spec,seed,n_paths,record_times", [
+    (FIGURE6_OU, 42, 1000, [60.0]),
+    (FIGURE6_OU, 1, 1000, [60.0]),
+    # lo != 0, asymmetric about the mean
+    (OuProcessSpec(mean=-0.9, reversion=0.7, volatility=1.3, lower_bound=-1.25,
+                   upper_bound=0.4, horizon=5.0, dt=0.01), 3, 257, [5.0]),
+    # steps far wider than the period: |x - lo| >= period is common
+    (OuProcessSpec(mean=0.5, reversion=0.2, volatility=25.0, lower_bound=0.0,
+                   upper_bound=1.0, horizon=2.0, dt=0.01), 4, 300, [0.5, 2.0]),
+    # start on a bound, several record times including 0
+    (OuProcessSpec(mean=2.0, reversion=0.4, volatility=0.6, lower_bound=1.5,
+                   upper_bound=3.0, horizon=4.0, start=1.5, dt=0.02), 5, 64,
+     [0.0, 0.02, 1.0, 2.5, 4.0]),
+    # dt does not divide the horizon: the last step is shorter
+    (OuProcessSpec(mean=0.2, reversion=1.5, volatility=0.9, lower_bound=-0.5,
+                   upper_bound=0.5, horizon=1.0, start=0.5, dt=0.03), 6, 100,
+     [0.0, 0.45, 1.0]),
+], ids=["fig6-seed42", "fig6-seed1", "lo-nonzero", "vol25", "start-on-bound",
+        "ragged-dt"])
+def test_ou_reflected_equals_plain_loop(spec, seed, n_paths, record_times):
+    # The sampler steps in place and folds with fmod; the bits must not change.
+    rng = RngSpec(seed, stream_id=6)
+    got = simulate_ou_reflected(spec, rng, n_paths, record_times)
+    want, widest = plain_ou_loop(spec, rng, n_paths, record_times)
+    # Compared as bit patterns, so -0 against +0 would also fail.
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if spec.volatility == 25.0:
+        assert widest >= 2.0 * (spec.upper_bound - spec.lower_bound)
+
+
 def test_ou_spec_validation():
     with pytest.raises(ValueError):
         OuProcessSpec(mean=0.5, reversion=-0.1, volatility=0.8,
