@@ -1,0 +1,149 @@
+"""Paired benchmark runs of two checkouts, written to BENCH_<label>.json.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --label pr9 \
+        --runs validate:1211-1220 --runs sweep:1221-1226 \
+        --trace-runs validate:1231-1231 --change-note "what the change does"
+
+PARENT and CHANGE are two checkouts of this repository (the change need not
+be committed).  For each seed of each --runs workload, one pair runs
+``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`` in
+both checkouts, one after the other; even pairs run the parent first, odd
+pairs the change.  --trace-runs pairs do the same with --trace 1.  The run
+length S is BENCHMARK.json's run_seconds in CHANGE.
+
+The JSON file keeps the last line of every run (the benchmark's result), the
+seeds, and for each workload and end-to-end metric of BENCHMARK.json the
+median and quartiles of each side, the pairs the change won and the parent's
+interquartile distance.  It is rewritten after every run, so an interrupted
+session keeps the runs it finished.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def seed_range(spec: str) -> tuple[str, list[int]]:
+    """'validate:1211-1220' -> ('validate', [1211, ..., 1220])."""
+    workload, _, seeds = spec.partition(":")
+    first, _, last = seeds.partition("-")
+    try:
+        lo, hi = int(first), int(last or first)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:FIRST-LAST, got {spec!r}")
+    if not workload or hi < lo:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:FIRST-LAST, got {spec!r}")
+    return workload, list(range(lo, hi + 1))
+
+
+def machine() -> str:
+    mem_gb = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
+    return (f"{len(os.sched_getaffinity(0))}-core {platform.machine()} {platform.system()}, "
+            f"{mem_gb:.0f} GB RAM, {platform.python_implementation()} "
+            f"{platform.python_version()}")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run; its parsed last line, or the error it ended with."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"result": None, "error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
+    return {"result": json.loads(lines[-1])}
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"q1": values[0], "median": values[0], "q3": values[0], "n": len(values)}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per workload and metric: each side's quartiles and the pairs the change won."""
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs: dict[int, dict] = {}
+        for r in runs:
+            if r["workload"] == workload and r["result"] is not None:
+                pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]
+        done = [p for p in pairs.values() if len(p) == 2]
+        if not done:
+            continue
+        entry = {}
+        for metric in metrics:
+            name, better = metric["name"], metric["better"]
+            values = {side: [p[side]["metrics"][name]["value"] for p in done]
+                      for side in ("parent", "change")}
+            won = sum((c < p) if better == "lower" else (c > p)
+                      for p, c in zip(values["parent"], values["change"]))
+            parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            entry[name] = {"parent": parent, "change": change,
+                           f"change_{better}_pairs": won, "pairs": len(done),
+                           "median_change_pct": 100.0 * (change["median"] - parent["median"])
+                                                / parent["median"],
+                           "parent_iqr": parent["q3"] - parent["q1"]}
+        entry["failed"] = {side: sum(p[side]["failed"] for p in done) for side in ("parent", "change")}
+        entry["attempted"] = {side: sum(p[side]["attempted"] for p in done)
+                              for side in ("parent", "change")}
+        entry["all_correct"] = all(p[side]["correct"] for p in done for side in ("parent", "change"))
+        summary[workload] = entry
+    return summary
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
+    ap.add_argument("--runs", type=seed_range, action="append", default=[],
+                    metavar="WORKLOAD:FIRST-LAST", help="untraced pairs, one per seed")
+    ap.add_argument("--trace-runs", type=seed_range, action="append", default=[],
+                    metavar="WORKLOAD:FIRST-LAST", help="traced pairs, one per seed")
+    ap.add_argument("--change-note", default="", help="one line on what the change does")
+    args = ap.parse_args()
+
+    parent, change = args.parent.resolve(), args.change.resolve()
+    bench = json.loads((change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    commit = subprocess.run(["git", "-C", str(parent), "rev-parse", "HEAD"],
+                            capture_output=True, text=True).stdout.strip() or None
+    seeds = {w: s for w, s in args.runs}
+    seeds.update({f"{w}_trace": s for w, s in args.trace_runs})
+    out = {"what": "perfbench/run.py, parent commit against this change, "
+                   "alternating which side runs first in each pair",
+           "parent_commit": commit,
+           "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} "
+                      "--trace 0|1",
+           "run_seconds": seconds, "seeds": seeds, "change": args.change_note,
+           "machine": machine(), "summary": {}, "runs": [], "trace_runs": []}
+    path = Path(f"BENCH_{args.label}.json")
+
+    for trace, key, specs in ((0, "runs", args.runs), (1, "trace_runs", args.trace_runs)):
+        for workload, workload_seeds in specs:
+            for pair, seed in enumerate(workload_seeds):
+                order = (("parent", parent), ("change", change))
+                for side, checkout in order if pair % 2 == 0 else order[::-1]:
+                    record = {"workload": workload, "side": side, "seed": seed, "pair": pair,
+                              "seconds": seconds, "trace": trace,
+                              **run_once(checkout, workload, seed, seconds, trace)}
+                    out[key].append(record)
+                    out["summary"] = summarize(out["runs"], bench["end_to_end"])
+                    path.write_text(json.dumps(out, indent=1) + "\n")
+                    status = "ok" if record["result"] is not None else record["error"]
+                    print(f"{workload} seed {seed} {side} trace {trace}: {status}", flush=True)
+    print(f"wrote {path}")
+
+
+if __name__ == "__main__":
+    main()

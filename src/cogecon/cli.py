@@ -62,7 +62,7 @@ from .tax_model import (
     proposition1_check,
     truncated_exp_mean,
 )
-from .validate import benchmark_reports, run_density_validation
+from .validate import benchmark_jobs, run_validations
 from .wealth import (
     density_stats,
     drift_diffusion,
@@ -403,17 +403,18 @@ def validate(config_path, seed, out_dir, explain) -> None:
 
     click.echo("[configured law]")
     law = drift_diffusion(cfg.wealth_params())
+    # The configured law is job 0 of the pool that runs the benchmark laws.
+    jobs = [("configured", law, RngSpec(cfg.seed, stream_id=99)), *benchmark_jobs(cfg.seed)]
+    results = run_validations(jobs, n_points, n_samples)
     try:
-        reports = [run_density_validation(law, RngSpec(cfg.seed, stream_id=99),
-                                          label="configured", n_points=n_points,
-                                          n_samples=n_samples)]
+        reports = [next(results)]
     except DegenerateModelError as exc:
         click.echo(f"  configured{'':<30} DEGENERATE  sigma_x = {law.sigma_x:g}")
         raise DegenerateModelError(
             f"configured wealth law is degenerate: {exc}") from exc
     echo_report(reports[0])
     click.echo("[benchmark combinations]")
-    for rep in benchmark_reports(cfg.seed, n_points, n_samples):
+    for rep in results:
         echo_report(rep)
         reports.append(rep)
     failed = [r.label for r in reports if not r.passed]

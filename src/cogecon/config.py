@@ -14,16 +14,22 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .consumption import CawfParams, ShrinkageParams, bayes_adjustment, implied_shrinkage
-from .cognition import CognitionParams, RetentionParams
+from .cognition import (
+    CognitionParams,
+    RetentionParams,
+    dilution_threshold,
+    stationary_cognition_density,
+)
 from .data_value import gaussian_entropy
 from .errors import ConfigError, DegenerateModelError
 from .rng import RngSpec
 from .sde import OuProcessSpec
-from .tax_model import TaxEconomy, proposition1_check
+from .tax_model import TaxEconomy, consumptions, proposition1_check
 from .wealth import (
     EconomyParams,
+    density_stats,
     drift_diffusion,
-    equilibrium_economy,
+    equilibrium_density,
     productivity_cutoff,
     stationary_wealth_density,
 )
@@ -260,20 +266,27 @@ def _check(section: str, view) -> None:
         raise ConfigError(f"[{section}] {exc} (values out of floating-point range)") from exc
 
 
-def _wealth_law_in_range(economy: Callable[[], EconomyParams]) -> None:
-    """Evaluate the closed-form stationary wealth law of economy().
+def _in_range(what: str, compute: Callable[[], object]) -> None:
+    """Evaluate compute() once, as the verb that reports `what` will.
 
-    Values that each pass their own check can still take the closed form out
+    Values that each pass their own check can still take a closed form out
     of floating-point range: an overflow, a division by zero, or a decay rate
     that cancels to 0.  Evaluating it once here rejects them at load.  A
-    degenerate law is in range; the verbs that use it exit 3 on it.
+    degenerate model is in range; the verbs that use it exit 3 on it.
     """
     try:
-        stationary_wealth_density(drift_diffusion(economy()))
+        compute()
     except DegenerateModelError:
         return
     except (ValueError, ArithmeticError) as exc:
-        raise ValueError(f"stationary wealth law out of floating-point range ({exc})") from exc
+        raise ValueError(f"{what} out of floating-point range ({exc})") from exc
+
+
+def _cognition_report(p: CognitionParams) -> None:
+    """The cognition verb's closed forms that can leave floating-point range
+    (the others are sums and ratios of the same finite terms)."""
+    dilution_threshold(p)
+    density_stats(stationary_cognition_density(p))
 
 
 def revalidate(cfg: ScenarioConfig) -> None:
@@ -294,6 +307,8 @@ def revalidate(cfg: ScenarioConfig) -> None:
     checks = (
         ("run", lambda: RngSpec(cfg.seed)),
         ("cognition", cfg.cognition_params),
+        ("cognition", lambda: _in_range("cognition law",
+                                        lambda: _cognition_report(cfg.cognition_params()))),
         ("retention", cfg.retention_params),
         ("consumption", cfg.cawf_params),
         ("consumption", cfg.shrinkage_params),
@@ -303,11 +318,17 @@ def revalidate(cfg: ScenarioConfig) -> None:
         ("wealth", cfg.wealth_params),
         ("wealth", lambda: productivity_cutoff(wealth["r"], wealth["delta"],
                                                wealth["alpha"], wealth["w"])),
-        ("wealth", lambda: _wealth_law_in_range(cfg.wealth_params)),
+        ("wealth", lambda: _in_range("stationary wealth law", lambda: stationary_wealth_density(
+            drift_diffusion(cfg.wealth_params())))),
         ("equilibrium", cfg.equilibrium_params),
-        ("equilibrium", lambda: _wealth_law_in_range(
-            lambda: equilibrium_economy(cfg.equilibrium_params()))),
+        ("equilibrium", lambda: _in_range("stationary wealth law", lambda: equilibrium_density(
+            cfg.equilibrium_params()))),
     )
+    # The tax verb's closed forms need scipy.special, whose import costs
+    # about 0.3 s; the defaults are in range, so only a file's values pay it.
+    if "file" in cfg.origins["tax"].values():
+        checks += (("tax", lambda: _in_range("tax economy", lambda: consumptions(
+            cfg.tax_economy(), 0.0, 0.0, mu_b=0.0))),)
     for section, view in checks:
         _check(section, view)
     if cfg.values["datavalue"]["j_coupling"] < 0.0:

@@ -19,6 +19,10 @@ import numpy as np
 from .errors import DegenerateDiffusionError
 from .rng import RngSpec
 
+# Normals per chunk of the reset sampler: 512 KiB of scratch, small enough to
+# stay in cache, large enough that the per-chunk Python overhead is noise.
+_GBM_RESET_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class OuProcessSpec:
@@ -154,12 +158,19 @@ def simulate_gbm_reset(drift: float, volatility: float, reset_rate: float,
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     gen = rng.generator()
     age = gen.exponential(1.0 / reset_rate, size=n_samples)
-    shocks = gen.standard_normal(n_samples)
-    # drift*age + volatility*sqrt(age)*shocks in the same operation order, so
-    # the same bits, but in place: one new buffer where the formula makes five.
-    step = np.sqrt(age)
-    step *= volatility
-    step *= shocks
-    age *= drift
-    age += step
+    # The normals come in chunks through two reused scratch buffers: a Philox
+    # stream drawn in pieces is the same stream, so the samples are those of
+    # one whole draw, and no second n-element array is held.  Each chunk takes
+    # drift*age + volatility*sqrt(age)*shocks in the formula's operation order.
+    size = min(n_samples, _GBM_RESET_CHUNK)
+    shocks, step = np.empty(size), np.empty(size)
+    for start in range(0, n_samples, size):
+        a = age[start:start + size]
+        z, s = shocks[:a.size], step[:a.size]
+        gen.standard_normal(out=z)
+        np.sqrt(a, out=s)
+        s *= volatility
+        s *= z
+        a *= drift
+        a += s
     return age

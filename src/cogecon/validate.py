@@ -10,7 +10,8 @@ than tautology.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import os
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,10 @@ from .wealth import EconomyParams, WealthLaw, drift_diffusion, stationary_wealth
 # ln(1e8): the FD domain extends until each exponential tail has decayed by
 # eight orders of magnitude, so truncation error sits far below the tolerance.
 TAIL_DECADES_LOG = 18.420680743952367
+
+# Sorted samples per step of the KS sweep: its cdf and gap arrays stay this
+# size however many samples there are.
+_KS_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,21 +67,25 @@ def benchmark_combos() -> list[tuple[str, EconomyParams]]:
 
 
 def ks_distance(samples: np.ndarray, density: PiecewiseExpDensity) -> float:
-    """Kolmogorov-Smirnov distance between an empirical sample and the model cdf."""
-    x = np.sort(np.asarray(samples, dtype=float))
+    """Kolmogorov-Smirnov distance between an empirical sample and the model cdf.
+
+    A float64 array is sorted in place, so the caller gets its samples back
+    sorted; other input is converted to a fresh array first.
+    """
+    x = np.asarray(samples, dtype=float)
     n = x.size
     if n == 0:
         raise ValueError("need at least one sample")
-    cdf = density.cdf(x)
-    # ecdf[k] = k/n: the empirical cdf steps from ecdf[i] to ecdf[i + 1] at
-    # x[i].  The gaps overwrite x, the sorted copy no longer needed; fewer
-    # fresh million-element buffers keep this step free of page faults.
-    ecdf = np.arange(n + 1, dtype=float)
-    ecdf /= n
-    gap = np.subtract(ecdf[1:], cdf, out=x)
-    d_plus = np.max(gap)
-    np.subtract(cdf, ecdf[:-1], out=gap)
-    return float(max(d_plus, np.max(gap)))
+    x.sort()
+    # The empirical cdf steps from k/n to (k+1)/n at x[k].  Both gaps are
+    # taken chunk by chunk, so the work arrays stay chunk-sized; a maximum is
+    # exact, so the result is the whole-array one bit for bit.
+    dist = 0.0
+    for start in range(0, n, _KS_CHUNK):
+        cdf = density.cdf(x[start:start + _KS_CHUNK])
+        ecdf = np.arange(start, start + cdf.size + 1) / n
+        dist = max(dist, np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1]))
+    return float(dist)
 
 
 def fd_grid_for(law: WealthLaw, n_points: int) -> Grid1D:
@@ -97,7 +106,10 @@ def fd_density_error(law: WealthLaw, n_points: int = 4001) -> float:
 
 
 def mc_ks_for(law: WealthLaw, rng: RngSpec, n_samples: int = 1_000_000) -> float:
-    """KS distance between exact reset-diffusion samples and the closed form."""
+    """KS distance between exact reset-diffusion samples and the closed form.
+
+    The samples are this function's own, so KS sorts them in place.
+    """
     samples = simulate_gbm_reset(law.mu, abs(law.sigma_x), law.reset_rate, rng, n_samples)
     return ks_distance(samples, stationary_wealth_density(law))
 
@@ -112,18 +124,48 @@ def run_density_validation(law: WealthLaw, rng: RngSpec, label: str = "",
                        ks_tol=ks_tol)
 
 
-def benchmark_reports(master_seed: int = 42, n_points: int = 4001,
-                      n_samples: int = 1_000_000) -> Iterator[ComboReport]:
-    """Run both oracles over the twelve benchmark combinations, one at a time.
+def run_validations(jobs: Sequence[tuple[str, WealthLaw, RngSpec]], n_points: int = 4001,
+                    n_samples: int = 1_000_000) -> Iterator[ComboReport]:
+    """Validate each (label, law, rng) job; yield the reports in job order.
+
+    The jobs run on a pool of up to one thread per CPU this process may use.
+    numpy releases the interpreter lock in its draws, sorts and large ufuncs,
+    so laws really overlap, and each job's own rng stream keeps its report
+    independent of the scheduling.  When the caller stops early, or a job
+    raises, the jobs not yet started are cancelled.
+    """
+    # Imported here: start-up of every other command skips its ~10 ms.
+    from concurrent.futures import ThreadPoolExecutor
+
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows have no affinity mask
+        cpus = os.cpu_count() or 1
+    pool = ThreadPoolExecutor(max_workers=max(1, min(cpus, len(jobs))))
+    try:
+        futures = [pool.submit(run_density_validation, law, rng, label=label,
+                               n_points=n_points, n_samples=n_samples)
+                   for label, law, rng in jobs]
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def benchmark_jobs(master_seed: int = 42) -> list[tuple[str, WealthLaw, RngSpec]]:
+    """The twelve benchmark laws as validation jobs.
 
     Monte Carlo streams are keyed by the combination index (stream 100 + idx),
     so each report is reproducible on its own.
     """
-    for idx, (label, params) in enumerate(benchmark_combos()):
-        yield run_density_validation(drift_diffusion(params),
-                                     RngSpec(master_seed, stream_id=100 + idx),
-                                     label=label, n_points=n_points,
-                                     n_samples=n_samples)
+    return [(label, drift_diffusion(params), RngSpec(master_seed, stream_id=100 + idx))
+            for idx, (label, params) in enumerate(benchmark_combos())]
+
+
+def benchmark_reports(master_seed: int = 42, n_points: int = 4001,
+                      n_samples: int = 1_000_000) -> Iterator[ComboReport]:
+    """Run both oracles over the twelve benchmark combinations, in order."""
+    return run_validations(benchmark_jobs(master_seed), n_points, n_samples)
 
 
 def validate_all(master_seed: int = 42, n_points: int = 4001,

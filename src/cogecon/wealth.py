@@ -254,7 +254,9 @@ def equilibrium_prices(p: EconomyParams) -> EquilibriumPrices:
                                  clearing_constant=c_const, capital_share=p.lam)
     zl = p.z * p.lam
     sqrt_arg = zl * zl - 8.0 * p.beta * zl * p.gamma * c_const
-    sqrt_t = (-zl + math.sqrt(sqrt_arg)) / (4.0 * p.beta * zl * p.gamma)
+    # The positive root (-zl + sqrt(sqrt_arg)) / (4 beta zl gamma), rationalized:
+    # as written it cancels to 0 when 8 beta gamma |c| is far below zl.
+    sqrt_t = -2.0 * c_const / (zl + math.sqrt(sqrt_arg))
     # t = ((1-alpha)/w)^(1/alpha) and alpha = 1/2, so w = (1-alpha)/sqrt(t).
     w_star = (1.0 - p.alpha) / sqrt_t
     return EquilibriumPrices(r_star=r_star, w_star=w_star, valid=True,

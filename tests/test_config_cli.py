@@ -162,8 +162,11 @@ def test_non_finite_value_exits_one_without_traceback(tmp_path, capsys):
     ("wealth", "z = 1e9"),            # the right decay rate cancels to 0
     ("wealth", "w = 1e308"),          # the productivity cutoff divides by 0
     ("equilibrium", "f_sigma = 1e-300"),
-    ("equilibrium", "gamma = 1e-300"),
     ("equilibrium", "rho = 1e308"),   # the equilibrium wage underflows to 0
+    ("cognition", "eta_c = 1e-300"),  # the dilution threshold overflows
+    ("cognition", "psi_c = 1e-300"),  # the squared volatility underflows to 0
+    ("cognition", "mu_c = 1e9"),      # the right decay rate cancels to 0
+    ("tax", "mu_bar = 1e9"),          # the truncated ability mean overflows
 ])
 def test_finite_extremes_exit_one_without_traceback(tmp_path, capsys, verb, section, line):
     path = write_config(tmp_path, f"[{section}]\n{line}\n")
@@ -171,6 +174,19 @@ def test_finite_extremes_exit_one_without_traceback(tmp_path, capsys, verb, sect
     err = capsys.readouterr().err
     assert err.startswith(f"config error: [{section}] ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_tiny_equilibrium_gamma_loads_and_has_a_wage(tmp_path, capsys):
+    # The clearing root no longer cancels to 0 at gamma = 1e-300, so the file
+    # is in range: the wage is finite, and only the equilibrium wealth law,
+    # whose diffusion vanishes, is degenerate.
+    path = write_config(tmp_path, "[equilibrium]\ngamma = 1e-300\n")
+    assert run_cli(["equilibrium", "--config", path]) == 3
+    captured = capsys.readouterr()
+    wage = float(captured.out.split("equilibrium wage w*")[1].split()[0])
+    assert wage == pytest.approx(1.923076923, rel=1e-9)
+    assert captured.err.startswith("degenerate model: zero diffusion")
+    assert run_cli(["wealth", "--config", path]) == 0
 
 
 def test_no_equilibrium_wage_exits_three_only_under_equilibrium(tmp_path, capsys):
@@ -197,17 +213,30 @@ def test_degenerate_diffusion_exits_three(tmp_path, capsys):
 
 
 def test_validation_failure_exits_two(monkeypatch, capsys):
-    import cogecon.cli as cli_mod
     import cogecon.validate as validate_mod
 
     def fake_validation(law, rng, label, n_points, n_samples):
         return ComboReport(label=label, law=law, fd_error=0.5, fd_tol=1e-3,
                            ks_distance=0.5, ks_tol=0.02)
 
-    monkeypatch.setattr(cli_mod, "run_density_validation", fake_validation)
+    # the validation pool looks the oracle up in cogecon.validate
+    monkeypatch.setattr(validate_mod, "run_density_validation", fake_validation)
     monkeypatch.setattr(validate_mod, "benchmark_combos", lambda: [])
     assert run_cli(["validate"]) == 2
     assert "validation failure" in capsys.readouterr().err
+
+
+def test_degenerate_configured_law_exits_three_under_validate(tmp_path, capsys):
+    # the configured law is job 0 of the validation pool: its degenerate
+    # diffusion ends the run before any benchmark law is reported
+    path = write_config(tmp_path, "[wealth]\ntheta = 0.01\nr = 0.01\n"
+                                  "[validate]\nn_points = 401\nn_samples = 1000\n")
+    assert run_cli(["validate", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert "DEGENERATE" in captured.out
+    assert "[benchmark combinations]" not in captured.out
+    assert captured.err.startswith("degenerate model: configured wealth law is degenerate")
+    assert "Traceback" not in captured.err
 
 
 def test_reproduce_single_figure(tmp_path, capsys):

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.stats import ks_2samp
 
-from cogecon import kfe
+from cogecon import kfe, sde
 from cogecon.config import default_config
 from cogecon.densities import PiecewiseExpDensity
 from cogecon.errors import DegenerateDiffusionError
@@ -305,6 +305,21 @@ def test_gbm_reset_equals_plain_formula(drift, volatility, reset_rate):
     age = gen.exponential(1.0 / reset_rate, size=n)
     shocks = gen.standard_normal(n)
     assert np.array_equal(samples, drift * age + volatility * np.sqrt(age) * shocks)
+
+
+@pytest.mark.parametrize("n", [1, sde._GBM_RESET_CHUNK - 1, sde._GBM_RESET_CHUNK,
+                               sde._GBM_RESET_CHUNK + 1, 1_000_003])
+def test_gbm_reset_chunks_equal_one_whole_draw(n):
+    # The normals are drawn in chunks; the samples must be those of one whole
+    # draw through the plain formula, at and around every chunk boundary.
+    drift, volatility, reset_rate = -0.4, 0.9, 0.6
+    rng = RngSpec(17, stream_id=8)
+    samples = simulate_gbm_reset(drift, volatility, reset_rate, rng, n_samples=n)
+    gen = rng.generator()
+    age = gen.exponential(1.0 / reset_rate, size=n)
+    shocks = gen.standard_normal(n)
+    plain = drift * age + volatility * np.sqrt(age) * shocks
+    assert np.array_equal(samples.view(np.uint64), plain.view(np.uint64))
 
 
 def test_gbm_reset_zero_vol_rejected():

@@ -1,15 +1,25 @@
 """Benchmark combination table and the dual-oracle harness itself."""
 
+import os
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import cogecon.validate as validate_mod
+from cogecon.errors import DegenerateModelError
 from cogecon.rng import RngSpec
 from cogecon.validate import (
     ComboReport,
+    benchmark_jobs,
+    benchmark_reports,
     fd_density_error,
     fd_grid_for,
     ks_distance,
+    mc_ks_for,
     run_density_validation,
+    run_validations,
     benchmark_combos,
 )
 from cogecon.wealth import WealthLaw, drift_diffusion, stationary_wealth_density
@@ -54,6 +64,85 @@ def test_ks_distance_of_exact_quantiles_is_small():
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     assert ks_distance(0.5 * (lo + hi), d) <= 0.5 / n + 1e-9
+
+
+def whole_array_ks(samples, density):
+    """Reference: KS over the whole sorted array at once, gaps in one pass."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    cdf = density.cdf(x)
+    ecdf = np.arange(n + 1, dtype=float)
+    ecdf /= n
+    return float(max(np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1])))
+
+
+CHUNK = validate_mod._KS_CHUNK
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 1_000_003])
+@pytest.mark.parametrize("side", ["both", "left", "right"])
+def test_streamed_ks_equals_whole_array_ks(n, side):
+    d = stationary_wealth_density(LAW)
+    gen = RngSpec(3, stream_id=n).generator()
+    # Rounded to 1e-2: most values are tied with others.  Zeros of both signs
+    # sit on the kink of the cdf.
+    x = np.round(gen.laplace(0.5, 2.0, size=n), 2)
+    x[::7] = 0.0
+    x[3::7] = -0.0
+    if side == "left":
+        x = -np.abs(x) - 0.01
+    elif side == "right":
+        x = np.abs(x)
+    expected = whole_array_ks(x, d)
+    got = ks_distance(x, d)
+    assert np.float64(got).view(np.uint64) == np.float64(expected).view(np.uint64)
+    assert np.all(x[1:] >= x[:-1])   # sorted in place, as documented
+
+
+def test_mc_ks_memory_stays_near_its_sample():
+    # The sample (8 bytes each) is the only n-sized array; sort, cdf and gaps
+    # work in place or chunk by chunk.
+    n = 1_000_000
+    mc_ks_for(LAW, RngSpec(5), 1000)
+    tracemalloc.start()
+    try:
+        mc_ks_for(LAW, RngSpec(5), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 4 * 2**20
+
+
+def test_pooled_reports_equal_sequential_loop():
+    seed, n_points, n_samples = 9, 401, 5000
+    sequential = [run_density_validation(law, rng, label=label, n_points=n_points,
+                                         n_samples=n_samples)
+                  for label, law, rng in benchmark_jobs(seed)]
+    pooled = list(benchmark_reports(seed, n_points, n_samples))
+    assert [r.label for r in pooled] == [label for label, _ in benchmark_combos()]
+    for a, b in zip(pooled, sequential, strict=True):
+        assert a.label == b.label and a.law == b.law
+        for value in ("fd_error", "ks_distance"):
+            assert np.float64(getattr(a, value)).view(np.uint64) == \
+                np.float64(getattr(b, value)).view(np.uint64)
+
+
+def test_pool_cancels_jobs_not_started_after_a_failure(monkeypatch):
+    started = []
+
+    def fake_validation(law, rng, label, n_points, n_samples):
+        started.append(label)
+        if label == "0":
+            raise DegenerateModelError("job 0 fails at once")
+        time.sleep(0.05)
+        return ComboReport(label, law, 0.0, 1.0, 0.0, 1.0)
+
+    monkeypatch.setattr(validate_mod, "run_density_validation", fake_validation)
+    n_jobs = 4 * (os.cpu_count() or 1) + 8   # more than the pool has workers
+    jobs = [(str(i), LAW, RngSpec(1, stream_id=i)) for i in range(n_jobs)]
+    with pytest.raises(DegenerateModelError):
+        next(run_validations(jobs))
+    assert len(started) < n_jobs
 
 
 def test_fd_grid_spans_both_tails():

@@ -139,6 +139,31 @@ def test_equilibrium_reference_values():
     assert d.rate_right == pytest.approx(8.810842246611408, rel=1e-12)
 
 
+def textbook_sqrt_t(p: EconomyParams) -> float:
+    """Reference: the clearing quadratic's positive root, (-b + sqrt(disc)) / 2a."""
+    zl = p.z * p.lam
+    c = equilibrium_prices(p).clearing_constant
+    return (-zl + math.sqrt(zl * zl - 8.0 * p.beta * zl * p.gamma * c)) / (4.0 * p.beta * zl * p.gamma)
+
+
+@pytest.mark.parametrize("lam", [1.5, 5.0, 25.0])
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 4.0])
+def test_equilibrium_wage_matches_textbook_root(lam, gamma):
+    p = EconomyParams(alpha=0.5, lam=lam, gamma=gamma)
+    pr = equilibrium_prices(p)
+    assert pr.valid
+    assert pr.w_star == pytest.approx((1.0 - p.alpha) / textbook_sqrt_t(p), rel=1e-12)
+
+
+def test_equilibrium_wage_finite_where_textbook_root_cancels():
+    p = EconomyParams(alpha=0.5, gamma=1e-300)
+    assert textbook_sqrt_t(p) == 0.0
+    pr = equilibrium_prices(p)
+    # 8 beta gamma |c| is ~1e-300 of zl, so sqrt_t = -c / zl to first order
+    assert pr.w_star == pytest.approx((1.0 - p.alpha) * p.z * p.lam / -pr.clearing_constant,
+                                      rel=1e-12)
+
+
 def test_equilibrium_requires_square_root_technology():
     with pytest.raises(ConfigError, match="alpha"):
         equilibrium_prices(EconomyParams(alpha=0.3))
