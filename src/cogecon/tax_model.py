@@ -155,7 +155,10 @@ def expected_utility_investor(e: TaxEconomy, tau: float, mu_b: float = 0.0) -> f
     Both shocks are integrated out: the aggregate lognormal factor has the
     closed-form moment E[exp((1-gamma) eps)] = exp(-gamma (1-gamma) sigma^2/2),
     and the technology bracket is integrated by Gauss-Hermite quadrature.
-    gamma_b = 1 uses the log branch.
+    Utility is (c^(1-gamma) - 1)/(1-gamma), which ranks outcomes as
+    c^(1-gamma)/(1-gamma) does but tends to log c as gamma -> 1, so near
+    gamma = 1 the level does not grow like 1/(1-gamma) and round away the
+    gap between two tax rates.  gamma_b = 1 uses the log branch.
     """
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"tau must lie in [0, 1), got {tau}")
@@ -167,10 +170,12 @@ def expected_utility_investor(e: TaxEconomy, tau: float, mu_b: float = 0.0) -> f
             lambda x: np.log(e.theta_c * np.exp(x) + (1.0 - e.theta_c)), e.sigma_idio)
         return math.log(base) + agg_term + bracket
     one_minus = 1.0 - gamma
-    agg_moment = math.exp(-0.5 * gamma * one_minus * e.sigma_agg**2)
-    bracket_moment = _hermite_expectation(
-        lambda x: (e.theta_c * np.exp(x) + (1.0 - e.theta_c)) ** one_minus, e.sigma_idio)
-    return base**one_minus / one_minus * agg_moment * bracket_moment
+    log_agg_moment = -0.5 * gamma * one_minus * e.sigma_agg**2
+    # log E[b^(1-gamma)] as log1p(E[b^(1-gamma) - 1]), without the cancellation
+    log_bracket_moment = math.log1p(_hermite_expectation(
+        lambda x: np.expm1(one_minus * np.log(e.theta_c * np.exp(x) + (1.0 - e.theta_c))),
+        e.sigma_idio))
+    return math.expm1(one_minus * math.log(base) + log_agg_moment + log_bracket_moment) / one_minus
 
 
 def proposition1_check(e: TaxEconomy, tau_low: float, tau_high: float,

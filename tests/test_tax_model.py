@@ -107,7 +107,7 @@ def test_utility_closed_form_without_shocks():
     e = _economy(sigma_agg=0.0, sigma_idio=0.0)
     base = 0.7
     assert expected_utility_investor(e, 0.3) == pytest.approx(
-        base ** (1.0 - 2.0) / (1.0 - 2.0), rel=1e-14)
+        (base ** (1.0 - 2.0) - 1.0) / (1.0 - 2.0), rel=1e-14)
     e1 = replace(e, gamma_b=1.0)
     assert expected_utility_investor(e1, 0.3) == pytest.approx(
         math.log(base), rel=1e-14)
@@ -120,7 +120,7 @@ def test_utility_matches_monte_carlo():
     eps_a = rng.normal(-0.5 * e.sigma_agg**2, e.sigma_agg, size=n)
     eps_i = rng.normal(-0.5 * e.sigma_idio**2, e.sigma_idio, size=n)
     c = 0.7 * np.exp(eps_a) * (0.5 * np.exp(eps_i) + 0.5)
-    u = c ** (1.0 - 2.0) / (1.0 - 2.0)
+    u = (c ** (1.0 - 2.0) - 1.0) / (1.0 - 2.0)
     se = u.std() / math.sqrt(n)
     assert expected_utility_investor(e, 0.3) == pytest.approx(u.mean(), abs=4.0 * se)
 
@@ -146,10 +146,19 @@ def test_lower_tax_always_preferred(tau_low, gap, gamma, theta, mu_b):
     assert u_low > u_high
 
 
+@pytest.mark.parametrize("gamma", [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)])
+def test_lower_tax_preferred_next_to_log_utility(gamma):
+    # the utility level must stay near the log branch's, not near 1/(1-gamma)
+    u_log = proposition1_check(_economy(gamma_b=1.0), 0.0, 0.25)
+    u_low, u_high, prefers = proposition1_check(_economy(gamma_b=gamma), 0.0, 0.25)
+    assert prefers and u_low > u_high
+    assert (u_low, u_high) == pytest.approx(u_log[:2], rel=1e-12)
+
+
 def test_proposition_reference_values():
     u_low, u_high, prefers = proposition1_check(_economy(), 0.2, 0.4)
-    assert u_low == pytest.approx(-1.3138956149371968, rel=1e-12)
-    assert u_high == pytest.approx(-1.7518608199162626, rel=1e-12)
+    assert u_low == pytest.approx(-0.3138956149371972, rel=1e-12)
+    assert u_high == pytest.approx(-0.7518608199162631, rel=1e-12)
     assert prefers
 
 
