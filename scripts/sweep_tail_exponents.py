@@ -6,7 +6,7 @@ two tail exponents for each leverage tier, at both asset settings and along
 the (theta, sigma) robustness axes.
 """
 
-from cogecon.figures import ASSET_HIGH, ASSET_LOW, F_SIGMA_TIERS, LAMBDA_TIERS
+from cogecon.figures import ASSET_HIGH, ASSET_LOW, F_SIGMA_TIERS, LAMBDA_TIERS, ROBUST_SIGMA, ROBUST_THETA
 from cogecon.wealth import EconomyParams, density_stats, drift_diffusion, stationary_wealth_density
 
 
@@ -28,10 +28,12 @@ def main() -> None:
         print(f"paired friction, asset setting ({theta}, {sigma}):")
         for lam, f in zip(LAMBDA_TIERS, F_SIGMA_TIERS):
             row(theta, sigma, lam, f)
+    # As in the robustness figures: theta swept at the low sigma, sigma at the low theta.
+    axes = [(t, ASSET_LOW[1]) for t in ROBUST_THETA] + [(ASSET_LOW[0], s) for s in ROBUST_SIGMA]
     print("robustness axes (per tier, both regimes):")
     for lam, f_paired in zip(LAMBDA_TIERS, F_SIGMA_TIERS):
         for f in (1.0, f_paired):
-            for theta, sigma in ((0.1, 0.3), (0.3, 0.3), (0.1, 0.1)):
+            for theta, sigma in axes:
                 row(theta, sigma, lam, f)
 
 

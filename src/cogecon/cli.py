@@ -54,7 +54,6 @@ from .data_value import (
 from .errors import ConfigError, DegenerateModelError, ValidationError
 from .figures import FIGURE_IDS
 from .figures import reproduce as build_series
-from .rng import RngSpec
 from .tax_model import (
     check_mass_consistency,
     consumptions,
@@ -62,7 +61,7 @@ from .tax_model import (
     proposition1_check,
     truncated_exp_mean,
 )
-from .validate import benchmark_jobs, run_validations
+from .validate import check_reports, run_validations, validation_jobs
 from .wealth import (
     density_stats,
     drift_diffusion,
@@ -73,6 +72,7 @@ from .wealth import (
     labor_market_residual,
     policy_functions,
     productivity_cutoff,
+    profit_rate,
     stationary_wealth_density,
 )
 
@@ -362,8 +362,7 @@ def equilibrium(config_path, seed, out_dir, explain) -> None:
     _echo_wealth_stats("[equilibrium density]", equilibrium_density(p))
     click.echo("[consistency]")
     _kv("labor-market residual", _fmt(labor_market_residual(p)))
-    _kv("firm profit rate at w*", _fmt(eq.z * eq.labor_per_capital() ** (1.0 - eq.alpha)
-                                       - (eq.r + eq.delta) - eq.w * eq.labor_per_capital()))
+    _kv("firm profit rate at w*", _fmt(profit_rate(eq)))
 
 
 @cli.command()
@@ -393,8 +392,6 @@ def reproduce(config_path, seed, out_dir, explain, figure_spec) -> None:
 def validate(config_path, seed, out_dir, explain) -> None:
     """Cross-validate closed-form densities against the FD and MC oracles."""
     cfg = _load(config_path, seed, out_dir, explain)
-    n_points = cfg.get("validate", "n_points")
-    n_samples = cfg.get("validate", "n_samples")
 
     def echo_report(rep) -> None:
         verdict = "PASS" if rep.passed else "FAIL"
@@ -403,9 +400,8 @@ def validate(config_path, seed, out_dir, explain) -> None:
 
     click.echo("[configured law]")
     law = drift_diffusion(cfg.wealth_params())
-    # The configured law is job 0 of the pool that runs the benchmark laws.
-    jobs = [("configured", law, RngSpec(cfg.seed, stream_id=99)), *benchmark_jobs(cfg.seed)]
-    results = run_validations(jobs, n_points, n_samples)
+    results = run_validations(validation_jobs(cfg.seed, configured=law),
+                              cfg.get("validate", "n_points"), cfg.get("validate", "n_samples"))
     try:
         reports = [next(results)]
     except DegenerateModelError as exc:
@@ -417,9 +413,7 @@ def validate(config_path, seed, out_dir, explain) -> None:
     for rep in results:
         echo_report(rep)
         reports.append(rep)
-    failed = [r.label for r in reports if not r.passed]
-    if failed:
-        raise ValidationError(f"oracle disagreement for: {', '.join(failed)}")
+    check_reports(reports)
     click.echo(f"all {len(reports)} density checks passed")
 
 

@@ -40,9 +40,9 @@ class ShrinkageParams:
 
 
 def nonbayes_adjustment(s: float, p: ShrinkageParams) -> float:
-    """Shrunken adjustment mu_b * s^beta_b for a positive Bayesian adjustment s."""
-    if s <= 0.0:
-        raise ValueError(f"adjustment must be positive, got {s}")
+    """Shrunken adjustment mu_b * s^beta_b for a Bayesian adjustment s >= 0 (0 at p1 = 0.5)."""
+    if s < 0.0:
+        raise ValueError(f"adjustment must be nonnegative, got {s}")
     return p.mu_b * s**p.beta_b
 
 def shrinkage_crossover(p: ShrinkageParams) -> float | None:

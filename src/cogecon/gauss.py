@@ -1,4 +1,4 @@
-"""Gaussian tail helpers used by several model components.
+"""Gaussian tail helpers of the tax model, their only user.
 
 scipy.special is imported on first use, not with the module: only the tax
 model needs these tails, and importing it takes longer than importing the

@@ -28,6 +28,12 @@ from .wealth import EconomyParams, WealthLaw, drift_diffusion, stationary_wealth
 # eight orders of magnitude, so truncation error sits far below the tolerance.
 TAIL_DECADES_LOG = 18.420680743952367
 
+# Oracle tolerances.  The FD error at the default grid stays below 6e-5 on the
+# benchmark laws; by DKW an exact sampler's KS distance exceeds 0.02 with
+# probability at most 2 exp(-2 n 0.02^2), 2.3e-7 already at n = 20000.
+FD_TOL = 1e-3
+KS_TOL = 0.02
+
 # Sorted samples per step of the KS sweep: its cdf and gap arrays stay this
 # size however many samples there are.
 _KS_CHUNK = 1 << 16
@@ -96,7 +102,7 @@ def fd_grid_for(law: WealthLaw, n_points: int) -> Grid1D:
     return Grid1D.around_point(0.0, left_width, right_width, n_points)
 
 
-def fd_density_error(law: WealthLaw, n_points: int = 4001) -> float:
+def fd_density_error(law: WealthLaw, n_points: int) -> float:
     """Max abs deviation between the closed form and an FD solve of the
     stationary forward equation."""
     analytic = stationary_wealth_density(law)
@@ -105,7 +111,7 @@ def fd_density_error(law: WealthLaw, n_points: int = 4001) -> float:
     return float(np.max(np.abs(numeric - analytic.pdf(grid.nodes()))))
 
 
-def mc_ks_for(law: WealthLaw, rng: RngSpec, n_samples: int = 1_000_000) -> float:
+def mc_ks_for(law: WealthLaw, rng: RngSpec, n_samples: int) -> float:
     """KS distance between exact reset-diffusion samples and the closed form.
 
     The samples are this function's own, so KS sorts them in place.
@@ -114,18 +120,26 @@ def mc_ks_for(law: WealthLaw, rng: RngSpec, n_samples: int = 1_000_000) -> float
     return ks_distance(samples, stationary_wealth_density(law))
 
 
-def run_density_validation(law: WealthLaw, rng: RngSpec, label: str = "",
-                           n_points: int = 4001, n_samples: int = 1_000_000,
-                           fd_tol: float = 1e-3, ks_tol: float = 0.02) -> ComboReport:
+def run_density_validation(law: WealthLaw, rng: RngSpec, label: str, n_points: int,
+                           n_samples: int) -> ComboReport:
     return ComboReport(label=label, law=law,
-                       fd_error=fd_density_error(law, n_points),
-                       fd_tol=fd_tol,
-                       ks_distance=mc_ks_for(law, rng, n_samples),
-                       ks_tol=ks_tol)
+                       fd_error=fd_density_error(law, n_points), fd_tol=FD_TOL,
+                       ks_distance=mc_ks_for(law, rng, n_samples), ks_tol=KS_TOL)
 
 
-def run_validations(jobs: Sequence[tuple[str, WealthLaw, RngSpec]], n_points: int = 4001,
-                    n_samples: int = 1_000_000) -> Iterator[ComboReport]:
+def validation_jobs(master_seed: int,
+                    configured: WealthLaw | None = None) -> list[tuple[str, WealthLaw, RngSpec]]:
+    """(label, law, rng) jobs: the configured law, when given, on Monte Carlo
+    stream 99, then benchmark law idx on stream 100 + idx, so each report is
+    reproducible on its own."""
+    jobs = [] if configured is None else [
+        ("configured", configured, RngSpec(master_seed, stream_id=99))]
+    return jobs + [(label, drift_diffusion(params), RngSpec(master_seed, stream_id=100 + idx))
+                   for idx, (label, params) in enumerate(benchmark_combos())]
+
+
+def run_validations(jobs: Sequence[tuple[str, WealthLaw, RngSpec]], n_points: int,
+                    n_samples: int) -> Iterator[ComboReport]:
     """Validate each (label, law, rng) job; yield the reports in job order.
 
     The jobs run on a pool of up to one thread per CPU this process may use.
@@ -152,31 +166,19 @@ def run_validations(jobs: Sequence[tuple[str, WealthLaw, RngSpec]], n_points: in
         pool.shutdown(cancel_futures=True)
 
 
-def benchmark_jobs(master_seed: int = 42) -> list[tuple[str, WealthLaw, RngSpec]]:
-    """The twelve benchmark laws as validation jobs.
-
-    Monte Carlo streams are keyed by the combination index (stream 100 + idx),
-    so each report is reproducible on its own.
-    """
-    return [(label, drift_diffusion(params), RngSpec(master_seed, stream_id=100 + idx))
-            for idx, (label, params) in enumerate(benchmark_combos())]
-
-
-def benchmark_reports(master_seed: int = 42, n_points: int = 4001,
-                      n_samples: int = 1_000_000) -> Iterator[ComboReport]:
-    """Run both oracles over the twelve benchmark combinations, in order."""
-    return run_validations(benchmark_jobs(master_seed), n_points, n_samples)
-
-
-def validate_all(master_seed: int = 42, n_points: int = 4001,
-                 n_samples: int = 1_000_000) -> list[ComboReport]:
-    """All twelve benchmark reports; raises ValidationError listing every
-    failed combination."""
-    reports = list(benchmark_reports(master_seed, n_points, n_samples))
+def check_reports(reports: Sequence[ComboReport]) -> None:
+    """Raise ValidationError naming every failed law with its errors and tolerances."""
     failed = [r for r in reports if not r.passed]
     if failed:
         detail = "; ".join(
             f"{r.label}: fd={r.fd_error:.3e} (tol {r.fd_tol:g}), "
             f"ks={r.ks_distance:.3e} (tol {r.ks_tol:g})" for r in failed)
         raise ValidationError(f"density validation failed for {detail}")
+
+
+def validate_all(master_seed: int, n_points: int, n_samples: int) -> list[ComboReport]:
+    """All twelve benchmark reports; raises ValidationError listing every
+    failed combination."""
+    reports = list(run_validations(validation_jobs(master_seed), n_points, n_samples))
+    check_reports(reports)
     return reports

@@ -2,10 +2,11 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cogecon.cli import main
+from cogecon.cli import _fmt, main
 from cogecon.config import (
     apply_overrides,
     default_config,
@@ -13,7 +14,10 @@ from cogecon.config import (
     parse_config,
 )
 from cogecon.errors import ConfigError
-from cogecon.validate import ComboReport
+from cogecon.validate import ComboReport, benchmark_combos
+from cogecon.wealth import equilibrium_economy, profit_rate
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(argv):
@@ -132,6 +136,26 @@ def test_report_subcommands_succeed(cmd, capsys):
     assert out.strip()
 
 
+def test_equilibrium_prints_the_firm_profit_rate_at_equilibrium_prices(capsys):
+    assert run_cli(["equilibrium"]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if "firm profit rate at w*" in line)
+    expected = _fmt(profit_rate(equilibrium_economy(default_config().equilibrium_params())))
+    assert line.split()[-1] == expected
+    # z = 5 lies below the activity cutoff at w*, so the firm would lose money
+    assert expected.startswith("-")
+
+
+def test_consumption_at_even_belief_exits_zero(tmp_path, capsys):
+    # p1 = 0.5 is the lower end of [0.5, 1): the adjustment S is exactly 0
+    path = write_config(tmp_path, "[consumption]\np1 = 0.5\n")
+    assert run_cli(["consumption", "--config", path]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    shrunken = next(line for line in captured.out.splitlines() if "shrunken adjustment" in line)
+    assert shrunken.split()[-1] == "0"
+
+
 def test_explain_flag_prints_origins(capsys):
     assert run_cli(["wealth", "--explain", "--seed", "7"]) == 0
     out = capsys.readouterr().out
@@ -235,6 +259,35 @@ def test_validation_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(validate_mod, "benchmark_combos", lambda: [])
     assert run_cli(["validate"]) == 2
     assert "validation failure" in capsys.readouterr().err
+
+
+def test_validation_failure_names_every_failed_law_on_one_line(monkeypatch, capsys):
+    import cogecon.validate as validate_mod
+
+    def fake_validation(law, rng, label, n_points, n_samples):
+        fd_error = 0.5 if label == "configured" else 0.0
+        ks_distance = 0.5 if label == benchmark_combos()[1][0] else 0.0
+        return ComboReport(label, law, fd_error, validate_mod.FD_TOL,
+                           ks_distance, validate_mod.KS_TOL)
+
+    monkeypatch.setattr(validate_mod, "run_density_validation", fake_validation)
+    assert run_cli(["validate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("FAIL") == 2 and captured.out.count("PASS") == 11
+    assert "density checks passed" not in captured.out
+    label = benchmark_combos()[1][0]
+    assert captured.err == (
+        "validation failure: density validation failed for "
+        "configured: fd=5.000e-01 (tol 0.001), ks=0.000e+00 (tol 0.02); "
+        f"{label}: fd=0.000e+00 (tol 0.001), ks=5.000e-01 (tol 0.02)\n")
+
+
+def test_quick_validate_stdout_matches_golden(tmp_path, capsys):
+    # The line format perfbench's check_validate parses, pinned byte for byte.
+    path = write_config(tmp_path, "[validate]\nn_points = 2001\nn_samples = 20000\n")
+    assert run_cli(["validate", "--seed", "42", "--config", path]) == 0
+    expected = (GOLDEN / "validate_quick_seed42.txt").read_text()
+    assert capsys.readouterr().out == expected
 
 
 def test_degenerate_configured_law_exits_three_under_validate(tmp_path, capsys):
@@ -364,12 +417,12 @@ def test_bad_ensemble_files_exit_one(tmp_path, capsys, body, needle):
 NO_SCIPY_PROBE = """
 import sys
 from cogecon.cli import main
-from cogecon.validate import benchmark_reports
+from cogecon.validate import run_validations, validation_jobs
 try:
     main(["reproduce", "--figure", "all", "--out", sys.argv[1]])
 except SystemExit as exc:
     assert not exc.code, exc.code
-for _ in benchmark_reports(7, 401, 10_000):
+for _ in run_validations(validation_jobs(7), 401, 10_000):
     pass
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """

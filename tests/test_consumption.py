@@ -40,6 +40,15 @@ def test_nonbayes_power_law():
     assert nonbayes_adjustment(s, p) == pytest.approx(0.9 * s**0.8, rel=1e-15)
 
 
+@pytest.mark.parametrize("beta_b", [0.3, 1.0])
+def test_nonbayes_adjustment_of_zero_is_zero(beta_b):
+    # p1 = 0.5 gives S = 0, and mu_b * 0^beta_b = 0 for beta_b in (0, 1]
+    p = ShrinkageParams(beta_b=beta_b, mu_b=0.9)
+    assert nonbayes_adjustment(bayes_adjustment(0.5), p) == 0.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        nonbayes_adjustment(-1e-12, p)
+
+
 def test_crossover_point():
     p = ShrinkageParams(beta_b=0.8, mu_b=0.9)
     ln_star = shrinkage_crossover(p)

@@ -1,5 +1,11 @@
 """Structure and determinism of the CSV series builders."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -141,3 +147,22 @@ def test_series_table_rejects_ragged_data():
     with pytest.raises(ValueError, match="shape"):
         SeriesTable(name="x", columns=("a", "b"),
                     data=np.zeros((3, 1)), meta={"figure": 1})
+
+
+SWEEP_ROW = re.compile(r"lam=(\S+)\s+f=(\S+)\s+theta=(\S+)\s+sigma=(\S+)")
+META_SWEEP = re.compile(r"theta=([^,]+),sigma=([^,]+),lam=([^,]+),f=([^'\]]+)")
+
+
+def test_sweep_script_rows_are_density_figure_economies(cfg):
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "sweep_tail_exponents.py")],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    # (theta, sigma, lam, f) of each printed row and of each figure column
+    printed = [tuple(float(v) for v in (m[3], m[4], m[1], m[2]))
+               for m in SWEEP_ROW.finditer(proc.stdout)]
+    in_figures = {tuple(float(v) for v in m.groups())
+                  for fid in range(7, 15)
+                  for m in META_SWEEP.finditer(reproduce(fid, cfg).meta["params"])}
+    assert len(printed) == len(set(printed)) == 36
+    assert set(printed) == in_figures

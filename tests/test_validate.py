@@ -11,9 +11,9 @@ import cogecon.validate as validate_mod
 from cogecon.errors import DegenerateModelError
 from cogecon.rng import RngSpec
 from cogecon.validate import (
+    FD_TOL,
+    KS_TOL,
     ComboReport,
-    benchmark_jobs,
-    benchmark_reports,
     fd_density_error,
     fd_grid_for,
     ks_distance,
@@ -21,6 +21,7 @@ from cogecon.validate import (
     run_density_validation,
     run_validations,
     benchmark_combos,
+    validation_jobs,
 )
 from cogecon.wealth import WealthLaw, drift_diffusion, stationary_wealth_density
 
@@ -115,10 +116,11 @@ def test_mc_ks_memory_stays_near_its_sample():
 
 def test_pooled_reports_equal_sequential_loop():
     seed, n_points, n_samples = 9, 401, 5000
+    jobs = validation_jobs(seed)
     sequential = [run_density_validation(law, rng, label=label, n_points=n_points,
                                          n_samples=n_samples)
-                  for label, law, rng in benchmark_jobs(seed)]
-    pooled = list(benchmark_reports(seed, n_points, n_samples))
+                  for label, law, rng in jobs]
+    pooled = list(run_validations(jobs, n_points, n_samples))
     assert [r.label for r in pooled] == [label for label, _ in benchmark_combos()]
     for a, b in zip(pooled, sequential, strict=True):
         assert a.label == b.label and a.law == b.law
@@ -141,8 +143,18 @@ def test_pool_cancels_jobs_not_started_after_a_failure(monkeypatch):
     n_jobs = 4 * (os.cpu_count() or 1) + 8   # more than the pool has workers
     jobs = [(str(i), LAW, RngSpec(1, stream_id=i)) for i in range(n_jobs)]
     with pytest.raises(DegenerateModelError):
-        next(run_validations(jobs))
+        next(run_validations(jobs, n_points=401, n_samples=1000))
     assert len(started) < n_jobs
+
+
+def test_jobs_put_configured_law_on_stream_99_and_benchmarks_on_100_up():
+    combos = benchmark_combos()
+    jobs = validation_jobs(7, configured=LAW)
+    assert [label for label, _, _ in jobs] == ["configured"] + [label for label, _ in combos]
+    assert jobs[0][1] == LAW
+    assert [rng for _, _, rng in jobs] == [RngSpec(7, stream_id=99)] + [
+        RngSpec(7, stream_id=100 + idx) for idx in range(len(combos))]
+    assert validation_jobs(7) == jobs[1:]
 
 
 def test_fd_grid_spans_both_tails():
@@ -166,6 +178,7 @@ def test_run_density_validation_small_but_passing():
                                     label="smoke", n_points=2001,
                                     n_samples=20_000)
     assert report.passed
+    assert (report.fd_tol, report.ks_tol) == (FD_TOL, KS_TOL) == (1e-3, 0.02)
     assert report.fd_error < report.fd_tol
     assert report.ks_distance < report.ks_tol
 
