@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Tabulate stationary log-wealth moments over the leverage and robustness sweeps.
+"""Tabulate stationary log-wealth moments over the wealth figures' economies.
 
-Prints the numbers summarized by the density figures: mean, variance, and the
-two tail exponents for each leverage tier, at both asset settings and along
-the (theta, sigma) robustness axes.
+Prints, for each column of the density figures 7-14 (the leverage tiers at
+both asset settings and along the (theta, sigma) robustness axes), the mean,
+variance and two tail exponents of log wealth, and the mean of level wealth.
 """
 
-from cogecon.figures import ASSET_HIGH, ASSET_LOW, F_SIGMA_TIERS, LAMBDA_TIERS, ROBUST_SIGMA, ROBUST_THETA
+from cogecon.figures import TYPE_TWO_FIGURES, wealth_sweeps
 from cogecon.wealth import EconomyParams, density_stats, drift_diffusion, stationary_wealth_density
 
 
@@ -21,20 +21,11 @@ def row(theta, sigma, lam, f_sigma):
 
 
 def main() -> None:
-    for theta, sigma in (ASSET_LOW, ASSET_HIGH):
-        print(f"fixed friction, asset setting ({theta}, {sigma}):")
-        for lam in LAMBDA_TIERS:
-            row(theta, sigma, lam, 1.0)
-        print(f"paired friction, asset setting ({theta}, {sigma}):")
-        for lam, f in zip(LAMBDA_TIERS, F_SIGMA_TIERS):
-            row(theta, sigma, lam, f)
-    # As in the robustness figures: theta swept at the low sigma, sigma at the low theta.
-    axes = [(t, ASSET_LOW[1]) for t in ROBUST_THETA] + [(ASSET_LOW[0], s) for s in ROBUST_SIGMA]
-    print("robustness axes (per tier, both regimes):")
-    for lam, f_paired in zip(LAMBDA_TIERS, F_SIGMA_TIERS):
-        for f in (1.0, f_paired):
-            for theta, sigma in axes:
-                row(theta, sigma, lam, f)
+    for fid in range(7, 15):
+        regime = "paired" if fid in TYPE_TWO_FIGURES else "fixed"
+        print(f"figure {fid}, {regime} friction:")
+        for _, economy in wealth_sweeps(fid):
+            row(*economy)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 validation failure,
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import click
@@ -26,11 +27,12 @@ from .cognition import (
     steady_state_resource,
 )
 from .config import (
-    ScenarioConfig,
     apply_overrides,
+    demo_ensemble,
     entropy_cap_from_variance,
     explain_lines,
     parse_config,
+    parse_ensemble,
 )
 from .consumption import (
     EffectiveConsumption,
@@ -43,8 +45,6 @@ from .consumption import (
     shrinkage_crossover,
 )
 from .data_value import (
-    InfoEnsemble,
-    SourceDist,
     aggregate_data_value,
     data_value_index,
     differential_entropy,
@@ -85,37 +85,48 @@ def _kv(label: str, value) -> None:
     click.echo(f"  {label:<34} {value}")
 
 
-def scenario_options(fn):
-    fn = click.option("--config", "config_path", default=None, metavar="PATH",
-                      help="scenario file; [section] headers, key = value lines")(fn)
-    fn = click.option("--seed", type=click.IntRange(min=0), default=None,
-                      metavar="U64", help="master seed override")(fn)
-    fn = click.option("--out", "out_dir", default=None, metavar="DIR",
-                      help="output directory override")(fn)
-    fn = click.option("--explain", is_flag=True,
-                      help="print every resolved key with value, origin, meaning")(fn)
-    return fn
-
-
-def _load(config_path, seed, out_dir, explain) -> ScenarioConfig:
-    cfg = apply_overrides(parse_config(config_path), seed, out_dir)
-    if explain:
-        for line in explain_lines(cfg):
-            click.echo(line)
-        click.echo("")
-    return cfg
-
-
 @click.group()
 def cli() -> None:
     """Resource-dilution, data-valuation, and wealth-distribution toolkit."""
 
 
-@cli.command()
-@scenario_options
-def cognition(config_path, seed, out_dir, explain) -> None:
+_SCENARIO_OPTIONS = (
+    click.option("--config", "config_path", default=None, metavar="PATH",
+                 help="scenario file; [section] headers, key = value lines"),
+    click.option("--seed", type=click.IntRange(min=0), default=None,
+                 metavar="U64", help="master seed override"),
+    click.option("--out", "out_dir", default=None, metavar="DIR",
+                 help="output directory override"),
+    click.option("--explain", is_flag=True,
+                 help="print every resolved key with value, origin, meaning"),
+)
+
+
+def scenario_command(*extra_options):
+    """Register a verb with the four scenario flags plus its own options.
+
+    The verb receives the loaded ScenarioConfig, after --explain has printed
+    it, followed by its own options as keyword arguments.
+    """
+    def register(verb):
+        @functools.wraps(verb)
+        def run(config_path, seed, out_dir, explain, **extra) -> None:
+            cfg = apply_overrides(parse_config(config_path), seed, out_dir)
+            if explain:
+                for line in explain_lines(cfg):
+                    click.echo(line)
+                click.echo("")
+            verb(cfg, **extra)
+
+        for option in extra_options + _SCENARIO_OPTIONS:
+            run = option(run)
+        return cli.command()(run)
+    return register
+
+
+@scenario_command()
+def cognition(cfg) -> None:
     """Retention dynamics and the stationary cognition density."""
-    cfg = _load(config_path, seed, out_dir, explain)
     rp = cfg.retention_params()
     click.echo("[retention]")
     _kv("gap (recovery - dilution)", _fmt(rp.gap()))
@@ -141,90 +152,17 @@ def cognition(config_path, seed, out_dir, explain) -> None:
     _kv("right tail rate", _fmt(stats.tail_exponent_right))
 
 
-def _parse_ensemble_file(path: str, default_j: float, sigma_max: float) -> InfoEnsemble:
-    """Read a source-ensemble description.
-
-    Grammar: optional `j = X` / `ref_variance = X` header lines, then a
-    [sources] block with `uniform WIDTH` or `gaussian VARIANCE` lines, then an
-    optional [interactions] block with `i j synergy antagonism` rows using
-    1-based source indices.
-    """
-    j_coupling = default_j
-    sources: list[SourceDist] = []
-    synergy: dict = {}
-    antagonism: dict = {}
-    block = None
-    try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read ensemble file {path}: {exc}")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.startswith("["):
-            if stripped not in ("[sources]", "[interactions]"):
-                raise ConfigError(f"line {lineno}: unknown ensemble block {stripped}")
-            block = stripped
-            continue
-        # float(), int() and the source factories raise ValueError on bad input,
-        # entropy_cap_from_variance raises ConfigError; both get the line number here.
-        try:
-            if block is None:
-                key, _, raw = stripped.partition("=")
-                key, raw = key.strip(), raw.strip()
-                if key == "j":
-                    j_coupling = float(raw)
-                elif key == "ref_variance":
-                    sigma_max = entropy_cap_from_variance(float(raw))
-                else:
-                    raise ConfigError(f"unknown ensemble header key {key!r}")
-                continue
-            parts = stripped.split()
-            if block == "[sources]":
-                if len(parts) != 2 or parts[0] not in ("uniform", "gaussian"):
-                    raise ConfigError(f"expected 'uniform WIDTH' or "
-                                      f"'gaussian VARIANCE', got {line.strip()!r}")
-                factory = SourceDist.uniform if parts[0] == "uniform" else SourceDist.gaussian
-                sources.append(factory(float(parts[1])))
-            else:
-                if len(parts) != 4:
-                    raise ConfigError(f"expected 'i j synergy antagonism', "
-                                      f"got {line.strip()!r}")
-                i, j = int(parts[0]) - 1, int(parts[1]) - 1
-                synergy[(i, j)] = float(parts[2])
-                antagonism[(i, j)] = float(parts[3])
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-    if not sources:
-        raise ConfigError(f"ensemble file {path} defines no sources")
-    try:
-        return InfoEnsemble(sources=tuple(sources), sigma_max=sigma_max,
-                            j_coupling=j_coupling, synergy=synergy,
-                            antagonism=antagonism)
-    except ValueError as exc:
-        raise ConfigError(f"ensemble file {path}: {exc}")
-
-
-def _demo_ensemble(j_coupling: float, sigma_max: float) -> InfoEnsemble:
-    sources = (SourceDist.uniform(1.0), SourceDist.uniform(2.0), SourceDist.gaussian(0.25))
-    return InfoEnsemble(sources=sources, sigma_max=sigma_max, j_coupling=j_coupling,
-                        synergy={(0, 1): 0.6}, antagonism={(1, 2): 0.3})
-
-
-@cli.command()
-@scenario_options
-@click.option("--ensemble", "ensemble_path", default=None, metavar="PATH",
-              help="source-ensemble file; a three-source demo is used when omitted")
-def datavalue(config_path, seed, out_dir, explain, ensemble_path) -> None:
+@scenario_command(click.option(
+    "--ensemble", "ensemble_path", default=None, metavar="PATH",
+    help="source-ensemble file; a three-source demo is used when omitted"))
+def datavalue(cfg, ensemble_path) -> None:
     """Entropy-based source values and the aggregate data-value index."""
-    cfg = _load(config_path, seed, out_dir, explain)
     sigma_max = entropy_cap_from_variance(cfg.get("datavalue", "ref_variance"))
     j_coupling = cfg.get("datavalue", "j_coupling")
     if ensemble_path is None:
-        ensemble = _demo_ensemble(j_coupling, sigma_max)
+        ensemble = demo_ensemble(j_coupling, sigma_max)
     else:
-        ensemble = _parse_ensemble_file(ensemble_path, j_coupling, sigma_max)
+        ensemble = parse_ensemble(ensemble_path, j_coupling, sigma_max)
     click.echo("[sources]")
     for idx, s in enumerate(ensemble.sources, start=1):
         h = differential_entropy(s)
@@ -239,11 +177,9 @@ def datavalue(config_path, seed, out_dir, explain, ensemble_path) -> None:
     _kv("squashed index", _fmt(data_value_index([d])))
 
 
-@cli.command()
-@scenario_options
-def consumption(config_path, seed, out_dir, explain) -> None:
+@scenario_command()
+def consumption(cfg) -> None:
     """Belief adjustments and the consumption adjustment weight."""
-    cfg = _load(config_path, seed, out_dir, explain)
     sp = cfg.shrinkage_params()
     p1 = cfg.get("consumption", "p1")
     s = bayes_adjustment(p1)
@@ -275,11 +211,9 @@ def consumption(config_path, seed, out_dir, explain) -> None:
     _kv("effective consumption at D=0.75, n=omega", _fmt(eff.utility_consumption()))
 
 
-@cli.command()
-@scenario_options
-def tax(config_path, seed, out_dir, explain) -> None:
+@scenario_command()
+def tax(cfg) -> None:
     """Output-tax economy: masses, consumptions, and tax-rate preference."""
-    cfg = _load(config_path, seed, out_dir, explain)
     e = cfg.tax_economy()
     click.echo("[population]")
     _kv("truncated level-ability mean", _fmt(truncated_exp_mean(e.mu_bar, e.sigma_mu, e.k_cut)))
@@ -313,11 +247,9 @@ def _echo_wealth_stats(header: str, density) -> None:
         _kv("mean level wealth", "divergent (right tail rate <= 1)")
 
 
-@cli.command()
-@scenario_options
-def wealth(config_path, seed, out_dir, explain) -> None:
+@scenario_command()
+def wealth(cfg) -> None:
     """Firm activity, optimal policies, and the stationary wealth density."""
-    cfg = _load(config_path, seed, out_dir, explain)
     p = cfg.wealth_params()
     z_min = productivity_cutoff(p.r, p.delta, p.alpha, p.w)
     click.echo("[technology]")
@@ -342,11 +274,9 @@ def wealth(config_path, seed, out_dir, explain) -> None:
     _echo_wealth_stats("[stationary density]", stationary_wealth_density(law))
 
 
-@cli.command()
-@scenario_options
-def equilibrium(config_path, seed, out_dir, explain) -> None:
+@scenario_command()
+def equilibrium(cfg) -> None:
     """Closed-form market-clearing prices and the equilibrium density."""
-    cfg = _load(config_path, seed, out_dir, explain)
     p = cfg.equilibrium_params()
     prices = equilibrium_prices(p)
     click.echo("[prices]")
@@ -365,13 +295,10 @@ def equilibrium(config_path, seed, out_dir, explain) -> None:
     _kv("firm profit rate at w*", _fmt(profit_rate(eq)))
 
 
-@cli.command()
-@scenario_options
-@click.option("--figure", "figure_spec", default="all", metavar="N|all",
-              help="figure id in 1..14, or all")
-def reproduce(config_path, seed, out_dir, explain, figure_spec) -> None:
+@scenario_command(click.option("--figure", "figure_spec", default="all", metavar="N|all",
+                               help="figure id in 1..14, or all"))
+def reproduce(cfg, figure_spec) -> None:
     """Write the CSV data series behind the reference figures."""
-    cfg = _load(config_path, seed, out_dir, explain)
     if figure_spec == "all":
         ids = FIGURE_IDS
     else:
@@ -387,11 +314,9 @@ def reproduce(config_path, seed, out_dir, explain, figure_spec) -> None:
         click.echo(f"wrote {path}")
 
 
-@cli.command()
-@scenario_options
-def validate(config_path, seed, out_dir, explain) -> None:
+@scenario_command()
+def validate(cfg) -> None:
     """Cross-validate closed-form densities against the FD and MC oracles."""
-    cfg = _load(config_path, seed, out_dir, explain)
 
     def echo_report(rep) -> None:
         verdict = "PASS" if rep.passed else "FAIL"

@@ -1,15 +1,17 @@
-"""Scenario configuration: INI-style files over a fixed key schema.
+"""Scenario and ensemble files: one line grammar under two schemas.
 
-The format is deliberately small: [section] headers, key = value pairs, #
-comments (whole-line or trailing), blank lines.  Unknown sections or keys are
-rejected with the offending line number, as are unparseable or non-finite
-values.  An empty or absent file resolves to the documented defaults.
+Both kinds are UTF-8 text of [section] headers, # comments (whole-line or
+trailing) and blank lines.  A scenario file sets key = value pairs over a
+fixed key schema; an ensemble file lists information sources and their
+interactions (see parse_ensemble).  Unknown sections or keys are rejected
+with the offending line number, as are unparseable or non-finite values.  No
+scenario file, or an empty one, resolves to the documented defaults.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from .cognition import (
     dilution_threshold,
     stationary_cognition_density,
 )
-from .data_value import gaussian_entropy
+from .data_value import InfoEnsemble, SourceDist, gaussian_entropy
 from .errors import ConfigError, DegenerateModelError
 from .rng import RngSpec
 from .sde import OuProcessSpec
@@ -206,52 +208,73 @@ def default_config() -> ScenarioConfig:
     return ScenarioConfig(values=values, origins=origins)
 
 
-def _parse_value(raw: str, spec: _Key, lineno: int, section: str, key: str):
-    if spec.kind is str:
-        return raw
+def _scan_lines(path: str | Path, what: str, sections: Collection[str],
+                handle: Callable[[str | None, str], None]) -> None:
+    """The line grammar both file kinds share.
+
+    Reads the file as UTF-8, drops # comments and blank lines, checks each
+    [name] header against `sections`, and calls handle(section, line) on every
+    other line, with section None before the first header.  A ValueError or
+    ConfigError raised on a line leaves as one ConfigError naming that line.
+    """
     try:
-        if spec.kind is int:
-            return int(raw)
-        value = float(raw)
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file {path} does not exist") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
+    section = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        try:
+            if not stripped.startswith("["):
+                handle(section, stripped)
+                continue
+            if not stripped.endswith("]"):
+                raise ConfigError(f"malformed section header {stripped!r}")
+            section = stripped[1:-1].strip()
+            if section not in sections:
+                raise ConfigError(f"unknown section [{section}]")
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+
+
+def _key_value(line: str) -> tuple[str, str]:
+    key, eq, raw = line.partition("=")
+    if not eq:
+        raise ConfigError(f"expected 'key = value', got {line!r}")
+    return key.strip(), raw.strip()
+
+
+def _parse_value(raw: str, kind: type, name: str):
+    """One value of either file kind: a string, an int, or a finite float."""
+    try:
+        value = kind(raw)
     except ValueError:
-        raise ConfigError(
-            f"line {lineno}: value {raw!r} for {section}.{key} is not a valid {spec.kind.__name__}")
-    if not math.isfinite(value):
-        raise ConfigError(f"line {lineno}: value {raw!r} for {section}.{key} is not a finite float")
+        raise ConfigError(f"value {raw!r} for {name} is not a valid {kind.__name__}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"value {raw!r} for {name} is not a finite float")
     return value
 
 
 def parse_config(path: str | Path | None) -> ScenarioConfig:
-    """Load a scenario file; missing path or None gives pure defaults."""
+    """Load a scenario file; None gives pure defaults."""
     cfg = default_config()
     if path is None:
         return cfg
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
 
-    section = None
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
-                raise ConfigError(f"line {lineno}: malformed section header {line.strip()!r}")
-            name = stripped[1:-1].strip()
-            if name not in SCHEMA:
-                raise ConfigError(f"line {lineno}: unknown section [{name}]")
-            section = name
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
+    def handle(section: str | None, line: str) -> None:
+        key, raw = _key_value(line)
         if section is None:
-            raise ConfigError(f"line {lineno}: key outside of any [section]")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
+            raise ConfigError("key outside of any [section]")
         if key not in SCHEMA[section]:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        cfg.values[section][key] = _parse_value(raw, SCHEMA[section][key], lineno, section, key)
+            raise ConfigError(f"unknown key {key!r} in [{section}]")
+        cfg.values[section][key] = _parse_value(raw, SCHEMA[section][key].kind, f"{section}.{key}")
         cfg.origins[section][key] = "file"
+
+    _scan_lines(path, "config", SCHEMA, handle)
     revalidate(cfg)
     return cfg
 
@@ -374,3 +397,60 @@ def entropy_cap_from_variance(ref_variance: float) -> float:
         raise ConfigError(
             f"ref_variance {ref_variance} implies a nonpositive entropy cap {cap:.6g}")
     return cap
+
+
+# Source kind in an ensemble file -> its constructor.
+_SOURCE_KINDS = {"uniform": SourceDist.uniform, "gaussian": SourceDist.gaussian}
+
+
+def parse_ensemble(path: str | Path, j_coupling: float, sigma_max: float) -> InfoEnsemble:
+    """Read a source-ensemble file over the scenario's coupling and entropy cap.
+
+    Grammar: optional `j = X` / `ref_variance = X` header lines, which replace
+    the coupling and the cap, then a [sources] block with `uniform WIDTH` or
+    `gaussian VARIANCE` lines, then an optional [interactions] block with
+    `i j synergy antagonism` rows using 1-based source indices.
+    """
+    sources: list[SourceDist] = []
+    synergy: dict = {}
+    antagonism: dict = {}
+
+    def handle(section: str | None, line: str) -> None:
+        nonlocal j_coupling, sigma_max
+        if section is None:
+            key, raw = _key_value(line)
+            if key == "j":
+                j_coupling = _parse_value(raw, float, key)
+            elif key == "ref_variance":
+                sigma_max = entropy_cap_from_variance(_parse_value(raw, float, key))
+            else:
+                raise ConfigError(f"unknown ensemble header key {key!r}")
+            return
+        parts = line.split()
+        if section == "sources":
+            if len(parts) != 2 or parts[0] not in _SOURCE_KINDS:
+                raise ConfigError(f"expected 'uniform WIDTH' or 'gaussian VARIANCE', got {line!r}")
+            kind, raw = parts
+            sources.append(_SOURCE_KINDS[kind](_parse_value(raw, float, f"{kind} source")))
+        else:
+            if len(parts) != 4:
+                raise ConfigError(f"expected 'i j synergy antagonism', got {line!r}")
+            i, j = (_parse_value(raw, int, "source index") - 1 for raw in parts[:2])
+            synergy[(i, j)] = _parse_value(parts[2], float, "synergy")
+            antagonism[(i, j)] = _parse_value(parts[3], float, "antagonism")
+
+    _scan_lines(path, "ensemble", ("sources", "interactions"), handle)
+    if not sources:
+        raise ConfigError(f"ensemble file {path} defines no sources")
+    try:
+        return InfoEnsemble(sources=tuple(sources), sigma_max=sigma_max,
+                            j_coupling=j_coupling, synergy=synergy, antagonism=antagonism)
+    except ValueError as exc:
+        raise ConfigError(f"ensemble file {path}: {exc}") from None
+
+
+def demo_ensemble(j_coupling: float, sigma_max: float) -> InfoEnsemble:
+    """The three-source ensemble `cogecon datavalue` reports without a file."""
+    sources = (SourceDist.uniform(1.0), SourceDist.uniform(2.0), SourceDist.gaussian(0.25))
+    return InfoEnsemble(sources=sources, sigma_max=sigma_max, j_coupling=j_coupling,
+                        synergy={(0, 1): 0.6}, antagonism={(1, 2): 0.3})

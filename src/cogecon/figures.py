@@ -9,6 +9,7 @@ id, so nothing depends on scheduling or thread count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,13 +159,34 @@ def _figure_cawf_montecarlo(cfg: ScenarioConfig) -> SeriesTable:
                                         curves.high_value, curves.low_value]), meta)
 
 
-def _wealth_density_table(cfg: ScenarioConfig, figure_id: int, sweeps,
-                          column_labels) -> SeriesTable:
-    """Stationary log-wealth densities for a list of (theta, sigma, lam, f_sigma) sweeps."""
+# Wealth figure id -> (label prefix, (theta, sigma)) of each asset setting it
+# crosses with the three leverage tiers: one setting for figures 7-10, two
+# points of a robustness axis for 11-14.
+_THETA_AXIS = tuple((f"theta_{tag}_", (theta, ASSET_LOW[1]))
+                    for tag, theta in zip("ab", ROBUST_THETA))
+_SIGMA_AXIS = tuple((f"sigma_{tag}_", (ASSET_LOW[0], sigma))
+                    for tag, sigma in zip("ab", ROBUST_SIGMA))
+_WEALTH_ASSETS = {
+    7: (("", ASSET_LOW),), 8: (("", ASSET_HIGH),), 9: (("", ASSET_LOW),), 10: (("", ASSET_HIGH),),
+    11: _THETA_AXIS, 12: _SIGMA_AXIS, 13: _THETA_AXIS, 14: _SIGMA_AXIS,
+}
+
+
+def wealth_sweeps(figure_id: int) -> list[tuple[str, tuple[float, float, float, float]]]:
+    """The columns of wealth figure 7-14: (label, (theta, sigma, lam, f_sigma)) each."""
+    f_values = F_SIGMA_TIERS if figure_id in TYPE_TWO_FIGURES else (1.0, 1.0, 1.0)
+    return [(prefix + lam_label, (theta, sigma, lam, f_sigma))
+            for prefix, (theta, sigma) in _WEALTH_ASSETS[figure_id]
+            for lam_label, lam, f_sigma in zip(LAMBDA_LABELS, LAMBDA_TIERS, f_values)]
+
+
+def _wealth_density_table(cfg: ScenarioConfig, figure_id: int) -> SeriesTable:
+    """Stationary log-wealth densities, one column per economy of wealth_sweeps."""
     x = WEALTH_X_GRID
     columns = ["x"]
     series = [x]
-    for label, (theta, sigma, lam, f_sigma) in zip(column_labels, sweeps):
+    sweeps = wealth_sweeps(figure_id)
+    for label, (theta, sigma, lam, f_sigma) in sweeps:
         p = cfg.wealth_params(theta=theta, sigma=sigma, lam=lam, f_sigma=f_sigma)
         density = stationary_wealth_density(drift_diffusion(p))
         columns.append(label)
@@ -176,28 +198,8 @@ def _wealth_density_table(cfg: ScenarioConfig, figure_id: int, sweeps,
                 "delta": base.delta, "beta": base.beta, "w": base.w,
                 "r": base.r, "z": base.z,
                 "sweeps": [f"{lbl}:theta={t:g},sigma={s:g},lam={l:g},f={f:g}"
-                           for lbl, (t, s, l, f) in zip(column_labels, sweeps)]})}
+                           for lbl, (t, s, l, f) in sweeps]})}
     return SeriesTable(f"figure{figure_id:02d}", tuple(columns), np.column_stack(series), meta)
-
-
-def _lambda_sweeps(asset: tuple[float, float], paired_f: bool):
-    theta, sigma = asset
-    f_values = F_SIGMA_TIERS if paired_f else (1.0, 1.0, 1.0)
-    return ([(theta, sigma, lam, f) for lam, f in zip(LAMBDA_TIERS, f_values)],
-            LAMBDA_LABELS)
-
-
-def _robustness_sweeps(axis: str, values, paired_f: bool):
-    sweeps, labels = [], []
-    for tag, value in zip(("a", "b"), values):
-        for lam_label, lam, f in zip(LAMBDA_LABELS, LAMBDA_TIERS,
-                                     F_SIGMA_TIERS if paired_f else (1.0, 1.0, 1.0)):
-            if axis == "theta":
-                sweeps.append((value, ASSET_LOW[1], lam, f))
-            else:
-                sweeps.append((ASSET_LOW[0], value, lam, f))
-            labels.append(f"{axis}_{tag}_{lam_label}")
-    return sweeps, labels
 
 
 # Figure id -> builder of its series.
@@ -208,14 +210,7 @@ _BUILDERS = {
     4: _figure_shrinkage_lines,
     5: _figure_cawf_slices,
     6: _figure_cawf_montecarlo,
-    7: lambda cfg: _wealth_density_table(cfg, 7, *_lambda_sweeps(ASSET_LOW, False)),
-    8: lambda cfg: _wealth_density_table(cfg, 8, *_lambda_sweeps(ASSET_HIGH, False)),
-    9: lambda cfg: _wealth_density_table(cfg, 9, *_lambda_sweeps(ASSET_LOW, True)),
-    10: lambda cfg: _wealth_density_table(cfg, 10, *_lambda_sweeps(ASSET_HIGH, True)),
-    11: lambda cfg: _wealth_density_table(cfg, 11, *_robustness_sweeps("theta", ROBUST_THETA, False)),
-    12: lambda cfg: _wealth_density_table(cfg, 12, *_robustness_sweeps("sigma", ROBUST_SIGMA, False)),
-    13: lambda cfg: _wealth_density_table(cfg, 13, *_robustness_sweeps("theta", ROBUST_THETA, True)),
-    14: lambda cfg: _wealth_density_table(cfg, 14, *_robustness_sweeps("sigma", ROBUST_SIGMA, True)),
+    **{fid: functools.partial(_wealth_density_table, figure_id=fid) for fid in _WEALTH_ASSETS},
 }
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .densities import PiecewiseExpDensity
 from .errors import ValidationError
-from .figures import ASSET_HIGH, ASSET_LOW, F_SIGMA_TIERS, LAMBDA_TIERS
+from .figures import TYPE_TWO_FIGURES, wealth_sweeps
 from .kfe import Grid1D, solve_stationary_kfe_fd
 from .rng import RngSpec
 from .sde import simulate_gbm_reset
@@ -56,19 +56,17 @@ class ComboReport:
 def benchmark_combos() -> list[tuple[str, EconomyParams]]:
     """The twelve benchmark parameter combinations used throughout.
 
-    Six fixed-friction economies (f = 1) and six with the friction level
-    paired to leverage, each at the low and high asset settings.
+    The columns of wealth figures 7-10: six fixed-friction economies (f = 1)
+    and six with the friction level paired to leverage, each at the low and
+    high asset settings.
     """
     combos = []
-    for theta, sigma in (ASSET_LOW, ASSET_HIGH):
-        for lam in LAMBDA_TIERS:
-            label = f"type1_lam{lam:g}_theta{theta:g}_sigma{sigma:g}"
-            combos.append((label, EconomyParams(theta=theta, sigma=sigma, lam=lam)))
-    for theta, sigma in (ASSET_LOW, ASSET_HIGH):
-        for lam, f_sigma in zip(LAMBDA_TIERS, F_SIGMA_TIERS):
-            label = f"type2_lam{lam:g}_f{f_sigma:g}_theta{theta:g}_sigma{sigma:g}"
-            combos.append((label, EconomyParams(theta=theta, sigma=sigma,
-                                                lam=lam, f_sigma=f_sigma)))
+    for fid in (7, 8, 9, 10):
+        paired = fid in TYPE_TWO_FIGURES
+        for _, (theta, sigma, lam, f_sigma) in wealth_sweeps(fid):
+            regime = f"type2_lam{lam:g}_f{f_sigma:g}" if paired else f"type1_lam{lam:g}"
+            combos.append((f"{regime}_theta{theta:g}_sigma{sigma:g}",
+                           EconomyParams(theta=theta, sigma=sigma, lam=lam, f_sigma=f_sigma)))
     return combos
 
 

@@ -228,7 +228,6 @@ class EquilibriumPrices:
     w_star: float | None
     valid: bool
     clearing_constant: float
-    capital_share: float
 
 
 def _clearing_constant(p: EconomyParams, r_star: float) -> float:
@@ -251,7 +250,7 @@ def equilibrium_prices(p: EconomyParams) -> EquilibriumPrices:
     c_const = _clearing_constant(p, r_star)
     if c_const >= 0.0:
         return EquilibriumPrices(r_star=r_star, w_star=None, valid=False,
-                                 clearing_constant=c_const, capital_share=p.lam)
+                                 clearing_constant=c_const)
     zl = p.z * p.lam
     sqrt_arg = zl * zl - 8.0 * p.beta * zl * p.gamma * c_const
     # The positive root (-zl + sqrt(sqrt_arg)) / (4 beta zl gamma), rationalized:
@@ -260,7 +259,7 @@ def equilibrium_prices(p: EconomyParams) -> EquilibriumPrices:
     # t = ((1-alpha)/w)^(1/alpha) and alpha = 1/2, so w = (1-alpha)/sqrt(t).
     w_star = (1.0 - p.alpha) / sqrt_t
     return EquilibriumPrices(r_star=r_star, w_star=w_star, valid=True,
-                             clearing_constant=c_const, capital_share=p.lam)
+                             clearing_constant=c_const)
 
 
 def equilibrium_economy(p: EconomyParams) -> EconomyParams:

@@ -132,8 +132,7 @@ def test_explain_lines_cover_every_key():
     "cognition", "datavalue", "consumption", "tax", "wealth", "equilibrium"])
 def test_report_subcommands_succeed(cmd, capsys):
     assert run_cli([cmd]) == 0
-    out = capsys.readouterr().out
-    assert out.strip()
+    assert capsys.readouterr().out == (GOLDEN / f"{cmd}_default.txt").read_text()
 
 
 def test_equilibrium_prints_the_firm_profit_rate_at_equilibrium_prices(capsys):
@@ -162,8 +161,14 @@ def test_explain_flag_prints_origins(capsys):
     assert "origin" in out or "flag" in out
 
 
-def test_bad_config_path_is_usage_error():
-    assert run_cli(["wealth", "--config", "/nonexistent.ini"]) == 1
+def test_bad_config_path_is_usage_error(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.ini"
+    undecodable.write_bytes(b"[wealth]\n# caf\xe9\n")
+    for path in ("/nonexistent.ini", str(tmp_path), str(undecodable)):
+        assert run_cli(["wealth", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_invalid_parameter_exits_one(tmp_path):
@@ -386,8 +391,7 @@ gaussian 0.25
 1 2 0.4 0.1
 """)
     assert run_cli(["datavalue", "--ensemble", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "uniform" in out and "gaussian" in out
+    assert capsys.readouterr().out == (GOLDEN / "datavalue_ensemble.txt").read_text()
 
 
 @pytest.mark.parametrize("body,needle", [
@@ -396,17 +400,28 @@ gaussian 0.25
     ("[sources]\nuniform 1.0\n[interactions]\n1 2 0.4\n", "synergy"),
     ("mystery = 3\n[sources]\nuniform 1.0\n", "unknown ensemble header"),
     ("\n", "no sources"),
-    ("j = abc\n[sources]\nuniform 1.0\n", "line 1: could not convert"),
-    ("[sources]\nuniform 1.0\n[interactions]\n1 x 0.1 0.1\n", "line 4: invalid literal"),
+    ("j = abc\n[sources]\nuniform 1.0\n", "line 1: value 'abc' for j is not a valid float"),
+    ("[sources]\nuniform 1.0\n[interactions]\n1 x 0.1 0.1\n",
+     "line 4: value 'x' for source index is not a valid int"),
     ("j = 0.5\nref_variance = -1\n[sources]\nuniform 1.0\n",
      "line 2: ref_variance must be positive"),
+    ("j = nan\n[sources]\nuniform 1.0\n", "line 1: value 'nan' for j is not a finite float"),
+    ("[sources]\nuniform nan\n", "line 2: value 'nan' for uniform source is not a finite"),
+    ("[sources]\nuniform 1.0\nuniform 2.0\n[interactions]\n1 2 nan 0\n",
+     "line 5: value 'nan' for synergy is not a finite float"),
+    ("[sources]\ngaussian inf\n", "line 2: value 'inf' for gaussian source is not a finite"),
+    ("ref_variance = inf\n[sources]\nuniform 1.0\n",
+     "line 1: value 'inf' for ref_variance is not a finite float"),
+    ("[sources]\nuniform 1.0 # caf\xe9\n", "cannot read ensemble file"),
 ])
 def test_bad_ensemble_files_exit_one(tmp_path, capsys, body, needle):
     path = tmp_path / "sources.txt"
-    path.write_text(body)
+    # latin-1 writes the ASCII bodies unchanged and \xe9 as a byte that is not UTF-8
+    path.write_bytes(body.encode("latin-1"))
     assert run_cli(["datavalue", "--ensemble", str(path)]) == 1
     err = capsys.readouterr().err
     assert needle in err
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
