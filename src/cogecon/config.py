@@ -409,7 +409,8 @@ def parse_ensemble(path: str | Path, j_coupling: float, sigma_max: float) -> Inf
     Grammar: optional `j = X` / `ref_variance = X` header lines, which replace
     the coupling and the cap, then a [sources] block with `uniform WIDTH` or
     `gaussian VARIANCE` lines, then an optional [interactions] block with
-    `i j synergy antagonism` rows using 1-based source indices.
+    `i j synergy antagonism` rows using 1-based indices of the sources above
+    them, i < j, each pair at most once.
     """
     sources: list[SourceDist] = []
     synergy: dict = {}
@@ -435,9 +436,18 @@ def parse_ensemble(path: str | Path, j_coupling: float, sigma_max: float) -> Inf
         else:
             if len(parts) != 4:
                 raise ConfigError(f"expected 'i j synergy antagonism', got {line!r}")
-            i, j = (_parse_value(raw, int, "source index") - 1 for raw in parts[:2])
-            synergy[(i, j)] = _parse_value(parts[2], float, "synergy")
-            antagonism[(i, j)] = _parse_value(parts[3], float, "antagonism")
+            i, j = (_parse_value(raw, int, "source index") for raw in parts[:2])
+            if i < 1:
+                raise ConfigError(f"source index {i} is below 1")
+            if i >= j:
+                raise ConfigError(f"pair {i} {j} must have its first index below its second")
+            if j > len(sources):
+                raise ConfigError(f"source index {j} is above the {len(sources)} sources "
+                                  "listed before it")
+            if (i - 1, j - 1) in synergy:
+                raise ConfigError(f"pair {i} {j} appears twice")
+            synergy[(i - 1, j - 1)] = _parse_value(parts[2], float, "synergy")
+            antagonism[(i - 1, j - 1)] = _parse_value(parts[3], float, "antagonism")
 
     _scan_lines(path, "ensemble", ("sources", "interactions"), handle)
     if not sources:

@@ -64,9 +64,10 @@ class SeriesTable:
     def to_csv_bytes(self) -> bytes:
         lines = [f"# {key}: {value}" for key, value in self.meta.items()]
         lines.append(",".join(self.columns))
-        row_format = ",".join(["%.17g"] * len(self.columns))
-        lines.extend(row_format % tuple(row) for row in self.data.tolist())
-        return ("\r\n".join(lines) + "\r\n").encode("ascii")
+        # One % fills the whole body, row by row, from the row-major values.
+        row_format = ",".join(["%.17g"] * len(self.columns)) + "\r\n"
+        body = "".join([row_format] * self.data.shape[0]) % tuple(self.data.ravel().tolist())
+        return ("\r\n".join(lines) + "\r\n" + body).encode("ascii")
 
     def write(self, out_dir: str | Path) -> Path:
         out_dir = Path(out_dir)

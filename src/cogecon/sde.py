@@ -19,9 +19,10 @@ import numpy as np
 from .errors import DegenerateDiffusionError
 from .rng import RngSpec
 
-# Normals per chunk of the reset sampler: 512 KiB of scratch, small enough to
-# stay in cache, large enough that the per-chunk Python overhead is noise.
-_GBM_RESET_CHUNK = 1 << 16
+# Normals per chunk of either sampler's scratch buffers: 512 KiB each, small
+# enough to stay in cache, large enough that the per-chunk Python overhead is
+# noise.
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,71 +71,119 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
     Returns an array of shape (n_paths, len(record_times)) with the state of
     every path at each requested time.  Reflection folds an overshoot back
     into the interval symmetrically (repeatedly if the step is violent), which
-    keeps every recorded value inside [lower_bound, upper_bound] exactly.
+    keeps every recorded value inside [lower_bound, upper_bound] exactly.  The
+    normals are drawn on one worker thread, in stream order, while the calling
+    thread steps; no thread outlives the call.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if n_paths <= 0:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
-    record_times = np.asarray(sorted(record_times), dtype=float)
-    if record_times.size == 0:
+    record_times = sorted(float(t) for t in record_times)
+    if not record_times:
         raise ValueError("record_times must be nonempty")
     if record_times[0] < 0.0 or record_times[-1] > spec.horizon:
         raise ValueError("record_times must lie inside [0, horizon]")
 
-    dt = spec.step_size()
+    # The shocks come in blocks of `rows` steps, drawn and scaled on one
+    # worker thread into two reused buffers while the caller steps.  The one
+    # worker takes the blocks in order, so the Philox stream is drawn in step
+    # order: the same normals, to the bit, as one draw per step, whatever the
+    # thread scheduling.
+    dt, end = spec.step_size(), record_times[-1]
+    n_steps = math.ceil(end / dt)
+    rows = max(1, min(n_steps, CHUNK // n_paths))
+    buffers = (np.empty((rows, n_paths)), np.empty((rows, n_paths)))
     gen = rng.generator()
 
-    x = np.full(n_paths, spec.mean if spec.start is None else spec.start, dtype=float)
-    out = np.empty((n_paths, record_times.size), dtype=float)
+    def schedule():
+        """Each block's step sizes and end times, accumulated as the stepping
+        takes them (the last step may be shorter than dt), one block at a
+        time so that no list grows with the horizon."""
+        t, steps, ends = 0.0, [], []
+        for _ in range(n_steps):
+            step = min(dt, end - t)
+            if step <= 0.0:
+                break
+            t += step
+            steps.append(step)
+            ends.append(t)
+            if len(steps) == rows:
+                yield steps, ends
+                steps, ends = [], []
+        if steps:
+            yield steps, ends
 
-    lo, hi = spec.lower_bound, spec.upper_bound
+    def draw(block: np.ndarray, scales: np.ndarray) -> np.ndarray:
+        gen.standard_normal(out=block)
+        block *= scales
+        return block
+
+    def drawn_blocks(pool):
+        """Each block's shocks (a future), step sizes and end times, in order.
+
+        Block k + 1 is queued before block k is handed over, so the worker
+        goes on to it without waiting for the caller.  It reuses the buffer
+        of block k - 1, which the caller has stepped through by then.
+        """
+        ahead = None
+        for k, (steps, ends) in enumerate(schedule()):
+            scales = np.array([spec.volatility * math.sqrt(step) for step in steps])
+            queued = pool.submit(draw, buffers[k % 2][:len(steps)], scales[:, None]), steps, ends
+            if ahead is not None:
+                yield ahead
+            ahead = queued
+        if ahead is not None:
+            yield ahead
+
+    x = np.full(n_paths, spec.mean if spec.start is None else spec.start, dtype=float)
+    out = np.empty((n_paths, len(record_times)), dtype=float)
+    # + 0.0 turns a -0.0 bound into +0.0; the fold below relies on lo != -0.0.
+    lo, hi = spec.lower_bound + 0.0, spec.upper_bound
     period = 2.0 * (hi - lo)
     # One step's scratch, reused so that stepping allocates nothing.
-    shocks = np.empty(n_paths)
     y = np.empty(n_paths)
     tmp = np.empty(n_paths)
     negative = np.empty(n_paths, dtype=bool)
 
-    t = 0.0
     next_record = 0
-    while next_record < record_times.size and record_times[next_record] <= t:
+    while next_record < len(record_times) and record_times[next_record] <= 0.0:
         out[:, next_record] = x
         next_record += 1
 
-    n_steps = int(np.ceil((record_times[-1] - t) / dt))
-    for _ in range(n_steps):
-        step = min(dt, record_times[-1] - t)
-        if step <= 0.0:
-            break
-        gen.standard_normal(out=shocks)
-        # x + (reversion*(mean - x))*step + (volatility*sqrt(step))*shocks,
-        # in place: each product and sum is the formula's own, at most with
-        # its operands swapped, so the bits are the formula's.
-        np.subtract(spec.mean, x, out=tmp)
-        tmp *= spec.reversion
-        tmp *= step
-        x += tmp
-        shocks *= spec.volatility * math.sqrt(step)
-        x += shocks
-        # Fold back into [lo, hi] as lo + min(y, period - y) with
-        # y = (x - lo) mod period; the modular form resolves any number of
-        # bounces in one shot.  For period > 0, np.mod's remainder is fmod's
-        # (which is exact), plus period where that is negative, and +0 where
-        # it is zero.  Adding period*[y < 0] does both at once: where y >= 0
-        # it adds 0.0, which changes no value but turns -0 into +0.  So y has
-        # np.mod's bits without its full floor-divmod.
-        np.subtract(x, lo, out=y)
-        np.fmod(y, period, out=y)
-        np.less(y, 0.0, out=negative)
-        np.multiply(negative, period, out=tmp)
-        y += tmp
-        np.subtract(period, y, out=tmp)
-        np.minimum(y, tmp, out=x)
-        x += lo
-        t += step
-        while next_record < record_times.size and record_times[next_record] <= t + 1e-12:
-            out[:, next_record] = x
-            next_record += 1
-    while next_record < record_times.size:  # pragma: no cover - guard for fp drift
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for drawn, steps, ends in drawn_blocks(pool):
+            for shocks, step, t in zip(drawn.result(), steps, ends):
+                # x + (reversion*(mean - x))*step + (volatility*sqrt(step))*shocks,
+                # in place: each product and sum is the formula's own, at most
+                # with its operands swapped, so the bits are the formula's.
+                np.subtract(spec.mean, x, out=tmp)
+                tmp *= spec.reversion
+                tmp *= step
+                x += tmp
+                x += shocks
+                # Fold back into [lo, hi] as lo + min(y, period - y) with
+                # y = (x - lo) mod period; the modular form resolves any
+                # number of bounces in one shot.  For period > 0, np.mod's
+                # remainder is fmod's (which is exact, and y itself where
+                # |y| < period, so fmod runs only after an overshoot of a
+                # period or more), plus period where that is negative, and +0
+                # where it is zero.  Adding period only where y < 0 keeps a
+                # zero's sign from fmod, but lo + min(+-0, period) has one bit
+                # pattern for lo != -0.0, so x has np.mod's bits.
+                np.subtract(x, lo, out=y)
+                np.abs(y, out=tmp)
+                if tmp.max() >= period:
+                    np.fmod(y, period, out=y)
+                np.less(y, 0.0, out=negative)
+                np.add(y, period, out=y, where=negative)
+                np.subtract(period, y, out=tmp)
+                np.minimum(y, tmp, out=x)
+                x += lo
+                while next_record < len(record_times) and record_times[next_record] <= t + 1e-12:
+                    out[:, next_record] = x
+                    next_record += 1
+    while next_record < len(record_times):  # pragma: no cover - guard for fp drift
         out[:, next_record] = x
         next_record += 1
     return out
@@ -162,7 +211,7 @@ def simulate_gbm_reset(drift: float, volatility: float, reset_rate: float,
     # stream drawn in pieces is the same stream, so the samples are those of
     # one whole draw, and no second n-element array is held.  Each chunk takes
     # drift*age + volatility*sqrt(age)*shocks in the formula's operation order.
-    size = min(n_samples, _GBM_RESET_CHUNK)
+    size = min(n_samples, CHUNK)
     shocks, step = np.empty(size), np.empty(size)
     for start in range(0, n_samples, size):
         a = age[start:start + size]

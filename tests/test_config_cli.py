@@ -413,6 +413,14 @@ gaussian 0.25
     ("ref_variance = inf\n[sources]\nuniform 1.0\n",
      "line 1: value 'inf' for ref_variance is not a finite float"),
     ("[sources]\nuniform 1.0 # caf\xe9\n", "cannot read ensemble file"),
+    ("[sources]\nuniform 1.0\nuniform 2.0\n[interactions]\n0 1 0.1 0.1\n",
+     "line 5: source index 0 is below 1"),
+    ("[sources]\nuniform 1.0\nuniform 2.0\n[interactions]\n2 1 0.1 0.1\n",
+     "line 5: pair 2 1 must have its first index below its second"),
+    ("[sources]\nuniform 1.0\nuniform 2.0\n[interactions]\n1 2 0.1 0.1\n1 2 0.2 0\n",
+     "line 6: pair 1 2 appears twice"),
+    ("[sources]\nuniform 1.0\nuniform 2.0\n[interactions]\n1 3 0.1 0.1\n",
+     "line 5: source index 3 is above the 2 sources listed before it"),
 ])
 def test_bad_ensemble_files_exit_one(tmp_path, capsys, body, needle):
     path = tmp_path / "sources.txt"
@@ -428,10 +436,13 @@ def test_bad_ensemble_files_exit_one(tmp_path, capsys, body, needle):
 # ------------------------------------------------------------- cold start ---
 
 # Runs in a fresh interpreter so that sys.modules shows only what these two
-# commands load.  No --config: a scenario file's [tax] check needs scipy.
+# commands load.  No --config: a scenario file's [tax] check needs scipy.  The
+# import alone loads no thread pool either: each user imports it when called.
 NO_SCIPY_PROBE = """
 import sys
 from cogecon.cli import main
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "scipy" or m.startswith("concurrent.futures")))
 from cogecon.validate import run_validations, validation_jobs
 try:
     main(["reproduce", "--figure", "all", "--out", sys.argv[1]])
@@ -448,4 +459,5 @@ def test_reproduce_and_validate_load_no_scipy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.iterdir())) == 14
+    assert proc.stdout.splitlines()[0] == "[]"
     assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,6 +1,8 @@
 """Densities, RNG streams, SDE simulators, and the FD forward-equation solver."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +193,16 @@ def plain_ou_loop(spec: OuProcessSpec, rng: RngSpec, n_paths: int, record_times)
 FIGURE6_OU = OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8,
                            lower_bound=0.0, upper_bound=1.0, horizon=60.0)
 
+# Steps per block of shocks at 1000 paths, and horizons of that many steps
+# around the block boundaries (dt = 0.25 is exact, so k steps end at k / 4).
+ROWS = sde.CHUNK // 1000
+BLOCK_STEPS = (1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3)
+
+
+def steps_spec(n_steps: int) -> OuProcessSpec:
+    return OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8, lower_bound=0.0,
+                         upper_bound=1.0, horizon=0.25 * n_steps, dt=0.25)
+
 
 @pytest.mark.parametrize("spec,seed,n_paths,record_times", [
     (FIGURE6_OU, 42, 1000, [60.0]),
@@ -209,8 +221,16 @@ FIGURE6_OU = OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8,
     (OuProcessSpec(mean=0.2, reversion=1.5, volatility=0.9, lower_bound=-0.5,
                    upper_bound=0.5, horizon=1.0, start=0.5, dt=0.03), 6, 100,
      [0.0, 0.45, 1.0]),
+    *[(steps_spec(k), 8, 1000, [0.25 * k]) for k in BLOCK_STEPS],
+    # more paths than CHUNK: one step per block
+    (steps_spec(5), 9, sde.CHUNK + 3, [0.5, 1.25]),
+    # 100 steps, the short last one inside the second block
+    (OuProcessSpec(mean=0.2, reversion=1.5, volatility=0.9, lower_bound=-0.5,
+                   upper_bound=0.5, horizon=2.995, dt=0.03), 10, 1000,
+     [1.5, 2.995]),
 ], ids=["fig6-seed42", "fig6-seed1", "lo-nonzero", "vol25", "start-on-bound",
-        "ragged-dt"])
+        "ragged-dt", *[f"steps{k}" for k in BLOCK_STEPS], "rows1",
+        "ragged-dt-in-block"])
 def test_ou_reflected_equals_plain_loop(spec, seed, n_paths, record_times):
     # The sampler steps in place and folds with fmod; the bits must not change.
     rng = RngSpec(seed, stream_id=6)
@@ -220,6 +240,69 @@ def test_ou_reflected_equals_plain_loop(spec, seed, n_paths, record_times):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     if spec.volatility == 25.0:
         assert widest >= 2.0 * (spec.upper_bound - spec.lower_bound)
+
+
+class ConstantNormals:
+    """Generator stand-in whose every normal is `value`."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.value)
+        out.fill(self.value)
+        return out
+
+
+def test_ou_reflected_signed_zero_fold(monkeypatch):
+    # A shock of -1 takes x from 0 to -1, so (x - lo) fmod 1 is -0.  With
+    # lower_bound -0.0 the sampler must still record +0, as np.mod's fold does.
+    monkeypatch.setattr(RngSpec, "generator", lambda self: ConstantNormals(-1.0))
+    spec = OuProcessSpec(mean=0.0, reversion=0.1, volatility=1.0, lower_bound=-0.0,
+                         upper_bound=0.5, horizon=1.0, dt=1.0, start=0.0)
+    got = simulate_ou_reflected(spec, RngSpec(1), 3, [1.0])
+    want, _ = plain_ou_loop(spec, RngSpec(1), 3, [1.0])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), np.zeros((3, 1)).view(np.uint64))
+
+
+def test_ou_reflected_leaves_no_thread_behind():
+    before = threading.active_count()
+    spec = steps_spec(2 * ROWS + 3)
+    simulate_ou_reflected(spec, RngSpec(3), 1000, [0.0, spec.horizon])
+    assert threading.active_count() == before
+
+
+class FailsOnSecondBlock:
+    """A real generator whose second standard_normal call raises."""
+
+    def __init__(self, gen: np.random.Generator) -> None:
+        self.gen, self.calls = gen, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 2:
+            raise RuntimeError("second block")
+        return self.gen.standard_normal(*args, **kwargs)
+
+
+def test_ou_reflected_worker_error_reaches_caller(monkeypatch):
+    real = RngSpec.generator
+    monkeypatch.setattr(RngSpec, "generator", lambda self: FailsOnSecondBlock(real(self)))
+    spec = steps_spec(10**6)
+    before = set(threading.enumerate())
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="second block"):
+            simulate_ou_reflected(spec, RngSpec(3), 1000, [spec.horizon])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(threading.enumerate()) == before
+    # Of a million steps, a few blocks were scheduled: the memory held is the
+    # two ~0.5 MiB block buffers, not a list that grows with the horizon.
+    assert peak < 2**22
 
 
 def test_ou_spec_validation():
@@ -307,8 +390,8 @@ def test_gbm_reset_equals_plain_formula(drift, volatility, reset_rate):
     assert np.array_equal(samples, drift * age + volatility * np.sqrt(age) * shocks)
 
 
-@pytest.mark.parametrize("n", [1, sde._GBM_RESET_CHUNK - 1, sde._GBM_RESET_CHUNK,
-                               sde._GBM_RESET_CHUNK + 1, 1_000_003])
+@pytest.mark.parametrize("n", [1, sde.CHUNK - 1, sde.CHUNK,
+                               sde.CHUNK + 1, 1_000_003])
 def test_gbm_reset_chunks_equal_one_whole_draw(n):
     # The normals are drawn in chunks; the samples must be those of one whole
     # draw through the plain formula, at and around every chunk boundary.
