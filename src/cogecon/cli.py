@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -343,22 +344,25 @@ def validate(cfg) -> None:
 
 
 def main(argv=None) -> None:
-    try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(1)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(1)
-    except ValidationError as exc:
-        click.echo(f"validation failure: {exc}", err=True)
-        sys.exit(2)
-    except DegenerateModelError as exc:
-        click.echo(f"degenerate model: {exc}", err=True)
-        sys.exit(3)
+    # a warning is one stderr line and leaves the exit code alone
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+        try:
+            cli.main(args=argv, standalone_mode=False)
+        except click.exceptions.Exit as exc:
+            sys.exit(exc.exit_code)
+        except click.UsageError as exc:
+            exc.show()
+            sys.exit(1)
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(1)
+        except ValidationError as exc:
+            click.echo(f"validation failure: {exc}", err=True)
+            sys.exit(2)
+        except DegenerateModelError as exc:
+            click.echo(f"degenerate model: {exc}", err=True)
+            sys.exit(3)
     sys.exit(0)
 
 

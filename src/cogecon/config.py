@@ -305,6 +305,19 @@ def _in_range(what: str, compute: Callable[[], object]) -> None:
         raise ValueError(f"{what} out of floating-point range ({exc})") from exc
 
 
+# Most Euler path-steps figure 6 may take; the defaults take 6e6.
+MAX_EULER_WORK = 1e9
+
+
+def _euler_work(p: CawfParams) -> None:
+    """Refuse a data-value simulation over MAX_EULER_WORK; the work is a float,
+    so one that overflows to inf is refused too."""
+    work = p.n_paths * p.ou.horizon / p.ou.step_size()
+    if work > MAX_EULER_WORK:
+        raise ValueError(f"n_paths * horizon / step size is {work:.3g} Euler path-steps, "
+                         f"above the budget of {MAX_EULER_WORK:.0e}")
+
+
 def _cognition_report(p: CognitionParams) -> None:
     """The cognition verb's closed forms that can leave floating-point range
     (the others are sums and ratios of the same finite terms)."""
@@ -335,9 +348,12 @@ def revalidate(cfg: ScenarioConfig) -> None:
         ("retention", cfg.retention_params),
         ("consumption", cfg.cawf_params),
         ("consumption", cfg.shrinkage_params),
+        ("consumption", lambda: _euler_work(cfg.cawf_params())),
         ("consumption", lambda: bayes_adjustment(cfg.get("consumption", "p1"))),
         ("shrinkage", lambda: implied_shrinkage(**cfg.values["shrinkage"])),
         ("tax", lambda: proposition1_check(cfg.tax_economy(), tax["tau_low"], tax["tau_high"])),
+        ("tax", lambda: _in_range("tax economy", lambda: consumptions(
+            cfg.tax_economy(), 0.0, 0.0, mu_b=0.0))),
         ("wealth", cfg.wealth_params),
         ("wealth", lambda: productivity_cutoff(wealth["r"], wealth["delta"],
                                                wealth["alpha"], wealth["w"])),
@@ -347,11 +363,6 @@ def revalidate(cfg: ScenarioConfig) -> None:
         ("equilibrium", lambda: _in_range("stationary wealth law", lambda: equilibrium_density(
             cfg.equilibrium_params()))),
     )
-    # The tax verb's closed forms need scipy.special, whose import costs
-    # about 0.3 s; the defaults are in range, so only a file's values pay it.
-    if "file" in cfg.origins["tax"].values():
-        checks += (("tax", lambda: _in_range("tax economy", lambda: consumptions(
-            cfg.tax_economy(), 0.0, 0.0, mu_b=0.0))),)
     for section, view in checks:
         _check(section, view)
     if cfg.values["datavalue"]["j_coupling"] < 0.0:

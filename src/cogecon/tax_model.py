@@ -11,13 +11,35 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TailUnderflowError
-from .gauss import normal_hazard, normal_sf
+
+
+def normal_sf(x: float) -> float:
+    """Standard normal survival function 1 - Phi(x), without cancellation."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def normal_hazard(x: float) -> float:
+    """Hazard rate phi(x) / (1 - Phi(x)) of the standard normal.
+
+    Beyond x ~ 37.5, where the survival value leaves the normal floats, it is
+    x over the Mills-ratio series x R(x) ~ sum_m (-1)^m (2m-1)!! / x^(2m)
+    (Abramowitz & Stegun 1964, eq. 7.1.23), cut where its terms fall below 1e-16.
+    """
+    sf = normal_sf(x)
+    if sf >= sys.float_info.min:
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) / sf
+    term = series = 1.0
+    for m in range(1, 8):
+        term *= -(2 * m - 1) / (x * x)
+        series += term
+    return x / series
 
 
 @dataclass(frozen=True)
@@ -65,12 +87,8 @@ def truncated_exp_mean(mu_bar: float, sigma_mu: float, k_cut: float) -> float:
     Evaluated through survival functions so the two tails cancel correctly:
     exp(mu_bar + sigma^2/2) * SF((K - mu_bar - sigma^2)/sigma) / SF((K - mu_bar)/sigma).
     """
-    if sigma_mu <= 0.0:
-        raise ValueError(f"sigma_mu must be positive, got {sigma_mu}")
-    z_den = (k_cut - mu_bar) / sigma_mu
-    z_num = z_den - sigma_mu
-    den = float(normal_sf(z_den))
-    num = float(normal_sf(z_num))
+    den = implied_investor_mass(mu_bar, sigma_mu, k_cut)
+    num = normal_sf((k_cut - mu_bar) / sigma_mu - sigma_mu)
     if den == 0.0:
         raise TailUnderflowError(
             f"cutoff {k_cut} leaves no ability mass above it at double precision")
@@ -81,7 +99,7 @@ def implied_investor_mass(mu_bar: float, sigma_mu: float, k_cut: float) -> float
     """Mass of abilities above the cutoff, 1 - Phi((K - mu_bar)/sigma)."""
     if sigma_mu <= 0.0:
         raise ValueError(f"sigma_mu must be positive, got {sigma_mu}")
-    return float(normal_sf((k_cut - mu_bar) / sigma_mu))
+    return normal_sf((k_cut - mu_bar) / sigma_mu)
 
 
 def check_mass_consistency(e: TaxEconomy, tol: float = 1e-6) -> float:
@@ -107,8 +125,8 @@ def hazard_ratio_check(mu_k: float, sigma_mu: float) -> tuple[float, float]:
     """
     if sigma_mu <= 0.0:
         raise ValueError(f"sigma_mu must be positive, got {sigma_mu}")
-    h_zero = float(normal_hazard(mu_k / sigma_mu)) / sigma_mu
-    h_shift = float(normal_hazard((mu_k - sigma_mu**2) / sigma_mu)) / sigma_mu
+    h_zero = normal_hazard(mu_k / sigma_mu) / sigma_mu
+    h_shift = normal_hazard((mu_k - sigma_mu**2) / sigma_mu) / sigma_mu
     return h_zero, h_shift
 
 

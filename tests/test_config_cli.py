@@ -8,6 +8,7 @@ import pytest
 
 from cogecon.cli import _fmt, main
 from cogecon.config import (
+    MAX_EULER_WORK,
     apply_overrides,
     default_config,
     explain_lines,
@@ -214,6 +215,54 @@ def test_finite_extremes_exit_one_without_traceback(tmp_path, capsys, verb, sect
         assert err.startswith(f"config error: [{section}] ") and err.count("\n") == 1
     assert "Traceback" not in err
 
+
+@pytest.mark.parametrize("line", ["horizon = 1e300", "reversion = 1e300"])
+def test_unbounded_euler_work_exits_one_at_load(tmp_path, line):
+    # Each file asks figure 6's sampler for ~1e305 Euler path-steps.  It runs
+    # in a child with a timeout, so a file that loads fails the test instead
+    # of hanging the suite.
+    path = write_config(tmp_path, f"[consumption]\n{line}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cogecon.cli", "reproduce", "--figure", "6",
+         "--config", path, "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: [consumption] ")
+    assert proc.stderr.count("\n") == 1 and "above the budget" in proc.stderr
+
+
+def test_default_euler_work_loads_far_below_the_budget(tmp_path):
+    p = default_config().cawf_params()
+    assert p.n_paths * p.ou.horizon / p.ou.step_size() == pytest.approx(6e6)
+    assert 100 * 6e6 < MAX_EULER_WORK
+    path = write_config(tmp_path, "[consumption]\nhorizon = 60\nreversion = 0.1\nn_paths = 1000\n")
+    assert parse_config(path).values == default_config().values
+
+
+def test_far_cutoff_hazards_keep_their_order(tmp_path, capsys):
+    # x = 5e4 standard deviations out: the true hazards are 5000000.002 and
+    # 4999999.002, and the zero-mean one must stay above the shifted one.
+    path = write_config(tmp_path, "[tax]\nk_cut = 500\nmu_bar = 500\nsigma_mu = 0.01\n")
+    assert run_cli(["tax", "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    h_zero, h_shift = (float(next(line for line in lines if label in line).split()[-1])
+                       for label in ("(zero mean)", "(shifted mean)"))
+    assert h_zero > h_shift
+    assert (h_zero, h_shift) == pytest.approx((5000000.002, 4999999.002), rel=1e-12)
+
+
+def test_runtime_warnings_print_as_one_line(tmp_path, capsys):
+    path = write_config(tmp_path, "[tax]\nm = 0.3\n")
+    assert run_cli(["tax", "--config", path]) == 0
+    assert capsys.readouterr().err == (
+        "warning: investor mass m = 0.3 differs from the cutoff-implied mass 0.5\n")
+    wide = tmp_path / "wide.txt"
+    wide.write_text("[sources]\nuniform 10\n")  # entropy log 10 above the cap 1.42
+    assert run_cli(["datavalue", "--ensemble", str(wide)]) == 0
+    # the source row and the aggregate each clamp, so each call site warns
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(line.startswith("warning: entropy 2.30") and
+                         line.endswith("clamping to the cap") for line in lines)
 
 
 def test_tiny_equilibrium_gamma_loads_and_has_a_wage(tmp_path, capsys):
@@ -435,29 +484,32 @@ def test_bad_ensemble_files_exit_one(tmp_path, capsys, body, needle):
 
 # ------------------------------------------------------------- cold start ---
 
-# Runs in a fresh interpreter so that sys.modules shows only what these two
-# commands load.  No --config: a scenario file's [tax] check needs scipy.  The
-# import alone loads no thread pool either: each user imports it when called.
+# Runs every verb in a fresh interpreter in which `import scipy` fails, so
+# the runtime provably needs numpy and click alone; the scenario file sets
+# [tax] keys, so the tax check at load runs too.  The import alone loads no
+# thread pool either: each user imports it when called.
 NO_SCIPY_PROBE = """
 import sys
+sys.modules["scipy"] = None
 from cogecon.cli import main
-print(sorted(m for m in sys.modules
-             if m.split(".")[0] == "scipy" or m.startswith("concurrent.futures")))
-from cogecon.validate import run_validations, validation_jobs
-try:
-    main(["reproduce", "--figure", "all", "--out", sys.argv[1]])
-except SystemExit as exc:
-    assert not exc.code, exc.code
-for _ in run_validations(validation_jobs(7), 401, 10_000):
-    pass
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if m.startswith("concurrent.futures")))
+out, scenario = sys.argv[1:]
+for verb in ("cognition", "datavalue", "consumption", "tax", "wealth",
+             "equilibrium", "reproduce", "validate"):
+    try:
+        main([verb, "--config", scenario, "--out", out])
+    except SystemExit as exc:
+        assert not exc.code, (verb, exc.code)
 """
 
 
-def test_reproduce_and_validate_load_no_scipy(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, str(tmp_path)],
-                          capture_output=True, text=True)
+def test_every_verb_runs_without_scipy(tmp_path):
+    out = tmp_path / "out"
+    scenario = write_config(tmp_path, "[tax]\ntau = 0.25\nsigma_mu = 0.5\n"
+                                      "[validate]\nn_points = 2001\nn_samples = 20000\n")
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, str(out), scenario],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert len(list(tmp_path.iterdir())) == 14
+    assert proc.stderr == ""
+    assert len(list(out.iterdir())) == 14
     assert proc.stdout.splitlines()[0] == "[]"
-    assert proc.stdout.splitlines()[-1] == "[]"

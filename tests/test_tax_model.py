@@ -1,13 +1,14 @@
 """Truncated ability means, hazard ordering, and the tax preference check."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import erfcx, ndtr
 
 from cogecon.errors import TailUnderflowError
 from cogecon.tax_model import (
@@ -17,6 +18,8 @@ from cogecon.tax_model import (
     expected_utility_investor,
     hazard_ratio_check,
     implied_investor_mass,
+    normal_hazard,
+    normal_sf,
     proposition1_check,
     truncated_exp_mean,
 )
@@ -85,6 +88,26 @@ def test_mass_consistency_warns_on_mismatch():
 def test_zero_mean_hazard_dominates(mu_k, sigma):
     h_zero, h_shift = hazard_ratio_check(mu_k, sigma)
     assert h_zero > h_shift
+
+
+def test_survival_matches_ndtr():
+    # up to where the tail stays a normal float: ndtr flushes subnormals to 0
+    xs = np.linspace(-37.0, 37.0, 1481)
+    np.testing.assert_allclose([normal_sf(x) for x in xs], ndtr(-xs), rtol=1e-12, atol=0)
+
+
+def test_hazard_matches_scaled_erfc_out_to_1e9():
+    # phi(x) / SF(x) = sqrt(2/pi) / erfcx(x / sqrt(2)), with no tail to underflow
+    xs = np.concatenate([np.linspace(-25.0, 40.0, 1301), np.geomspace(40.0, 1e9, 400)])
+    exact = math.sqrt(2.0 / math.pi) / erfcx(xs / math.sqrt(2.0))
+    np.testing.assert_allclose([normal_hazard(x) for x in xs], exact, rtol=1e-12, atol=0)
+
+
+def test_hazard_increases_across_the_series_switch():
+    # the series takes over where the survival value leaves the normal floats
+    assert normal_sf(37.0) >= sys.float_info.min > normal_sf(38.0)
+    h = np.array([normal_hazard(x) for x in np.linspace(37.0, 38.0, 100_001)])
+    assert np.all(np.diff(h) > 0.0)
 
 
 def test_consumptions_at_zero_shocks():
