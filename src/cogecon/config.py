@@ -309,7 +309,7 @@ def _in_range(what: str, compute: Callable[[], object]) -> None:
 MAX_EULER_WORK = 1e9
 
 
-def _euler_work(p: CawfParams) -> None:
+def _check_euler_budget(p: CawfParams) -> None:
     """Refuse a data-value simulation over MAX_EULER_WORK; the work is a float,
     so one that overflows to inf is refused too."""
     work = p.n_paths * p.ou.horizon / p.ou.step_size()
@@ -348,7 +348,7 @@ def revalidate(cfg: ScenarioConfig) -> None:
         ("retention", cfg.retention_params),
         ("consumption", cfg.cawf_params),
         ("consumption", cfg.shrinkage_params),
-        ("consumption", lambda: _euler_work(cfg.cawf_params())),
+        ("consumption", lambda: _check_euler_budget(cfg.cawf_params())),
         ("consumption", lambda: bayes_adjustment(cfg.get("consumption", "p1"))),
         ("shrinkage", lambda: implied_shrinkage(**cfg.values["shrinkage"])),
         ("tax", lambda: proposition1_check(cfg.tax_economy(), tax["tau_low"], tax["tau_high"])),
