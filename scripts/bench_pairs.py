@@ -13,9 +13,11 @@ length S is BENCHMARK.json's run_seconds in CHANGE.
 
 The JSON file keeps the last line of every run (the benchmark's result), the
 seeds, and for each workload and end-to-end metric of BENCHMARK.json the
-median and quartiles of each side, the pairs the change won and the parent's
-interquartile distance.  It is rewritten after every run, so an interrupted
-session keeps the runs it finished.
+median and quartiles of each side, the pairs the change won, the parent's
+interquartile distance and ``gain_met``: the change won at least nine in ten
+of all pairs (a tie counts for neither side) and its median beats the
+parent's by more than that distance.  It is rewritten after every run, so an
+interrupted session keeps the runs it finished.
 """
 
 from __future__ import annotations
@@ -88,11 +90,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             won = sum((c < p) if better == "lower" else (c > p)
                       for p, c in zip(values["parent"], values["change"]))
             parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            parent_iqr = parent["q3"] - parent["q1"]
+            gap = change["median"] - parent["median"]
             entry[name] = {"parent": parent, "change": change,
                            f"change_{better}_pairs": won, "pairs": len(done),
-                           "median_change_pct": 100.0 * (change["median"] - parent["median"])
-                                                / parent["median"],
-                           "parent_iqr": parent["q3"] - parent["q1"]}
+                           "median_change_pct": 100.0 * gap / parent["median"],
+                           "parent_iqr": parent_iqr,
+                           "gain_met": (10 * won >= 9 * len(done)
+                                        and (-gap if better == "lower" else gap) > parent_iqr)}
         entry["failed"] = {side: sum(p[side]["failed"] for p in done) for side in ("parent", "change")}
         entry["attempted"] = {side: sum(p[side]["attempted"] for p in done)
                               for side in ("parent", "change")}

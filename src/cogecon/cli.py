@@ -49,7 +49,6 @@ from .data_value import (
     aggregate_data_value,
     data_value_index,
     differential_entropy,
-    information_value,
     value_weight,
 )
 from .errors import ConfigError, DegenerateModelError, ValidationError
@@ -165,15 +164,14 @@ def datavalue(cfg, ensemble_path) -> None:
     else:
         ensemble = parse_ensemble(ensemble_path, j_coupling, sigma_max)
     click.echo("[sources]")
-    for idx, s in enumerate(ensemble.sources, start=1):
-        h = differential_entropy(s)
-        v = information_value(h, ensemble.sigma_max)
-        _kv(f"{idx}: {s.kind}", f"entropy {_fmt(h)}  value {_fmt(v)}  "
+    values = ensemble.source_values()
+    for idx, (s, v) in enumerate(zip(ensemble.sources, values), start=1):
+        _kv(f"{idx}: {s.kind}", f"entropy {_fmt(differential_entropy(s))}  value {_fmt(v)}  "
                                 f"weight {_fmt(value_weight(v))}")
     click.echo("[aggregate]")
     _kv("entropy cap", _fmt(ensemble.sigma_max))
     _kv("coupling J", _fmt(ensemble.j_coupling))
-    d = aggregate_data_value(ensemble)
+    d = aggregate_data_value(ensemble, values)
     _kv("ensemble data value", _fmt(d))
     _kv("squashed index", _fmt(data_value_index([d])))
 
@@ -220,7 +218,7 @@ def tax(cfg) -> None:
     _kv("truncated level-ability mean", _fmt(truncated_exp_mean(e.mu_bar, e.sigma_mu, e.k_cut)))
     _kv("implied investor mass", _fmt(check_mass_consistency(e)))
     _kv("configured investor mass m", _fmt(e.m))
-    h_zero, h_shift = hazard_ratio_check(e.k_cut, e.sigma_mu)
+    h_zero, h_shift = hazard_ratio_check(e.k_cut - e.mu_bar, e.sigma_mu)
     _kv("hazard at cutoff (zero mean)", _fmt(h_zero))
     _kv("hazard at cutoff (shifted mean)", _fmt(h_shift))
     click.echo("[consumption at zero shocks]")

@@ -153,13 +153,13 @@ class InfoEnsemble:
                          for s in self.sources])
 
 
-def aggregate_data_value(e: InfoEnsemble) -> float:
+def aggregate_data_value(e: InfoEnsemble, values=None) -> float:
     """Ensemble aggregate: mean source weight plus the normalized coupling sum.
 
     D = (1/n) sum phi_i + J * sum_{i<j} (a_ij - b_ij) phi_i phi_j / (n(n-1)/2).
-    A single-source ensemble has no interaction term.
+    A single-source ensemble has no interaction term.  values defaults to e.source_values().
     """
-    phis = np.array([value_weight(v) for v in e.source_values()])
+    phis = value_weight(e.source_values() if values is None else np.asarray(values))
     n = phis.size
     base = float(np.mean(phis))
     if n == 1:

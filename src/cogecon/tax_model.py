@@ -117,11 +117,11 @@ def check_mass_consistency(e: TaxEconomy, tol: float = 1e-6) -> float:
 
 
 def hazard_ratio_check(mu_k: float, sigma_mu: float) -> tuple[float, float]:
-    """Hazards of N(0, sigma^2) and N(sigma^2, sigma^2) at mu_k.
+    """Hazards of N(0, sigma^2) and N(sigma^2, sigma^2) at mu_k = k_cut - mu_bar.
 
-    Returns (h_zero_mean, h_shifted_mean).  Because the normal hazard is
-    strictly increasing, the zero-mean hazard is strictly larger at every
-    mu_k; callers assert that ordering.
+    Each reads the standardised cutoff (mu_k - mean) / sigma of the centred
+    ability law.  Returns (h_zero_mean, h_shifted_mean); the normal hazard is
+    strictly increasing, so the zero-mean hazard is strictly larger at every mu_k.
     """
     if sigma_mu <= 0.0:
         raise ValueError(f"sigma_mu must be positive, got {sigma_mu}")

@@ -75,9 +75,6 @@ class EconomyParams:
         """Optimal labor per unit of effective capital, ((1 - alpha) / w)^(1/alpha)."""
         return ((1.0 - self.alpha) / self.w) ** (1.0 / self.alpha)
 
-    def excess_return(self) -> float:
-        return self.theta - self.r
-
 
 def productivity_cutoff(r: float, delta: float, alpha: float, w: float) -> float:
     """Lowest productivity at which operating a firm breaks even.
@@ -135,6 +132,17 @@ class PolicyCoefficients:
     c_coeff: float
 
 
+def _policy_terms(p: EconomyParams) -> tuple[float, float, float, float, float]:
+    """(theta - r, gamma sigma^2, q, Pi_lev, c_coeff) of the policies, each computed once."""
+    excess = p.theta - p.r
+    gamma_var = p.gamma * p.sigma**2
+    q = excess**2 / gamma_var
+    pi_lev = profit_rate(p) * p.lam
+    bracket = (p.rho - (1.0 - p.gamma) * (pi_lev + p.r)
+               - 0.5 * (1.0 - p.gamma) * q)
+    return excess, gamma_var, q, pi_lev, bracket / (p.gamma * p.f_sigma)
+
+
 def policy_functions(p: EconomyParams) -> PolicyCoefficients:
     """Risky-share and consumption coefficients of the linear optimal policies.
 
@@ -143,14 +151,8 @@ def policy_functions(p: EconomyParams) -> PolicyCoefficients:
     rate, is divided by gamma * f_sigma; the attention friction acts only
     there.
     """
-    q = p.excess_return() ** 2 / (p.gamma * p.sigma**2)
-    pi_lev = profit_rate(p) * p.lam
-    bracket = (p.rho - (1.0 - p.gamma) * (pi_lev + p.r)
-               - 0.5 * (1.0 - p.gamma) * q)
-    return PolicyCoefficients(
-        kappa_coeff=p.excess_return() / (p.gamma * p.sigma**2),
-        c_coeff=bracket / (p.gamma * p.f_sigma),
-    )
+    excess, gamma_var, _, _, c_coeff = _policy_terms(p)
+    return PolicyCoefficients(kappa_coeff=excess / gamma_var, c_coeff=c_coeff)
 
 
 @dataclass(frozen=True)
@@ -172,11 +174,9 @@ def drift_diffusion(p: EconomyParams) -> WealthLaw:
     sigma_x = (theta - r) / (gamma sigma) carries the sign of the excess
     return; only its square enters the stationary density.
     """
-    q = p.excess_return() ** 2 / (p.gamma * p.sigma**2)
-    pi_lev = profit_rate(p) * p.lam
-    coeffs = policy_functions(p)
-    sigma_x = p.excess_return() / (p.gamma * p.sigma)
-    mu = pi_lev + p.r + q - coeffs.c_coeff - 0.5 * sigma_x**2
+    excess, _, q, pi_lev, c_coeff = _policy_terms(p)
+    sigma_x = excess / (p.gamma * p.sigma)
+    mu = pi_lev + p.r + q - c_coeff - 0.5 * sigma_x**2
     return WealthLaw(mu=mu, sigma_x=sigma_x, reset_rate=p.beta)
 
 
@@ -204,10 +204,10 @@ class DensityStats:
 
 
 def density_stats(d: PiecewiseExpDensity) -> DensityStats:
-    wealth_mean = d.exp_moment()
+    wealth_mean, mean_x = d.exp_moment(), d.mean()
     return DensityStats(
-        mean_x=d.mean(),
-        var_x=d.var(),
+        mean_x=mean_x,
+        var_x=d.second_moment() - mean_x**2,
         tail_exponent_left=d.rate_left,
         tail_exponent_right=d.rate_right,
         wealth_mean=wealth_mean,

@@ -1,0 +1,54 @@
+"""The verdict scripts/bench_pairs.py writes for paired benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "ops", "better": "higher"}]
+
+
+def paired_runs(parent, change):
+    """Synthetic run records: pair k ran the parent at parent[k], the change at change[k]."""
+    runs = []
+    for pair, values in enumerate(zip(parent, change)):
+        for side, value in zip(("parent", "change"), values):
+            runs.append({"workload": "sweep", "side": side, "pair": pair,
+                         "result": {"metrics": {"wall_s": {"value": value},
+                                                "ops": {"value": -value}},
+                                    "failed": 0, "attempted": 1, "correct": True}})
+    return runs
+
+
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+@pytest.mark.parametrize("change, won, met", [
+    # nine wins by a wide margin, one loss
+    ([0.5] * 9 + [2.0], 9, True),
+    # eight wins are not nine in ten
+    ([0.5] * 8 + [2.0] * 2, 8, False),
+    # eight wins and two ties: a tie counts for neither side
+    ([0.5] * 8 + PARENT[8:], 8, False),
+    # ten wins, but the medians differ by less than the parent's IQR
+    ([v - 0.001 for v in PARENT], 10, False),
+])
+def test_gain_met_needs_nine_in_ten_wins_and_a_gap_beyond_the_iqr(change, won, met):
+    summary = bench_pairs.summarize(paired_runs(PARENT, change), METRICS)["sweep"]
+    for name, better in (("wall_s", "lower"), ("ops", "higher")):
+        entry = summary[name]
+        assert entry[f"change_{better}_pairs"] == won
+        assert entry["pairs"] == 10
+        assert entry["gain_met"] is met
+    assert summary["wall_s"]["parent_iqr"] == pytest.approx(0.045)
+
+
+def test_gain_met_false_when_the_change_is_worse():
+    summary = bench_pairs.summarize(paired_runs(PARENT, [v + 1.0 for v in PARENT]), METRICS)
+    assert summary["sweep"]["wall_s"]["change_lower_pairs"] == 0
+    assert summary["sweep"]["wall_s"]["gain_met"] is False

@@ -15,6 +15,7 @@ from cogecon.config import (
     parse_config,
 )
 from cogecon.errors import ConfigError
+from cogecon.tax_model import hazard_ratio_check
 from cogecon.validate import ComboReport, benchmark_combos
 from cogecon.wealth import equilibrium_economy, profit_rate
 
@@ -239,16 +240,32 @@ def test_default_euler_work_loads_far_below_the_budget(tmp_path):
     assert parse_config(path).values == default_config().values
 
 
-def test_far_cutoff_hazards_keep_their_order(tmp_path, capsys):
+def tax_hazard_lines(tmp_path, capsys, text):
+    """The two hazard values `cogecon tax` prints for a [tax] section."""
+    assert run_cli(["tax", "--config", write_config(tmp_path, text)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return tuple(float(next(line for line in lines if label in line).split()[-1])
+                 for label in ("(zero mean)", "(shifted mean)"))
+
+
+def test_far_cutoff_hazards_keep_their_order():
     # x = 5e4 standard deviations out: the true hazards are 5000000.002 and
     # 4999999.002, and the zero-mean one must stay above the shifted one.
-    path = write_config(tmp_path, "[tax]\nk_cut = 500\nmu_bar = 500\nsigma_mu = 0.01\n")
-    assert run_cli(["tax", "--config", path]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    h_zero, h_shift = (float(next(line for line in lines if label in line).split()[-1])
-                       for label in ("(zero mean)", "(shifted mean)"))
+    # The tax verb refuses such a cutoff (no ability mass above it), so the
+    # hazards are read from the function it calls.
+    h_zero, h_shift = hazard_ratio_check(500.0, 0.01)
     assert h_zero > h_shift
     assert (h_zero, h_shift) == pytest.approx((5000000.002, 4999999.002), rel=1e-12)
+
+
+def test_tax_hazards_read_the_cutoff_from_the_ability_mean(tmp_path, capsys):
+    # A cutoff at the ability law's median is 0 standard deviations out,
+    # whatever the mean: the lines equal those of k_cut = mu_bar = 0.
+    at_500 = tax_hazard_lines(tmp_path, capsys, "[tax]\nk_cut = 500\nmu_bar = 500\nsigma_mu = 0.01\n")
+    at_0 = tax_hazard_lines(tmp_path, capsys, "[tax]\nk_cut = 0\nmu_bar = 0\nsigma_mu = 0.01\n")
+    assert at_500 == at_0
+    assert at_500 == pytest.approx((79.78845608, 79.15292829), rel=1e-9)
+    assert at_500[0] > at_500[1]
 
 
 def test_runtime_warnings_print_as_one_line(tmp_path, capsys):
@@ -259,10 +276,30 @@ def test_runtime_warnings_print_as_one_line(tmp_path, capsys):
     wide = tmp_path / "wide.txt"
     wide.write_text("[sources]\nuniform 10\n")  # entropy log 10 above the cap 1.42
     assert run_cli(["datavalue", "--ensemble", str(wide)]) == 0
-    # the source row and the aggregate each clamp, so each call site warns
     lines = capsys.readouterr().err.splitlines()
     assert lines and all(line.startswith("warning: entropy 2.30") and
                          line.endswith("clamping to the cap") for line in lines)
+
+
+def test_datavalue_scores_each_source_once(tmp_path, capsys):
+    # The source rows and the aggregate share one scoring pass, so a source
+    # above the cap warns once; the report is what it was with two passes.
+    wide = tmp_path / "wide.txt"
+    wide.write_text("[sources]\nuniform 10\ngaussian 0.25\n")
+    assert run_cli(["datavalue", "--ensemble", str(wide)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ("warning: entropy 2.302585092994046 exceeds the cap 1.4189385332046727; "
+                   "clamping to the cap\n")
+    assert out == (
+        "[sources]\n"
+        "  1: uniform                         entropy 2.302585093  value -1  weight 0\n"
+        "  2: gaussian                        entropy 0.7257913526  value -0.02300605088  "
+        "weight 0.4884969746\n"
+        "[aggregate]\n"
+        "  entropy cap                        1.418938533\n"
+        "  coupling J                         1\n"
+        "  ensemble data value                0.2442484873\n"
+        "  squashed index                     0.5607603551\n")
 
 
 def test_tiny_equilibrium_gamma_loads_and_has_a_wage(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cogecon.errors import ConfigError, DegenerateModelError
+from cogecon.validate import benchmark_combos
 from cogecon.wealth import (
     EconomyParams,
     InactiveFirmError,
@@ -89,6 +90,43 @@ def test_drift_diffusion_reference_values():
     assert law.mu == pytest.approx(0.24652360320202862, rel=1e-12)
     assert law.sigma_x == pytest.approx(0.4, rel=1e-13)
     assert law.reset_rate == 0.3
+
+
+def _written_out_policy(p):
+    """kappa, c and (mu, sigma_x, reset_rate) by the formulas as written, in their order."""
+    q = (p.theta - p.r) ** 2 / (p.gamma * p.sigma**2)
+    pi_lev = profit_rate(p) * p.lam
+    bracket = (p.rho - (1.0 - p.gamma) * (pi_lev + p.r)
+               - 0.5 * (1.0 - p.gamma) * q)
+    kappa = (p.theta - p.r) / (p.gamma * p.sigma**2)
+    c = bracket / (p.gamma * p.f_sigma)
+    sigma_x = (p.theta - p.r) / (p.gamma * p.sigma)
+    mu = pi_lev + p.r + q - c - 0.5 * sigma_x**2
+    return kappa, c, (mu, sigma_x, p.beta)
+
+
+# The 12 benchmark economies, then a grid reaching the edges of the valid
+# range: f_sigma down to 1e-3, lam up to 100, gamma on both sides of 1.
+BIT_ECONOMIES = benchmark_combos() + [
+    (f"theta{theta:g}_sigma{sigma:g}_g{gamma!r}_lam{lam:g}_f{f:g}",
+     EconomyParams(theta=theta, sigma=sigma, gamma=gamma, lam=lam, f_sigma=f))
+    for theta, sigma in ((0.05, 0.05), (0.5, 0.5), (0.005, 0.3))
+    for gamma in (1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 4.0)
+    for lam in (1.0, 5.0, 100.0)
+    for f in (1e-3, 0.02, 0.37, 1.0)]
+
+
+@pytest.mark.parametrize("p", [p for _, p in BIT_ECONOMIES],
+                         ids=[label for label, _ in BIT_ECONOMIES])
+def test_policy_and_law_equal_written_out_formulas_bit_for_bit(p):
+    kappa, c, law = _written_out_policy(p)
+    pol = policy_functions(p)
+    assert (pol.kappa_coeff, pol.c_coeff) == (kappa, c)
+    got = drift_diffusion(p)
+    assert (got.mu, got.sigma_x, got.reset_rate) == law
+    d = stationary_wealth_density(got)
+    s = density_stats(d)
+    assert (s.mean_x, s.var_x, s.wealth_mean) == (d.mean(), d.var(), d.exp_moment())
 
 
 @given(theta=st.floats(0.02, 0.5), sigma=st.floats(0.02, 0.6),
