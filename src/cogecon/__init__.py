@@ -84,11 +84,9 @@ from .wealth import (
     WealthLaw,
     density_stats,
     drift_diffusion,
-    equilibrium_density,
     equilibrium_economy,
     equilibrium_prices,
     firm_policy,
-    labor_market_residual,
     labor_residual_at,
     policy_functions,
     productivity_cutoff,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import sys
 import warnings
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -65,11 +66,9 @@ from .validate import check_reports, run_validations, validation_jobs
 from .wealth import (
     density_stats,
     drift_diffusion,
-    equilibrium_density,
-    equilibrium_economy,
     equilibrium_prices,
     firm_policy,
-    labor_market_residual,
+    labor_residual_at,
     policy_functions,
     productivity_cutoff,
     profit_rate,
@@ -287,10 +286,10 @@ def equilibrium(cfg) -> None:
             "clearing constant is nonnegative "
             f"({_fmt(prices.clearing_constant)}); no equilibrium wage exists")
     _kv("equilibrium wage w*", _fmt(prices.w_star))
-    eq = equilibrium_economy(p)
-    _echo_wealth_stats("[equilibrium density]", equilibrium_density(p))
+    eq = replace(p, w=prices.w_star, r=prices.r_star)
+    _echo_wealth_stats("[equilibrium density]", stationary_wealth_density(drift_diffusion(eq)))
     click.echo("[consistency]")
-    _kv("labor-market residual", _fmt(labor_market_residual(p)))
+    _kv("labor-market residual", _fmt(labor_residual_at(eq)))
     _kv("firm profit rate at w*", _fmt(profit_rate(eq)))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Collection
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .consumption import CawfParams, ShrinkageParams, bayes_adjustment, implied_shrinkage
@@ -28,10 +28,11 @@ from .rng import RngSpec
 from .sde import OuProcessSpec
 from .tax_model import TaxEconomy, consumptions, proposition1_check
 from .wealth import (
+    EQUILIBRIUM_ALPHA,
     EconomyParams,
     density_stats,
     drift_diffusion,
-    equilibrium_density,
+    equilibrium_economy,
     productivity_cutoff,
     stationary_wealth_density,
 )
@@ -44,10 +45,30 @@ class _Key:
     help: str
 
 
-# Every configurable key, its default, and what it means.  The defaults are
-# the baseline calibration used throughout: the wealth block at the low
-# leverage tier with the low-drift, low-volatility asset pair, and the
-# cognition, belief, and adjustment blocks at their standard settings.
+# What each EconomyParams field means.  The [wealth] and [equilibrium] keys
+# are these fields, each with the record's own default.
+_ECONOMY_HELP = {
+    "rho": "time preference rate",
+    "gamma": "CRRA curvature",
+    "alpha": "capital exponent of the technology",
+    "delta": "depreciation rate",
+    "beta": "redistribution (reset) rate",
+    "w": "wage",
+    "r": "risk-free rate",
+    "theta": "risky asset drift",
+    "sigma": "risky asset volatility",
+    "lam": "leverage cap (capital per unit wealth)",
+    "z": "firm productivity",
+    "f_sigma": "attention friction; 1 restores the frictionless policy",
+}
+
+
+def _economy_keys(*omitted: str) -> dict[str, _Key]:
+    return {f.name: _Key(f.default, float, _ECONOMY_HELP[f.name])
+            for f in fields(EconomyParams) if f.name not in omitted}
+
+
+# Every configurable key, its default, and what it means.
 SCHEMA: dict[str, dict[str, _Key]] = {
     "run": {
         "seed": _Key(42, int, "master seed for every stochastic routine"),
@@ -104,33 +125,13 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "gamma_b": _Key(2.0, float, "CRRA curvature of investors"),
     },
     "wealth": {
-        "rho": _Key(0.05, float, "time preference rate"),
-        "gamma": _Key(2.0, float, "CRRA curvature"),
-        "alpha": _Key(0.3, float, "capital exponent of the technology"),
-        "delta": _Key(0.6, float, "depreciation rate"),
-        "beta": _Key(0.3, float, "redistribution (reset) rate"),
-        "w": _Key(1.0, float, "wage"),
-        "r": _Key(0.01, float, "risk-free rate"),
-        "theta": _Key(0.05, float, "risky asset drift (low setting)"),
-        "sigma": _Key(0.05, float, "risky asset volatility (low setting)"),
-        "lam": _Key(5.0, float, "leverage cap, low tier"),
-        "z": _Key(5.0, float, "firm productivity"),
-        "f_sigma": _Key(1.0, float, "attention friction; 1 restores the frictionless policy"),
+        **_economy_keys(),
         "agent_type": _Key("one", str,
                            "leverage regime: one = fixed friction, two = friction paired to leverage"),
     },
-    "equilibrium": {
-        "rho": _Key(0.05, float, "time preference rate"),
-        "gamma": _Key(2.0, float, "CRRA curvature"),
-        "alpha": _Key(0.5, float, "capital exponent; closed-form clearing needs 1/2"),
-        "delta": _Key(0.6, float, "depreciation rate"),
-        "beta": _Key(0.3, float, "redistribution (reset) rate"),
-        "theta": _Key(0.05, float, "risky asset drift"),
-        "sigma": _Key(0.05, float, "risky asset volatility"),
-        "lam": _Key(5.0, float, "leverage cap"),
-        "z": _Key(5.0, float, "firm productivity"),
-        "f_sigma": _Key(1.0, float, "attention friction"),
-    },
+    # The wage and the rate are equilibrium outcomes, and the closed-form
+    # clearing fixes alpha at EQUILIBRIUM_ALPHA.
+    "equilibrium": _economy_keys("alpha", "w", "r"),
     "validate": {
         "n_points": _Key(4001, int, "finite-difference grid points per density check"),
         "n_samples": _Key(1000000, int, "Monte Carlo samples per density check"),
@@ -180,8 +181,8 @@ class ScenarioConfig:
 
     def tax_economy(self) -> TaxEconomy:
         t = self.values["tax"]
-        fields = {k: v for k, v in t.items() if k not in ("tau_low", "tau_high")}
-        return TaxEconomy(**fields)
+        kw = {k: v for k, v in t.items() if k not in ("tau_low", "tau_high")}
+        return TaxEconomy(**kw)
 
     @property
     def explicit_agent_type(self) -> str | None:
@@ -197,9 +198,8 @@ class ScenarioConfig:
         return EconomyParams(**kw)
 
     def equilibrium_params(self) -> EconomyParams:
-        kw = dict(self.values["equilibrium"])
-        # The wage is an equilibrium outcome; any positive placeholder works.
-        return EconomyParams(w=1.0, **kw)
+        # w and r keep the record's placeholders: the prices replace them.
+        return EconomyParams(alpha=EQUILIBRIUM_ALPHA, **self.values["equilibrium"])
 
 
 def default_config() -> ScenarioConfig:
@@ -308,6 +308,12 @@ def _in_range(what: str, compute: Callable[[], object]) -> None:
 # Most Euler path-steps figure 6 may take; the defaults take 6e6.
 MAX_EULER_WORK = 1e9
 
+# Largest [validate] sizes, 250 and 100 times the defaults: the FD oracle's
+# Thomas sweep holds O(n) Python lists, about 230 bytes per point, and the MC
+# oracle 8 bytes per sample for each law in flight (up to one per CPU).
+MAX_FD_POINTS = 1_000_000
+MAX_MC_SAMPLES = 100_000_000
+
 
 def _check_euler_budget(p: CawfParams) -> None:
     """Refuse a data-value simulation over MAX_EULER_WORK; the work is a float,
@@ -360,8 +366,8 @@ def revalidate(cfg: ScenarioConfig) -> None:
         ("wealth", lambda: _in_range("stationary wealth law", lambda: stationary_wealth_density(
             drift_diffusion(cfg.wealth_params())))),
         ("equilibrium", cfg.equilibrium_params),
-        ("equilibrium", lambda: _in_range("stationary wealth law", lambda: equilibrium_density(
-            cfg.equilibrium_params()))),
+        ("equilibrium", lambda: _in_range("stationary wealth law", lambda: stationary_wealth_density(
+            drift_diffusion(equilibrium_economy(cfg.equilibrium_params()))))),
     )
     for section, view in checks:
         _check(section, view)
@@ -369,11 +375,10 @@ def revalidate(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"[datavalue] j_coupling must be nonnegative, "
                           f"got {cfg.values['datavalue']['j_coupling']}")
     entropy_cap_from_variance(cfg.values["datavalue"]["ref_variance"])
-    val = cfg.values["validate"]
-    if val["n_points"] < 3:
-        raise ConfigError(f"[validate] n_points must be at least 3, got {val['n_points']}")
-    if val["n_samples"] < 100:
-        raise ConfigError(f"[validate] n_samples must be at least 100, got {val['n_samples']}")
+    for key, low, high in (("n_points", 3, MAX_FD_POINTS), ("n_samples", 100, MAX_MC_SAMPLES)):
+        n = cfg.values["validate"][key]
+        if not low <= n <= high:
+            raise ConfigError(f"[validate] {key} must lie in [{low}, {high}], got {n}")
 
 
 def apply_overrides(cfg: ScenarioConfig, seed: int | None, out: str | None) -> ScenarioConfig:

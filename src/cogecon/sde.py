@@ -19,9 +19,9 @@ import numpy as np
 from .errors import DegenerateDiffusionError
 from .rng import RngSpec
 
-# Normals per chunk of either sampler's scratch buffers: 512 KiB each, small
-# enough to stay in cache, large enough that the per-chunk Python overhead is
-# noise.
+# Normals per chunk of either sampler's scratch buffers, and sorted samples
+# per step of validate's KS sweep: 512 KiB per array, small enough to stay in
+# cache, large enough that the per-chunk Python overhead is noise.
 CHUNK = 1 << 16
 
 
@@ -39,8 +39,8 @@ class OuProcessSpec:
     volatility: float
     lower_bound: float
     upper_bound: float
+    horizon: float
     dt: float | None = None
-    horizon: float = 50.0
     start: float | None = None
 
     def __post_init__(self) -> None:

@@ -3,9 +3,11 @@
 Every analytic stationary density is checked two independent ways: a
 finite-difference solve of the stationary forward equation on a tail-resolving
 grid, and a Kolmogorov-Smirnov distance against exact Monte Carlo samples of
-the reset diffusion.  The two routes share no code with the closed form
-beyond the drift/diffusion coefficients, so agreement is evidence rather
-than tautology.
+the reset diffusion.  Both take the closed form's (drift, vol, reset_rate)
+triple, and the FD grid's ends are placed from its two tail rates.  Those
+choose only which law is checked and where the forward equation is solved;
+the FD values and the samples come from the equation and the sampler alone,
+so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import ValidationError
 from .figures import TYPE_TWO_FIGURES, wealth_sweeps
 from .kfe import Grid1D, solve_stationary_kfe_fd
 from .rng import RngSpec
-from .sde import simulate_gbm_reset
+from .sde import CHUNK, simulate_gbm_reset
 from .wealth import EconomyParams, WealthLaw, drift_diffusion, stationary_wealth_density
 
 # ln(1e8): the FD domain extends until each exponential tail has decayed by
@@ -33,10 +35,6 @@ TAIL_DECADES_LOG = 18.420680743952367
 # probability at most 2 exp(-2 n 0.02^2), 2.3e-7 already at n = 20000.
 FD_TOL = 1e-3
 KS_TOL = 0.02
-
-# Sorted samples per step of the KS sweep: its cdf and gap arrays stay this
-# size however many samples there are.
-_KS_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,11 +80,11 @@ def ks_distance(samples: np.ndarray, density: PiecewiseExpDensity) -> float:
         raise ValueError("need at least one sample")
     x.sort()
     # The empirical cdf steps from k/n to (k+1)/n at x[k].  Both gaps are
-    # taken chunk by chunk, so the work arrays stay chunk-sized; a maximum is
-    # exact, so the result is the whole-array one bit for bit.
+    # taken CHUNK samples at a time, so the work arrays stay that size; a
+    # maximum is exact, so the result is the whole-array one bit for bit.
     dist = 0.0
-    for start in range(0, n, _KS_CHUNK):
-        cdf = density.cdf(x[start:start + _KS_CHUNK])
+    for start in range(0, n, CHUNK):
+        cdf = density.cdf(x[start:start + CHUNK])
         ecdf = np.arange(start, start + cdf.size + 1) / n
         dist = max(dist, np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1]))
     return float(dist)

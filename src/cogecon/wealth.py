@@ -272,11 +272,6 @@ def equilibrium_economy(p: EconomyParams) -> EconomyParams:
     return replace(p, w=prices.w_star, r=prices.r_star)
 
 
-def equilibrium_density(p: EconomyParams) -> PiecewiseExpDensity:
-    """Stationary log-wealth density at the equilibrium prices."""
-    return stationary_wealth_density(drift_diffusion(equilibrium_economy(p)))
-
-
 def labor_residual_at(p: EconomyParams) -> float:
     """Labor-clearing residual ((1-alpha)/w)^(1/alpha) z lam E[exp(x)] - 1
     at whatever prices p carries, with the level-wealth mean taken from the
@@ -288,7 +283,3 @@ def labor_residual_at(p: EconomyParams) -> float:
             "stationary density has no level-wealth mean; labor market cannot clear")
     return p.labor_per_capital() * p.z * p.lam * wealth_mean - 1.0
 
-
-def labor_market_residual(p: EconomyParams) -> float:
-    """Labor-clearing residual at the equilibrium prices; zero in exact arithmetic."""
-    return labor_residual_at(equilibrium_economy(p))

@@ -46,7 +46,6 @@ from cogecon.wealth import (
     drift_diffusion,
     equilibrium_economy,
     equilibrium_prices,
-    labor_market_residual,
     labor_residual_at,
     productivity_cutoff,
     stationary_wealth_density,
@@ -286,8 +285,8 @@ def test_criterion_11_labor_market_self_consistency():
     with criterion(11, "labor residual below 1e-8 at the equilibrium prices; "
                        "wage perturbations flip its sign consistently"):
         t0 = time.perf_counter()
-        assert abs(labor_market_residual(p)) < 1e-8
         eq = equilibrium_economy(p)
+        assert abs(labor_residual_at(eq)) < 1e-8
         from dataclasses import replace
         assert labor_residual_at(replace(eq, w=eq.w * 1.01)) < 0.0
         assert labor_residual_at(replace(eq, w=eq.w * 0.99)) > 0.0

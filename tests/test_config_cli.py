@@ -6,9 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import cogecon.cli as cli_mod
+import cogecon.wealth as wealth_mod
 from cogecon.cli import _fmt, main
 from cogecon.config import (
     MAX_EULER_WORK,
+    MAX_FD_POINTS,
+    MAX_MC_SAMPLES,
     apply_overrides,
     default_config,
     explain_lines,
@@ -17,7 +21,7 @@ from cogecon.config import (
 from cogecon.errors import ConfigError
 from cogecon.tax_model import hazard_ratio_check
 from cogecon.validate import ComboReport, benchmark_combos
-from cogecon.wealth import equilibrium_economy, profit_rate
+from cogecon.wealth import EQUILIBRIUM_ALPHA, EconomyParams, equilibrium_economy, profit_rate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,6 +139,38 @@ def test_explain_lines_cover_every_key():
 def test_report_subcommands_succeed(cmd, capsys):
     assert run_cli([cmd]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{cmd}_default.txt").read_text()
+
+
+def test_equilibrium_solves_its_prices_once(monkeypatch, capsys):
+    # The scenario is loaded before the count starts: its range check builds
+    # the equilibrium law once on its own.
+    cfg = parse_config(None)
+    monkeypatch.setattr(cli_mod, "parse_config", lambda path: cfg)
+    calls = {"equilibrium_prices": 0, "drift_diffusion": 0}
+
+    def counted(name):
+        original = getattr(wealth_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        # cli calls both directly; labor_residual_at finds drift_diffusion in wealth
+        monkeypatch.setattr(cli_mod, name, wrapper)
+        monkeypatch.setattr(wealth_mod, name, wrapper)
+    assert run_cli(["equilibrium"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "equilibrium_default.txt").read_text()
+    assert calls["equilibrium_prices"] == 1
+    assert calls["drift_diffusion"] <= 2
+
+
+def test_wealth_defaults_are_the_economy_record():
+    cfg = default_config()
+    assert cfg.wealth_params() == EconomyParams()
+    assert cfg.equilibrium_params() == EconomyParams(alpha=EQUILIBRIUM_ALPHA)
 
 
 def test_equilibrium_prints_the_firm_profit_rate_at_equilibrium_prices(capsys):
@@ -324,9 +360,11 @@ def test_no_equilibrium_wage_exits_three_only_under_equilibrium(tmp_path, capsys
 
 
 def test_wrong_equilibrium_exponent_exits_one(tmp_path, capsys):
-    path = write_config(tmp_path, "[equilibrium]\nalpha = 0.3\n")
-    assert run_cli(["equilibrium", "--config", path]) == 1
-    assert "alpha" in capsys.readouterr().err
+    # [equilibrium] has no alpha key: the closed-form clearing fixes it at 1/2
+    for value in ("0.3", "0.5"):
+        path = write_config(tmp_path, f"[equilibrium]\nalpha = {value}\n")
+        assert run_cli(["equilibrium", "--config", path]) == 1
+        assert "unknown key 'alpha' in [equilibrium]" in capsys.readouterr().err
 
 
 def test_degenerate_diffusion_exits_three(tmp_path, capsys):
@@ -371,6 +409,19 @@ def test_validation_failure_names_every_failed_law_on_one_line(monkeypatch, caps
         "validation failure: density validation failed for "
         "configured: fd=5.000e-01 (tol 0.001), ks=0.000e+00 (tol 0.02); "
         f"{label}: fd=0.000e+00 (tol 0.001), ks=5.000e-01 (tol 0.02)\n")
+
+
+@pytest.mark.parametrize("key,low,high", [("n_points", 3, MAX_FD_POINTS),
+                                          ("n_samples", 100, MAX_MC_SAMPLES)])
+def test_validate_sizes_above_their_bound_exit_one_at_load(tmp_path, capsys, key, low, high):
+    # Refused at load, so no verb runs at these sizes; wealth never reads them.
+    assert high >= 100 * default_config().get("validate", key)
+    parse_config(write_config(tmp_path, f"[validate]\n{key} = {high}\n"))
+    for n in (high + 1, 10000000000000):
+        path = write_config(tmp_path, f"[validate]\n{key} = {n}\n")
+        assert run_cli(["wealth", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: [validate] {key} must lie in [{low}, {high}], got {n}\n")
 
 
 def test_quick_validate_stdout_matches_golden(tmp_path, capsys):

@@ -308,10 +308,10 @@ def test_ou_reflected_worker_error_reaches_caller(monkeypatch):
 def test_ou_spec_validation():
     with pytest.raises(ValueError):
         OuProcessSpec(mean=0.5, reversion=-0.1, volatility=0.8,
-                      lower_bound=0.0, upper_bound=1.0)
+                      lower_bound=0.0, upper_bound=1.0, horizon=60.0)
     with pytest.raises(ValueError):
         OuProcessSpec(mean=2.0, reversion=0.1, volatility=0.8,
-                      lower_bound=0.0, upper_bound=1.0)  # mean outside bounds
+                      lower_bound=0.0, upper_bound=1.0, horizon=60.0)  # mean outside bounds
 
 
 # -- reset diffusion ----------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cogecon.validate as validate_mod
+from cogecon import sde
 from cogecon.errors import DegenerateModelError
 from cogecon.rng import RngSpec
 from cogecon.validate import (
@@ -77,7 +78,7 @@ def whole_array_ks(samples, density):
     return float(max(np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1])))
 
 
-CHUNK = validate_mod._KS_CHUNK
+CHUNK = sde.CHUNK
 
 
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 1_000_003])

@@ -15,11 +15,9 @@ from cogecon.wealth import (
     WealthLaw,
     density_stats,
     drift_diffusion,
-    equilibrium_density,
     equilibrium_economy,
     equilibrium_prices,
     firm_policy,
-    labor_market_residual,
     labor_residual_at,
     policy_functions,
     productivity_cutoff,
@@ -161,7 +159,7 @@ def test_density_stats_flags_divergent_wealth_mean():
     assert heavy.tail_exponent_right < 1.0
     assert not heavy.wealth_mean_exists
     assert heavy.wealth_mean is None
-    light = density_stats(equilibrium_density(EQ))
+    light = density_stats(stationary_wealth_density(drift_diffusion(equilibrium_economy(EQ))))
     assert light.wealth_mean_exists
     assert light.wealth_mean == pytest.approx(0.7106177648272114, rel=1e-12)
 
@@ -172,7 +170,7 @@ def test_equilibrium_reference_values():
     assert pr.r_star == pytest.approx(0.07, abs=1e-15)
     assert pr.clearing_constant == pytest.approx(-7.62, rel=1e-13)
     assert pr.w_star == pytest.approx(2.1074536839916695, rel=1e-13)
-    d = equilibrium_density(EQ)
+    d = stationary_wealth_density(drift_diffusion(equilibrium_economy(EQ)))
     assert d.rate_left == pytest.approx(1.7024479136224346, rel=1e-12)
     assert d.rate_right == pytest.approx(8.810842246611408, rel=1e-12)
 
@@ -208,7 +206,7 @@ def test_equilibrium_requires_square_root_technology():
 
 
 def test_labor_market_clears_at_equilibrium():
-    assert abs(labor_market_residual(EQ)) < 1e-12
+    assert abs(labor_residual_at(equilibrium_economy(EQ))) < 1e-12
 
 
 def test_labor_residual_signs_off_equilibrium():
