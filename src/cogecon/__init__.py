@@ -73,7 +73,7 @@ from .tax_model import (
     proposition1_check,
     truncated_exp_mean,
 )
-from .validate import ks_distance, run_density_validation, benchmark_combos, validate_all
+from .validate import ks_distance, run_density_validation, benchmark_combos
 from .wealth import (
     DensityStats,
     EconomyParams,

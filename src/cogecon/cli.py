@@ -287,9 +287,10 @@ def equilibrium(cfg) -> None:
             f"({_fmt(prices.clearing_constant)}); no equilibrium wage exists")
     _kv("equilibrium wage w*", _fmt(prices.w_star))
     eq = replace(p, w=prices.w_star, r=prices.r_star)
-    _echo_wealth_stats("[equilibrium density]", stationary_wealth_density(drift_diffusion(eq)))
+    density = stationary_wealth_density(drift_diffusion(eq))
+    _echo_wealth_stats("[equilibrium density]", density)
     click.echo("[consistency]")
-    _kv("labor-market residual", _fmt(labor_residual_at(eq)))
+    _kv("labor-market residual", _fmt(labor_residual_at(eq, density)))
     _kv("firm profit rate at w*", _fmt(profit_rate(eq)))
 
 

@@ -9,18 +9,18 @@ stationary density under Poisson refresh events.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .densities import PiecewiseExpDensity
+from .records import record
 
 # Below this gap between recovery and dilution the logistic solution switches
 # to its balanced-limit branch (removable singularity).
 _GAP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class RetentionParams:
     """dr/dt = -dilution_rate * r + recovery_rate * r (1 - r), r(0) = r0."""
 
@@ -67,7 +67,7 @@ def retention_limit(p: RetentionParams) -> float:
     return 1.0 - p.dilution_rate / p.recovery_rate
 
 
-@dataclass(frozen=True)
+@record
 class CognitionParams:
     """Population of n agents competing for attention.
 

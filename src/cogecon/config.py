@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Collection
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .consumption import CawfParams, ShrinkageParams, bayes_adjustment, implied_shrinkage
@@ -24,6 +24,7 @@ from .cognition import (
 )
 from .data_value import InfoEnsemble, SourceDist, gaussian_entropy
 from .errors import ConfigError, DegenerateModelError
+from .records import record
 from .rng import RngSpec
 from .sde import OuProcessSpec
 from .tax_model import TaxEconomy, consumptions, proposition1_check
@@ -38,7 +39,7 @@ from .wealth import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class _Key:
     default: object
     kind: type
@@ -139,7 +140,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioConfig:
     """Resolved configuration: every schema key with a value and its origin."""
 

@@ -9,11 +9,12 @@ consumption it induces in CRRA utility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .errors import DegenerateModelError
+from .records import record
 from .rng import RngSpec
 from .sde import OuProcessSpec, simulate_ou_reflected
 
@@ -25,7 +26,7 @@ def bayes_adjustment(p1: float) -> float:
     return math.log(p1 / (1.0 - p1))
 
 
-@dataclass(frozen=True)
+@record
 class ShrinkageParams:
     """Non-Bayesian adjustment S -> mu_b * S^beta_b (linear in logs)."""
 
@@ -96,7 +97,7 @@ def shrinkage_regression_check(sigma_s: float, sigma_n: float, mu_s: float,
     return float(slope), float(intercept)
 
 
-@dataclass(frozen=True)
+@record
 class CawfParams:
     """Consumption adjustment weight function and its data-value environment.
 
@@ -152,7 +153,7 @@ def cawf(d_value, n, p: CawfParams):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
+@record
 class CawfCurves:
     """Monte Carlo averages of the CAWF over stationary data-value draws."""
 
@@ -201,7 +202,7 @@ def cawf_montecarlo(p: CawfParams, rng: RngSpec, n_grid=None) -> CawfCurves:
     )
 
 
-@dataclass(frozen=True)
+@record
 class EffectiveConsumption:
     """Total consumption and its data-driven adjustment."""
 

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
+
+from .records import record
 
 _UNIT_NORM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class SourceDist:
     """One data source's distribution, described just well enough to score it.
 
@@ -91,7 +93,7 @@ def value_weight(v: float) -> float:
     return 0.5 * (v + 1.0)
 
 
-@dataclass(frozen=True)
+@record
 class DirectionVector:
     """Unit vector (a, b, c) giving the directional composition of a source."""
 
@@ -118,7 +120,7 @@ def direction_value_matrix(d: DirectionVector, magnitude: float) -> np.ndarray:
                                  [a + 1j * b, -c]], dtype=complex)
 
 
-@dataclass(frozen=True)
+@record
 class InfoEnsemble:
     """A set of sources with pairwise couplings.
 

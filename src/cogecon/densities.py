@@ -10,14 +10,15 @@ different coefficient maps feeding the same algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .errors import DegenerateDiffusionError
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class PiecewiseExpDensity:
     """p(x) = K exp(rate_left * x) for x < 0, K exp(-rate_right * x) for x >= 0.
 

@@ -10,7 +10,6 @@ id, so nothing depends on scheduling or thread count.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ from .cognition import RetentionParams, retention_trajectory, stationary_cogniti
 from .config import ScenarioConfig
 from .consumption import cawf, cawf_montecarlo, default_n_grid
 from .errors import ConfigError
+from .records import record
 from .rng import RngSpec
 from .wealth import drift_diffusion, stationary_wealth_density
 
@@ -50,7 +50,7 @@ TYPE_ONE_FIGURES = frozenset({7, 8, 11, 12})
 TYPE_TWO_FIGURES = frozenset({9, 10, 13, 14})
 
 
-@dataclass(frozen=True)
+@record
 class SeriesTable:
     name: str
     columns: tuple[str, ...]

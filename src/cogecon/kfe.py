@@ -22,14 +22,13 @@ two-sided exponential densities; it shares no algebra with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateDiffusionError, SingularSystemError
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Grid1D:
     x_min: float
     x_max: float

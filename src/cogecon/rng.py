@@ -10,14 +10,14 @@ how many streams exist or in what order they are consumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .records import record
 
 _U64_MAX = 2**64 - 1
 
 
-@dataclass(frozen=True)
+@record
 class RngSpec:
     master_seed: int
     stream_id: int = 0

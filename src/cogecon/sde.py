@@ -12,11 +12,11 @@ exact Gaussian transition needs no discretization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDiffusionError
+from .records import record
 from .rng import RngSpec
 
 # Normals per chunk of either sampler's scratch buffers, and sorted samples
@@ -25,7 +25,7 @@ from .rng import RngSpec
 CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
+@record
 class OuProcessSpec:
     """Mean-reverting process reflected into [lower_bound, upper_bound].
 

@@ -13,11 +13,11 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TailUnderflowError
+from .records import record
 
 
 def normal_sf(x: float) -> float:
@@ -42,7 +42,7 @@ def normal_hazard(x: float) -> float:
     return x / series
 
 
-@dataclass(frozen=True)
+@record
 class TaxEconomy:
     """Parameters of the two-sector consumption block.
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .densities import PiecewiseExpDensity
 from .errors import ValidationError
 from .figures import TYPE_TWO_FIGURES, wealth_sweeps
 from .kfe import Grid1D, solve_stationary_kfe_fd
+from .records import record
 from .rng import RngSpec
 from .sde import CHUNK, simulate_gbm_reset
 from .wealth import EconomyParams, WealthLaw, drift_diffusion, stationary_wealth_density
@@ -37,7 +37,7 @@ FD_TOL = 1e-3
 KS_TOL = 0.02
 
 
-@dataclass(frozen=True)
+@record
 class ComboReport:
     label: str
     law: WealthLaw
@@ -170,11 +170,3 @@ def check_reports(reports: Sequence[ComboReport]) -> None:
             f"{r.label}: fd={r.fd_error:.3e} (tol {r.fd_tol:g}), "
             f"ks={r.ks_distance:.3e} (tol {r.ks_tol:g})" for r in failed)
         raise ValidationError(f"density validation failed for {detail}")
-
-
-def validate_all(master_seed: int, n_points: int, n_samples: int) -> list[ComboReport]:
-    """All twelve benchmark reports; raises ValidationError listing every
-    failed combination."""
-    reports = list(run_validations(validation_jobs(master_seed), n_points, n_samples))
-    check_reports(reports)
-    return reports

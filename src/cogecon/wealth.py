@@ -15,10 +15,11 @@ prices solve a quadratic and are available in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .densities import PiecewiseExpDensity
 from .errors import ConfigError, DegenerateModelError
+from .records import record
 
 EQUILIBRIUM_ALPHA = 0.5
 
@@ -27,7 +28,7 @@ class InactiveFirmError(ConfigError):
     """Productivity below the activity cutoff: the firm problem has no interior solution."""
 
 
-@dataclass(frozen=True)
+@record
 class EconomyParams:
     """Primitives of the wealth block.
 
@@ -90,7 +91,7 @@ def productivity_cutoff(r: float, delta: float, alpha: float, w: float) -> float
     return (r + delta) / (alpha * ((1.0 - alpha) / w) ** ((1.0 - alpha) / alpha))
 
 
-@dataclass(frozen=True)
+@record
 class FirmPolicy:
     capital: float
     labor: float
@@ -124,7 +125,7 @@ def firm_policy(p: EconomyParams, a: float) -> FirmPolicy:
     return FirmPolicy(capital=capital, labor=labor, profit=profit, output=output)
 
 
-@dataclass(frozen=True)
+@record
 class PolicyCoefficients:
     """Both optimal controls are linear in wealth: kappa(a) = kappa_coeff * a, etc."""
 
@@ -155,7 +156,7 @@ def policy_functions(p: EconomyParams) -> PolicyCoefficients:
     return PolicyCoefficients(kappa_coeff=excess / gamma_var, c_coeff=c_coeff)
 
 
-@dataclass(frozen=True)
+@record
 class WealthLaw:
     """Log-wealth drift and volatility between redistribution events."""
 
@@ -186,7 +187,7 @@ def stationary_wealth_density(law: WealthLaw) -> PiecewiseExpDensity:
         drift=law.mu, vol=law.sigma_x, reset_rate=law.reset_rate)
 
 
-@dataclass(frozen=True)
+@record
 class DensityStats:
     """Summary statistics of a stationary log-wealth density.
 
@@ -215,7 +216,7 @@ def density_stats(d: PiecewiseExpDensity) -> DensityStats:
     )
 
 
-@dataclass(frozen=True)
+@record
 class EquilibriumPrices:
     """Market-clearing prices under the square-root technology.
 
@@ -272,11 +273,12 @@ def equilibrium_economy(p: EconomyParams) -> EconomyParams:
     return replace(p, w=prices.w_star, r=prices.r_star)
 
 
-def labor_residual_at(p: EconomyParams) -> float:
+def labor_residual_at(p: EconomyParams, density: PiecewiseExpDensity | None = None) -> float:
     """Labor-clearing residual ((1-alpha)/w)^(1/alpha) z lam E[exp(x)] - 1
     at whatever prices p carries, with the level-wealth mean taken from the
-    stationary density those prices imply."""
-    d = stationary_wealth_density(drift_diffusion(p))
+    stationary density those prices imply.  A caller that has already built
+    that density passes it as density."""
+    d = stationary_wealth_density(drift_diffusion(p)) if density is None else density
     wealth_mean = d.exp_moment()
     if wealth_mean is None:
         raise DegenerateModelError(

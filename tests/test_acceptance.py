@@ -39,7 +39,7 @@ from cogecon.consumption import (
 from cogecon.data_value import DirectionVector, data_value_index, direction_value_matrix, gaussian_entropy
 from cogecon.rng import RngSpec
 from cogecon.tax_model import TaxEconomy, hazard_ratio_check, proposition1_check, truncated_exp_mean
-from cogecon.validate import validate_all
+from cogecon.validate import check_reports, run_validations, validation_jobs
 from cogecon.wealth import (
     EconomyParams,
     density_stats,
@@ -100,7 +100,8 @@ def test_criterion_3_dual_oracle_densities():
     with criterion(3, "all 12 benchmark densities pass FD < 1e-3 and KS < 0.02 "
                       "within 2 minutes"):
         t0 = time.perf_counter()
-        reports = validate_all(master_seed=42, n_points=4001, n_samples=1_000_000)
+        reports = list(run_validations(validation_jobs(42), 4001, 1_000_000))
+        check_reports(reports)
         elapsed = time.perf_counter() - t0
         assert len(reports) == 12
         assert all(r.passed for r in reports)
