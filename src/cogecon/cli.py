@@ -28,14 +28,7 @@ from .cognition import (
     stationary_cognition_density,
     steady_state_resource,
 )
-from .config import (
-    apply_overrides,
-    demo_ensemble,
-    entropy_cap_from_variance,
-    explain_lines,
-    parse_config,
-    parse_ensemble,
-)
+from .config import apply_overrides, explain_lines, parse_config
 from .consumption import (
     EffectiveConsumption,
     bayes_adjustment,
@@ -156,12 +149,7 @@ def cognition(cfg) -> None:
     help="source-ensemble file; a three-source demo is used when omitted"))
 def datavalue(cfg, ensemble_path) -> None:
     """Entropy-based source values and the aggregate data-value index."""
-    sigma_max = entropy_cap_from_variance(cfg.get("datavalue", "ref_variance"))
-    j_coupling = cfg.get("datavalue", "j_coupling")
-    if ensemble_path is None:
-        ensemble = demo_ensemble(j_coupling, sigma_max)
-    else:
-        ensemble = parse_ensemble(ensemble_path, j_coupling, sigma_max)
+    ensemble = cfg.data_ensemble(ensemble_path)
     click.echo("[sources]")
     values = ensemble.source_values()
     for idx, (s, v) in enumerate(zip(ensemble.sources, values), start=1):

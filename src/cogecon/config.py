@@ -4,8 +4,9 @@ Both kinds are UTF-8 text of [section] headers, # comments (whole-line or
 trailing) and blank lines.  A scenario file sets key = value pairs over a
 fixed key schema; an ensemble file lists information sources and their
 interactions (see parse_ensemble).  Unknown sections or keys are rejected
-with the offending line number, as are unparseable or non-finite values.  No
-scenario file, or an empty one, resolves to the documented defaults.
+with the offending line number, as are unparseable or non-finite values and
+a scenario key set twice.  No scenario file, or an empty one, resolves to the
+documented defaults.
 """
 
 from __future__ import annotations
@@ -176,6 +177,16 @@ class ScenarioConfig:
         return CawfParams(scale=c["scale"], omega=c["omega"], d_bar=c["d_bar"],
                           ou=ou, n_paths=c["n_paths"])
 
+    def data_ensemble(self, path: str | Path | None = None) -> InfoEnsemble:
+        """The ensemble `cogecon datavalue` scores: the file at path, else a three-source demo."""
+        d = self.values["datavalue"]
+        sigma_max = entropy_cap_from_variance(d["ref_variance"])
+        if path is not None:
+            return parse_ensemble(path, d["j_coupling"], sigma_max)
+        sources = (SourceDist.uniform(1.0), SourceDist.uniform(2.0), SourceDist.gaussian(0.25))
+        return InfoEnsemble(sources=sources, sigma_max=sigma_max, j_coupling=d["j_coupling"],
+                            synergy={(0, 1): 0.6}, antagonism={(1, 2): 0.3})
+
     def shrinkage_params(self) -> ShrinkageParams:
         c = self.values["consumption"]
         return ShrinkageParams(beta_b=c["beta_b"], mu_b=c["mu_b"])
@@ -272,6 +283,8 @@ def parse_config(path: str | Path | None) -> ScenarioConfig:
             raise ConfigError("key outside of any [section]")
         if key not in SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in [{section}]")
+        if cfg.origins[section][key] == "file":
+            raise ConfigError(f"key {key!r} set twice in [{section}]")
         cfg.values[section][key] = _parse_value(raw, SCHEMA[section][key].kind, f"{section}.{key}")
         cfg.origins[section][key] = "file"
 
@@ -369,13 +382,10 @@ def revalidate(cfg: ScenarioConfig) -> None:
         ("equilibrium", cfg.equilibrium_params),
         ("equilibrium", lambda: _in_range("stationary wealth law", lambda: stationary_wealth_density(
             drift_diffusion(equilibrium_economy(cfg.equilibrium_params()))))),
+        ("datavalue", cfg.data_ensemble),
     )
     for section, view in checks:
         _check(section, view)
-    if cfg.values["datavalue"]["j_coupling"] < 0.0:
-        raise ConfigError(f"[datavalue] j_coupling must be nonnegative, "
-                          f"got {cfg.values['datavalue']['j_coupling']}")
-    entropy_cap_from_variance(cfg.values["datavalue"]["ref_variance"])
     for key, low, high in (("n_points", 3, MAX_FD_POINTS), ("n_samples", 100, MAX_MC_SAMPLES)):
         n = cfg.values["validate"][key]
         if not low <= n <= high:
@@ -474,10 +484,3 @@ def parse_ensemble(path: str | Path, j_coupling: float, sigma_max: float) -> Inf
                             j_coupling=j_coupling, synergy=synergy, antagonism=antagonism)
     except ValueError as exc:
         raise ConfigError(f"ensemble file {path}: {exc}") from None
-
-
-def demo_ensemble(j_coupling: float, sigma_max: float) -> InfoEnsemble:
-    """The three-source ensemble `cogecon datavalue` reports without a file."""
-    sources = (SourceDist.uniform(1.0), SourceDist.uniform(2.0), SourceDist.gaussian(0.25))
-    return InfoEnsemble(sources=sources, sigma_max=sigma_max, j_coupling=j_coupling,
-                        synergy={(0, 1): 0.6}, antagonism={(1, 2): 0.3})

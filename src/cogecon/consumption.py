@@ -9,7 +9,6 @@ consumption it induces in CRRA utility.
 from __future__ import annotations
 
 import math
-from dataclasses import field
 
 import numpy as np
 
@@ -105,15 +104,14 @@ class CawfParams:
     branch (small crowds) and the non-Bayesian branch (large crowds); d_bar is
     the neutral data value and scale the gross adjustment multiplier.  The
     data-value index follows a mean-reverting process reflected into [0, 1].
+    The defaults are the [consumption] keys; ScenarioConfig.cawf_params builds it.
     """
 
-    scale: float = 1.15
-    omega: float = 100.0
-    d_bar: float = 0.5
-    ou: OuProcessSpec = field(default_factory=lambda: OuProcessSpec(
-        mean=0.5, reversion=0.1, volatility=0.8,
-        lower_bound=0.0, upper_bound=1.0, horizon=60.0))
-    n_paths: int = 1000
+    scale: float
+    omega: float
+    d_bar: float
+    ou: OuProcessSpec
+    n_paths: int
 
     def __post_init__(self) -> None:
         if self.scale <= 0.0:

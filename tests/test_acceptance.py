@@ -27,8 +27,8 @@ from cogecon.cognition import (
     retention_trajectory,
     stationary_cognition_density,
 )
+from cogecon.config import default_config
 from cogecon.consumption import (
-    CawfParams,
     cawf,
     cawf_bayes_limit,
     cawf_montecarlo,
@@ -140,7 +140,7 @@ def test_criterion_5_robustness_orderings():
 
 
 def test_criterion_6_cawf_limits_and_decay():
-    p = CawfParams()  # scale 1.15, omega 100, 1000 paths
+    p = default_config().cawf_params()  # scale 1.15, omega 100, 1000 paths
     with criterion(6, "CAWF limits exact to 1e-14; average curve positive, "
                       "then negative, halving near one-tenth of the grid top"):
         t0 = time.perf_counter()

@@ -1,10 +1,13 @@
 """Scenario-file parsing, override plumbing, CLI exit codes and cold start."""
 
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import cogecon.cli as cli_mod
 import cogecon.wealth as wealth_mod
@@ -13,6 +16,7 @@ from cogecon.config import (
     MAX_EULER_WORK,
     MAX_FD_POINTS,
     MAX_MC_SAMPLES,
+    SCHEMA,
     apply_overrides,
     default_config,
     explain_lines,
@@ -101,6 +105,10 @@ def test_paired_type_requires_explicit_friction(tmp_path):
     ("[wealth]\nlam = nan\n", r"line 2: value 'nan' for wealth\.lam is not a finite float"),
     ("[cognition]\nbeta_c = inf\n", r"line 2: value 'inf' for cognition\.beta_c is not a finite"),
     ("[equilibrium]\nrho = -inf\n", r"line 2: value '-inf' for equilibrium\.rho is not a finite"),
+    ("[datavalue]\nj_coupling = -1\n", r"\[datavalue\] j_coupling must be nonnegative, got -1\.0"),
+    ("[wealth]\nlam = 5\nlam = 25\n", r"line 3: key 'lam' set twice in \[wealth\]"),
+    ("[wealth]\nlam = 5\n[run]\nseed = 1\n[wealth]\nlam = 25\n",
+     r"line 6: key 'lam' set twice in \[wealth\]"),
 ])
 def test_parse_errors_carry_line_context(tmp_path, text, needle):
     path = write_config(tmp_path, text)
@@ -130,6 +138,7 @@ def test_explain_lines_cover_every_key():
     assert "(default)" in joined
     n_keys = sum(len(keys) for keys in cfg.values.values())
     assert len([ln for ln in lines if "=" in ln]) >= n_keys
+    assert "".join(f"{ln}\n" for ln in lines) == (GOLDEN / "explain_default.txt").read_text()
 
 
 # ------------------------------------------------------------------- cli ----
@@ -571,7 +580,75 @@ def test_bad_ensemble_files_exit_one(tmp_path, capsys, body, needle):
     assert "Traceback" not in err
 
 
+# ------------------------------------------------------------------ fuzz ---
+
+REPORT_VERBS = ("cognition", "datavalue", "consumption", "tax", "wealth", "equilibrium")
+# The keys of the sections the report verbs read: all but [run] and [validate].
+FUZZ_KEYS = [(section, key) for section, keys in SCHEMA.items()
+             if section not in ("run", "validate") for key in keys]
+FUZZ_EXTREMES = st.sampled_from(["0", "-0", "-1", "1e308", "-1e308", "1e-300", "1e9",
+                                 "0.999999", "2", "one", "two"])
+FUZZ_MALFORMED = st.sampled_from(["nan", "inf", "-inf", "1e400", "", "fast", "0x10", "1_0"])
+FUZZ_JUNK = st.sampled_from(["[wealth", "[nosuchsection]", "just words", "= 1", "[run]",
+                             "nope = 1", "# comment only"])
+
+
+@st.composite
+def fuzz_line(draw) -> str:
+    """One key under its section header.  Its value is near the key's default,
+    an extreme of the finite range, non-finite or malformed text, or any float
+    or int."""
+    section, key = draw(st.sampled_from(FUZZ_KEYS))
+    default = SCHEMA[section][key].default
+    near = st.sampled_from([0.5, 1.01, 2.0, 10.0]).map(
+        lambda m: default if isinstance(default, str) else str(type(default)(default * m)))
+    value = draw(st.one_of(near, near, FUZZ_EXTREMES, FUZZ_MALFORMED, st.floats().map(repr),
+                           st.integers(min_value=-2**70, max_value=2**70).map(str)))
+    return f"[{section}]\n{key} = {value}"
+
+
+# A scenario file of a few lines in any order, so sections reopen and keys
+# repeat; now and then a junk line.
+FUZZ_FILES = st.lists(st.one_of(fuzz_line(), fuzz_line(), fuzz_line(), FUZZ_JUNK),
+                      max_size=4).map(lambda lines: "\n".join(lines) + "\n")
+
+
+# 800 files take about 5 s in-process on a 2-core x86-64 VM.
+@settings(max_examples=800, deadline=None)
+@given(text=FUZZ_FILES, verb=st.sampled_from(REPORT_VERBS))
+def test_fuzzed_scenario_files_leave_through_an_exit_code(tmp_path_factory, text, verb):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.ini"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main([verb, "--config", str(path)])
+    code = exc.value.code or 0
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code:
+        assert len([ln for ln in err.getvalue().splitlines()
+                    if not ln.startswith("warning: ")]) == 1
+
+
 # ------------------------------------------------------------- cold start ---
+
+# `import cogecon` loads the wealth pipeline a sweep of economies runs, and
+# nothing else: every other name is imported from its own module.
+PACKAGE_PROBE = """
+import sys
+from cogecon import EconomyParams, density_stats, drift_diffusion, stationary_wealth_density
+print(sorted(m for m in sys.modules if m.startswith("cogecon")))
+"""
+
+
+def test_package_import_loads_only_the_wealth_pipeline():
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_PROBE],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == str(["cogecon", "cogecon.densities", "cogecon.errors",
+                               "cogecon.records", "cogecon.wealth"]) + "\n"
+
 
 # Runs every verb in a fresh interpreter in which `import scipy` fails, so
 # the runtime provably needs numpy and click alone; the scenario file sets

@@ -1,11 +1,13 @@
 """Belief adjustment, shrinkage estimation, and the adjustment weight function."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cogecon.config import default_config
 from cogecon.consumption import (
     CawfParams,
     EffectiveConsumption,
@@ -75,9 +77,7 @@ def test_regression_recovers_shrinkage():
 
 
 def _params(**kw) -> CawfParams:
-    defaults = dict(scale=1.15, omega=100.0, d_bar=0.5)
-    defaults.update(kw)
-    return CawfParams(**defaults)
+    return dataclasses.replace(default_config().cawf_params(), **kw)
 
 
 def test_cawf_limits_match_displayed_formulas():
@@ -119,7 +119,7 @@ def test_cawf_monotone_in_crowd_size():
 
 
 def test_cawf_can_rise_with_crowding_when_scale_small():
-    p = CawfParams(scale=0.8, omega=100.0, d_bar=0.5)
+    p = _params(scale=0.8, omega=100.0, d_bar=0.5)
     vals = cawf(0.5, np.array([0.0, 10.0, 100.0, 1000.0]), p)
     assert np.all(np.diff(vals) > 0.0)
 

@@ -10,8 +10,10 @@ import pytest
 
 import cogecon
 from cogecon.config import default_config
+from cogecon.consumption import CawfCurves, EffectiveConsumption
 from cogecon.data_value import InfoEnsemble, SourceDist
-from cogecon.wealth import drift_diffusion, equilibrium_prices
+from cogecon.rng import RngSpec
+from cogecon.wealth import FirmPolicy, drift_diffusion, equilibrium_prices, policy_functions
 
 
 def record_classes() -> list[type]:
@@ -33,8 +35,8 @@ EXAMPLES = {
     "ScenarioConfig": lambda: CFG,
     "ShrinkageParams": CFG.shrinkage_params,
     "CawfParams": CFG.cawf_params,
-    "CawfCurves": lambda: cogecon.CawfCurves(*[np.ones(3)] * 4, 1, 2),
-    "EffectiveConsumption": lambda: cogecon.EffectiveConsumption(1.0, 0.1),
+    "CawfCurves": lambda: CawfCurves(*[np.ones(3)] * 4, 1, 2),
+    "EffectiveConsumption": lambda: EffectiveConsumption(1.0, 0.1),
     "ComboReport": lambda: cogecon.validate.ComboReport("x", LAW, 1e-5, 1e-3, 1e-3, 0.02),
     "RetentionParams": CFG.retention_params,
     "CognitionParams": CFG.cognition_params,
@@ -47,13 +49,13 @@ EXAMPLES = {
     "InfoEnsemble": lambda: InfoEnsemble((SourceDist.uniform(2.0), SourceDist.gaussian(1.0)),
                                          4.0, 0.5, synergy={(0, 1): 0.2}),
     "EconomyParams": CFG.wealth_params,
-    "FirmPolicy": lambda: cogecon.FirmPolicy(5.0, 2.0, 0.3, 1.5),
-    "PolicyCoefficients": lambda: cogecon.policy_functions(CFG.wealth_params()),
+    "FirmPolicy": lambda: FirmPolicy(5.0, 2.0, 0.3, 1.5),
+    "PolicyCoefficients": lambda: policy_functions(CFG.wealth_params()),
     "WealthLaw": lambda: LAW,
     "DensityStats": lambda: cogecon.density_stats(cogecon.stationary_wealth_density(LAW)),
     "EquilibriumPrices": lambda: equilibrium_prices(CFG.equilibrium_params()),
     "PiecewiseExpDensity": lambda: cogecon.stationary_wealth_density(LAW),
-    "RngSpec": lambda: cogecon.RngSpec(42, 7),
+    "RngSpec": lambda: RngSpec(42, 7),
 }
 
 _SCALARS = (bool, int, float, str, type, type(None))
