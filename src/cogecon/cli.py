@@ -30,11 +30,11 @@ from .cognition import (
 )
 from .config import apply_overrides, explain_lines, parse_config
 from .consumption import (
-    EffectiveConsumption,
     bayes_adjustment,
     cawf,
     cawf_bayes_limit,
     cawf_nonbayes_limit,
+    effective_consumption,
     implied_shrinkage,
     nonbayes_adjustment,
     shrinkage_crossover,
@@ -192,8 +192,7 @@ def consumption(cfg) -> None:
                f"n=omega {_fmt(cawf(d, cp.omega, cp)):>14}  "
                f"n->inf {_fmt(cawf_nonbayes_limit(d, cp)):>14}")
         _kv(f"D = {d:g}", row)
-    delta = cawf(0.75, cp.omega, cp)
-    eff = EffectiveConsumption(c_total=1.0, c_delta=float(delta))
+    eff = effective_consumption(0.75, cp)
     _kv("effective consumption at D=0.75, n=omega", _fmt(eff.utility_consumption()))
 
 

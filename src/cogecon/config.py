@@ -16,7 +16,13 @@ from collections.abc import Callable, Collection
 from dataclasses import fields
 from pathlib import Path
 
-from .consumption import CawfParams, ShrinkageParams, bayes_adjustment, implied_shrinkage
+from .consumption import (
+    CawfParams,
+    ShrinkageParams,
+    bayes_adjustment,
+    effective_consumption,
+    implied_shrinkage,
+)
 from .cognition import (
     CognitionParams,
     RetentionParams,
@@ -369,6 +375,7 @@ def revalidate(cfg: ScenarioConfig) -> None:
         ("consumption", cfg.cawf_params),
         ("consumption", cfg.shrinkage_params),
         ("consumption", lambda: _check_euler_budget(cfg.cawf_params())),
+        ("consumption", lambda: effective_consumption(0.75, cfg.cawf_params())),
         ("consumption", lambda: bayes_adjustment(cfg.get("consumption", "p1"))),
         ("shrinkage", lambda: implied_shrinkage(**cfg.values["shrinkage"])),
         ("tax", lambda: proposition1_check(cfg.tax_economy(), tax["tau_low"], tax["tau_high"])),
@@ -433,20 +440,24 @@ _SOURCE_KINDS = {"uniform": SourceDist.uniform, "gaussian": SourceDist.gaussian}
 def parse_ensemble(path: str | Path, j_coupling: float, sigma_max: float) -> InfoEnsemble:
     """Read a source-ensemble file over the scenario's coupling and entropy cap.
 
-    Grammar: optional `j = X` / `ref_variance = X` header lines, which replace
-    the coupling and the cap, then a [sources] block with `uniform WIDTH` or
-    `gaussian VARIANCE` lines, then an optional [interactions] block with
-    `i j synergy antagonism` rows using 1-based indices of the sources above
-    them, i < j, each pair at most once.
+    Grammar: optional `j = X` / `ref_variance = X` header lines, each at most
+    once, which replace the coupling and the cap, then a [sources] block with
+    `uniform WIDTH` or `gaussian VARIANCE` lines, then an optional
+    [interactions] block with `i j synergy antagonism` rows using 1-based
+    indices of the sources above them, i < j, each pair at most once.
     """
     sources: list[SourceDist] = []
     synergy: dict = {}
     antagonism: dict = {}
+    headers: set[str] = set()
 
     def handle(section: str | None, line: str) -> None:
         nonlocal j_coupling, sigma_max
         if section is None:
             key, raw = _key_value(line)
+            if key in headers:
+                raise ConfigError(f"ensemble header {key!r} set twice")
+            headers.add(key)
             if key == "j":
                 j_coupling = _parse_value(raw, float, key)
             elif key == "ref_variance":

@@ -217,6 +217,11 @@ class EffectiveConsumption:
         return self.c_total * (1.0 + self.c_delta)
 
 
+def effective_consumption(d_value: float, p: CawfParams) -> EffectiveConsumption:
+    """One unit of total consumption adjusted by the CAWF at D and n = omega."""
+    return EffectiveConsumption(c_total=1.0, c_delta=float(cawf(d_value, p.omega, p)))
+
+
 def net_utility(e: EffectiveConsumption, gamma: float) -> float:
     """CRRA utility of the adjustment-scaled consumption; gamma = 1 is log."""
     if gamma <= 0.0:

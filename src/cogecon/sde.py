@@ -2,7 +2,8 @@
 
 Both are Monte Carlo counterparts to closed-form results elsewhere in the
 package and are written to stay independent of those formulas: the reflected
-OU uses Euler-Maruyama stepping with fold-back reflection, and the reset
+OU uses Euler-Maruyama stepping with fold-back reflection, its normals drawn
+a block of steps at a time in stream order on the calling thread, and the reset
 process is sampled from its stationary law exactly, in two draws per path.
 Poisson gaps are memoryless, so the time back to the last reset is
 Exp(reset_rate); since then the state is arithmetic Brownian motion, whose
@@ -71,12 +72,8 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
     Returns an array of shape (n_paths, len(record_times)) with the state of
     every path at each requested time.  Reflection folds an overshoot back
     into the interval symmetrically (repeatedly if the step is violent), which
-    keeps every recorded value inside [lower_bound, upper_bound] exactly.  The
-    normals are drawn on one worker thread, in stream order, while the calling
-    thread steps; no thread outlives the call.
+    keeps every recorded value inside [lower_bound, upper_bound] exactly.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if n_paths <= 0:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
     record_times = sorted(float(t) for t in record_times)
@@ -85,15 +82,13 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
     if record_times[0] < 0.0 or record_times[-1] > spec.horizon:
         raise ValueError("record_times must lie inside [0, horizon]")
 
-    # The shocks come in blocks of `rows` steps, drawn and scaled on one
-    # worker thread into two reused buffers while the caller steps.  The one
-    # worker takes the blocks in order, so the Philox stream is drawn in step
-    # order: the same normals, to the bit, as one draw per step, whatever the
-    # thread scheduling.
+    # The shocks come in blocks of `rows` steps, drawn into one reused buffer
+    # and scaled there.  A Philox stream drawn in blocks is the same stream,
+    # so these are the same normals, to the bit, as one draw per step.
     dt, end = spec.step_size(), record_times[-1]
     n_steps = math.ceil(end / dt)
     rows = max(1, min(n_steps, CHUNK // n_paths))
-    buffers = (np.empty((rows, n_paths)), np.empty((rows, n_paths)))
+    buffer = np.empty((rows, n_paths))
     gen = rng.generator()
 
     def schedule():
@@ -114,28 +109,6 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
         if steps:
             yield steps, ends
 
-    def draw(block: np.ndarray, scales: np.ndarray) -> np.ndarray:
-        gen.standard_normal(out=block)
-        block *= scales
-        return block
-
-    def drawn_blocks(pool):
-        """Each block's shocks (a future), step sizes and end times, in order.
-
-        Block k + 1 is queued before block k is handed over, so the worker
-        goes on to it without waiting for the caller.  It reuses the buffer
-        of block k - 1, which the caller has stepped through by then.
-        """
-        ahead = None
-        for k, (steps, ends) in enumerate(schedule()):
-            scales = np.array([spec.volatility * math.sqrt(step) for step in steps])
-            queued = pool.submit(draw, buffers[k % 2][:len(steps)], scales[:, None]), steps, ends
-            if ahead is not None:
-                yield ahead
-            ahead = queued
-        if ahead is not None:
-            yield ahead
-
     x = np.full(n_paths, spec.mean if spec.start is None else spec.start, dtype=float)
     out = np.empty((n_paths, len(record_times)), dtype=float)
     # + 0.0 turns a -0.0 bound into +0.0; the fold below relies on lo != -0.0.
@@ -151,38 +124,40 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
         out[:, next_record] = x
         next_record += 1
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for drawn, steps, ends in drawn_blocks(pool):
-            for shocks, step, t in zip(drawn.result(), steps, ends):
-                # x + (reversion*(mean - x))*step + (volatility*sqrt(step))*shocks,
-                # in place: each product and sum is the formula's own, at most
-                # with its operands swapped, so the bits are the formula's.
-                np.subtract(spec.mean, x, out=tmp)
-                tmp *= spec.reversion
-                tmp *= step
-                x += tmp
-                x += shocks
-                # Fold back into [lo, hi] as lo + min(y, period - y) with
-                # y = (x - lo) mod period; the modular form resolves any
-                # number of bounces in one shot.  For period > 0, np.mod's
-                # remainder is fmod's (which is exact, and y itself where
-                # |y| < period, so fmod runs only after an overshoot of a
-                # period or more), plus period where that is negative, and +0
-                # where it is zero.  Adding period only where y < 0 keeps a
-                # zero's sign from fmod, but lo + min(+-0, period) has one bit
-                # pattern for lo != -0.0, so x has np.mod's bits.
-                np.subtract(x, lo, out=y)
-                np.abs(y, out=tmp)
-                if tmp.max() >= period:
-                    np.fmod(y, period, out=y)
-                np.less(y, 0.0, out=negative)
-                np.add(y, period, out=y, where=negative)
-                np.subtract(period, y, out=tmp)
-                np.minimum(y, tmp, out=x)
-                x += lo
-                while next_record < len(record_times) and record_times[next_record] <= t + 1e-12:
-                    out[:, next_record] = x
-                    next_record += 1
+    for steps, ends in schedule():
+        block = buffer[:len(steps)]
+        gen.standard_normal(out=block)
+        block *= np.array([spec.volatility * math.sqrt(step) for step in steps])[:, None]
+        for shocks, step, t in zip(block, steps, ends):
+            # x + (reversion*(mean - x))*step + (volatility*sqrt(step))*shocks,
+            # in place: each product and sum is the formula's own, at most
+            # with its operands swapped, so the bits are the formula's.
+            np.subtract(spec.mean, x, out=tmp)
+            tmp *= spec.reversion
+            tmp *= step
+            x += tmp
+            x += shocks
+            # Fold back into [lo, hi] as lo + min(y, period - y) with
+            # y = (x - lo) mod period; the modular form resolves any
+            # number of bounces in one shot.  For period > 0, np.mod's
+            # remainder is fmod's (which is exact, and y itself where
+            # |y| < period, so fmod runs only after an overshoot of a
+            # period or more), plus period where that is negative, and +0
+            # where it is zero.  Adding period only where y < 0 keeps a
+            # zero's sign from fmod, but lo + min(+-0, period) has one bit
+            # pattern for lo != -0.0, so x has np.mod's bits.
+            np.subtract(x, lo, out=y)
+            np.abs(y, out=tmp)
+            if tmp.max() >= period:
+                np.fmod(y, period, out=y)
+            np.less(y, 0.0, out=negative)
+            np.add(y, period, out=y, where=negative)
+            np.subtract(period, y, out=tmp)
+            np.minimum(y, tmp, out=x)
+            x += lo
+            while next_record < len(record_times) and record_times[next_record] <= t + 1e-12:
+                out[:, next_record] = x
+                next_record += 1
     while next_record < len(record_times):  # pragma: no cover - guard for fp drift
         out[:, next_record] = x
         next_record += 1

@@ -203,6 +203,17 @@ def test_consumption_at_even_belief_exits_zero(tmp_path, capsys):
     assert shrunken.split()[-1] == "0"
 
 
+@pytest.mark.parametrize("verb", ["consumption", "wealth"])
+def test_negative_effective_consumption_exits_one_at_load(tmp_path, capsys, verb):
+    # scale 5 with d_bar 1 puts the CAWF at D = 0.75, n = omega below -1, so
+    # the consumption verb's effective consumption would be negative.
+    path = write_config(tmp_path, "[consumption]\nscale = 5\nd_bar = 1\n")
+    assert run_cli([verb, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [consumption] c_delta must exceed -1")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_explain_flag_prints_origins(capsys):
     assert run_cli(["wealth", "--explain", "--seed", "7"]) == 0
     out = capsys.readouterr().out
@@ -568,6 +579,9 @@ gaussian 0.25
      "line 6: pair 1 2 appears twice"),
     ("[sources]\nuniform 1.0\nuniform 2.0\n[interactions]\n1 3 0.1 0.1\n",
      "line 5: source index 3 is above the 2 sources listed before it"),
+    ("j = 0.5\nj = 5\n[sources]\nuniform 1.0\n", "line 2: ensemble header 'j' set twice"),
+    ("ref_variance = 1\nj = 0.5\nref_variance = 2\n[sources]\nuniform 1.0\n",
+     "line 3: ensemble header 'ref_variance' set twice"),
 ])
 def test_bad_ensemble_files_exit_one(tmp_path, capsys, body, needle):
     path = tmp_path / "sources.txt"

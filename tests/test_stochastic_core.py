@@ -274,6 +274,18 @@ def test_ou_reflected_leaves_no_thread_behind():
     assert threading.active_count() == before
 
 
+def test_ou_reflected_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    spec = steps_spec(2 * ROWS + 3)
+    rng = RngSpec(11, stream_id=6)
+    got = simulate_ou_reflected(spec, rng, 1000, [0.25 * ROWS, spec.horizon])
+    want, _ = plain_ou_loop(spec, rng, 1000, [0.25 * ROWS, spec.horizon])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class FailsOnSecondBlock:
     """A real generator whose second standard_normal call raises."""
 
