@@ -20,7 +20,7 @@ from .consumption import (
     CawfParams,
     ShrinkageParams,
     bayes_adjustment,
-    effective_consumption,
+    cawf,
     implied_shrinkage,
 )
 from .cognition import (
@@ -344,6 +344,15 @@ def _check_euler_budget(p: CawfParams) -> None:
                          f"above the budget of {MAX_EULER_WORK:.0e}")
 
 
+def _check_effective_consumption(p: CawfParams) -> None:
+    """Refuse a CAWF at or below -1 at D = 0.75, n = omega, where the
+    consumption verb reports effective consumption: 1 + CAWF must be positive."""
+    n = cawf(0.75, p.omega, p)
+    if n <= -1.0:
+        raise ValueError(f"scale = {p.scale} and d_bar = {p.d_bar} put the CAWF at "
+                         f"D = 0.75, n = omega at {n}, at or below -1")
+
+
 def _cognition_report(p: CognitionParams) -> None:
     """The cognition verb's closed forms that can leave floating-point range
     (the others are sums and ratios of the same finite terms)."""
@@ -375,7 +384,7 @@ def revalidate(cfg: ScenarioConfig) -> None:
         ("consumption", cfg.cawf_params),
         ("consumption", cfg.shrinkage_params),
         ("consumption", lambda: _check_euler_budget(cfg.cawf_params())),
-        ("consumption", lambda: effective_consumption(0.75, cfg.cawf_params())),
+        ("consumption", lambda: _check_effective_consumption(cfg.cawf_params())),
         ("consumption", lambda: bayes_adjustment(cfg.get("consumption", "p1"))),
         ("shrinkage", lambda: implied_shrinkage(**cfg.values["shrinkage"])),
         ("tax", lambda: proposition1_check(cfg.tax_economy(), tax["tau_low"], tax["tau_high"])),

@@ -137,7 +137,7 @@ class InfoEnsemble:
     antagonism: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sources", tuple(self.sources))
+        _set_sources(self, tuple(self.sources))
         if len(self.sources) == 0:
             raise ValueError("ensemble needs at least one source")
         if self.sigma_max <= 0.0:
@@ -153,6 +153,10 @@ class InfoEnsemble:
     def source_values(self) -> np.ndarray:
         return np.array([information_value(differential_entropy(s), self.sigma_max)
                          for s in self.sources])
+
+
+# The frozen record refuses setattr; the sources tuple is stored through its slot.
+_set_sources = InfoEnsemble.sources.__set__
 
 
 def aggregate_data_value(e: InfoEnsemble, values=None) -> float:

@@ -35,7 +35,7 @@ class PiecewiseExpDensity:
         if not (self.rate_left > 0.0 and self.rate_right > 0.0):
             raise ValueError(
                 f"decay rates must be positive, got left={self.rate_left}, right={self.rate_right}")
-        object.__setattr__(self, "norm_K", 1.0 / (1.0 / self.rate_left + 1.0 / self.rate_right))
+        _set_norm_K(self, 1.0 / (1.0 / self.rate_left + 1.0 / self.rate_right))
 
     @classmethod
     def from_reset_law(cls, drift: float, vol: float, reset_rate: float) -> "PiecewiseExpDensity":
@@ -104,3 +104,7 @@ class PiecewiseExpDensity:
         if self.rate_right <= 1.0:
             return None
         return self.norm_K * (1.0 / (self.rate_left + 1.0) + 1.0 / (self.rate_right - 1.0))
+
+
+# The frozen record refuses setattr; the derived field is stored through its slot.
+_set_norm_K = PiecewiseExpDensity.norm_K.__set__

@@ -1,8 +1,8 @@
 """Frozen, slotted records with a constructor that stores through the slots.
 
 `record` is ``dataclass(frozen=True, slots=True)`` with one difference.  A
-frozen dataclass's ``__init__`` writes each field through
-``object.__setattr__``, to get past its own refusing ``__setattr__``; here
+frozen dataclass's ``__init__`` writes each field through ``object``'s
+``__setattr__``, to get past its own refusing ``__setattr__``; here
 each field is stored through its slot's member descriptor instead, which
 skips the attribute lookup.  The signature is the dataclass one: defaults, a
 fresh ``default_factory()`` per construction, ``field(init=False)`` fields

@@ -210,7 +210,8 @@ def test_negative_effective_consumption_exits_one_at_load(tmp_path, capsys, verb
     path = write_config(tmp_path, "[consumption]\nscale = 5\nd_bar = 1\n")
     assert run_cli([verb, "--config", path]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: [consumption] c_delta must exceed -1")
+    assert err.startswith("config error: [consumption] scale = 5.0 and d_bar = 1.0 put the CAWF "
+                          "at D = 0.75, n = omega at -1.263")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -1,8 +1,12 @@
 """Firm policy, wealth dynamics coefficients, and closed-form equilibrium."""
 
+import hashlib
 import math
+import types
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,6 +107,14 @@ def _written_out_policy(p):
     return kappa, c, (mu, sigma_x, p.beta)
 
 
+def _written_out_density(mu, sigma_x, reset_rate):
+    """(rate_left, rate_right, norm_K) of the two-sided exponential law, as written."""
+    v2 = sigma_x * sigma_x
+    s = math.sqrt(mu * mu + 2.0 * reset_rate * v2)
+    rate_left, rate_right = (s + mu) / v2, (s - mu) / v2
+    return rate_left, rate_right, 1.0 / (1.0 / rate_left + 1.0 / rate_right)
+
+
 # The 12 benchmark economies, then a grid reaching the edges of the valid
 # range: f_sigma down to 1e-3, lam up to 100, gamma on both sides of 1.
 BIT_ECONOMIES = benchmark_combos() + [
@@ -123,8 +135,34 @@ def test_policy_and_law_equal_written_out_formulas_bit_for_bit(p):
     got = drift_diffusion(p)
     assert (got.mu, got.sigma_x, got.reset_rate) == law
     d = stationary_wealth_density(got)
+    rate_left, rate_right, norm_k = _written_out_density(*law)
+    assert (d.rate_left, d.rate_right, d.norm_K) == (rate_left, rate_right, norm_k)
     s = density_stats(d)
     assert (s.mean_x, s.var_x, s.wealth_mean) == (d.mean(), d.var(), d.exp_moment())
+    assert (s.tail_exponent_left, s.tail_exponent_right) == (rate_left, rate_right)
+    assert s.wealth_mean_exists is (rate_right > 1.0)
+
+
+BENCHMARK_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+# sha256 of the benchmark's sweep rows, one line per grid seed.
+SWEEP_GOLDEN = Path(__file__).parent / "golden" / "sweep_rows.sha256"
+
+
+def _benchmark_child() -> types.ModuleType:
+    """perfbench/child.py as a module, compiled from its text so nothing is written there."""
+    module = types.ModuleType("perfbench_child")
+    source = BENCHMARK_CHILD.read_text(encoding="utf-8")
+    exec(compile(source, str(BENCHMARK_CHILD), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_rows_match_golden_digest(seed):
+    child = _benchmark_child()
+    rows, _ = child.sweep_pass(child.sweep_cells(seed))
+    golden = dict(line.split()[::-1] for line in SWEEP_GOLDEN.read_text().splitlines())
+    digest = hashlib.sha256(np.array(rows, dtype=float).tobytes()).hexdigest()
+    assert digest == golden[f"seed{seed}"]
 
 
 @given(theta=st.floats(0.02, 0.5), sigma=st.floats(0.02, 0.6),
