@@ -18,31 +18,18 @@ interquartile distance and ``gain_met``: the change won at least nine in ten
 of all pairs (a tie counts for neither side) and its median beats the
 parent's by more than that distance.  It is rewritten after every run, so an
 interrupted session keeps the runs it finished.
-
-Before each run the script times a fixed pure-Python loop and stores the
-seconds it took as that run's ``calibration_s``, with their quartiles over
-the file's runs at the top level.  The speed of a shared machine drifts
-between sessions; the calibrations let medians from two files be read
-against that drift.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
-
-# The calibration loop: best of CALIBRATION_REPEATS passes of CALIBRATION_STEPS
-# float steps, about 10 ms a pass on a 2-core x86-64 VM.
-CALIBRATION_STEPS = 100_000
-CALIBRATION_REPEATS = 5
 
 
 def seed_range(spec: str) -> tuple[str, list[int]]:
@@ -63,18 +50,6 @@ def machine() -> str:
     return (f"{len(os.sched_getaffinity(0))}-core {platform.machine()} {platform.system()}, "
             f"{mem_gb:.0f} GB RAM, {platform.python_implementation()} "
             f"{platform.python_version()}")
-
-
-def calibrate() -> float:
-    """Seconds of the fastest of a few passes of a fixed pure-Python float loop."""
-    best = math.inf
-    for _ in range(CALIBRATION_REPEATS):
-        start = time.perf_counter()
-        acc = 0.0
-        for i in range(CALIBRATION_STEPS):
-            acc += math.sqrt(i) * 0.5
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -156,7 +131,7 @@ def main() -> None:
            "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} "
                       "--trace 0|1",
            "run_seconds": seconds, "seeds": seeds, "change": args.change_note,
-           "machine": machine(), "calibration_s": None, "summary": {}, "runs": [],
+           "machine": machine(), "summary": {}, "runs": [],
            "trace_runs": []}
     path = Path(f"BENCH_{args.label}.json")
 
@@ -166,12 +141,10 @@ def main() -> None:
                 order = (("parent", parent), ("change", change))
                 for side, checkout in order if pair % 2 == 0 else order[::-1]:
                     record = {"workload": workload, "side": side, "seed": seed, "pair": pair,
-                              "seconds": seconds, "trace": trace, "calibration_s": calibrate(),
+                              "seconds": seconds, "trace": trace,
                               **run_once(checkout, workload, seed, seconds, trace)}
                     out[key].append(record)
                     out["summary"] = summarize(out["runs"], bench["end_to_end"])
-                    out["calibration_s"] = quartiles(
-                        [r["calibration_s"] for r in out["runs"] + out["trace_runs"]])
                     path.write_text(json.dumps(out, indent=1) + "\n")
                     status = "ok" if record["result"] is not None else record["error"]
                     print(f"{workload} seed {seed} {side} trace {trace}: {status}", flush=True)

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 validation failure,
 from __future__ import annotations
 
 import functools
+import inspect
 import sys
 import warnings
 from dataclasses import replace
@@ -73,8 +74,10 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _kv(label: str, value) -> None:
-    click.echo(f"  {label:<34} {value}")
+def _render(rows) -> None:
+    """Print each row as it is yielded: a "[section]" header, or a (label, text) line."""
+    for row in rows:
+        click.echo(row if isinstance(row, str) else f"  {row[0]:<34} {row[1]}")
 
 
 @click.group()
@@ -93,22 +96,57 @@ _SCENARIO_OPTIONS = (
                  help="print every resolved key with value, origin, meaning"),
 )
 
+# The report verbs' row generators, by verb name, in registration order.
+_REPORTS = {}
+
+
+def _evaluate_reports(cfg) -> None:
+    """Evaluate every report verb's rows once, printing nothing.
+
+    Values that pass their validators can still take a report's closed forms
+    out of floating-point range (an overflow, a division by zero, a decay rate
+    that cancels to 0): such a file exits 1 under every verb.  A degenerate
+    model is in range; the verb that uses it exits 3.
+    """
+    for name, rows in _REPORTS.items():
+        try:
+            for _ in rows(cfg):
+                pass
+        except DegenerateModelError:
+            continue
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"[{name}] report out of floating-point range ({exc})") from exc
+
 
 def scenario_command(*extra_options):
     """Register a verb with the four scenario flags plus its own options.
 
     The verb receives the loaded ScenarioConfig, after --explain has printed
-    it, followed by its own options as keyword arguments.
+    it, followed by its own options as keyword arguments.  A report verb
+    yields its rows, printed as they come; with a scenario file, every report
+    is evaluated at load.
     """
     def register(verb):
+        report = inspect.isgeneratorfunction(verb)
+        if report:
+            _REPORTS[verb.__name__] = verb
+
         @functools.wraps(verb)
         def run(config_path, seed, out_dir, explain, **extra) -> None:
-            cfg = apply_overrides(parse_config(config_path), seed, out_dir)
+            # a silent load: each verb prints, once, the warnings of what it computes
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cfg = parse_config(config_path)
+                if config_path is not None:
+                    _evaluate_reports(cfg)
+            cfg = apply_overrides(cfg, seed, out_dir)
             if explain:
                 for line in explain_lines(cfg):
                     click.echo(line)
                 click.echo("")
-            verb(cfg, **extra)
+            result = verb(cfg, **extra)
+            if report:
+                _render(result)
 
         for option in extra_options + _SCENARIO_OPTIONS:
             run = option(run)
@@ -117,168 +155,166 @@ def scenario_command(*extra_options):
 
 
 @scenario_command()
-def cognition(cfg) -> None:
+def cognition(cfg):
     """Retention dynamics and the stationary cognition density."""
     rp = cfg.retention_params()
-    click.echo("[retention]")
-    _kv("gap (recovery - dilution)", _fmt(rp.gap()))
-    _kv("limit as t -> inf", _fmt(retention_limit(rp)))
+    yield "[retention]"
+    yield "gap (recovery - dilution)", _fmt(rp.gap())
+    yield "limit as t -> inf", _fmt(retention_limit(rp))
     times = np.array([1.0, 5.0, 10.0])
     for t, r in zip(times, retention_trajectory(rp, times)):
-        _kv(f"r(t = {t:g})", _fmt(r))
+        yield f"r(t = {t:g})", _fmt(r)
     p = cfg.cognition_params()
-    click.echo("[cognition]")
-    _kv("crowding load", _fmt(p.crowding_load()))
-    _kv("steady-state resource", _fmt(steady_state_resource(p)))
-    _kv("dilution fraction", _fmt(dilution_fraction(p)))
-    _kv("half-dilution crowd size n*", _fmt(dilution_threshold(p)))
+    yield "[cognition]"
+    yield "crowding load", _fmt(p.crowding_load())
+    yield "steady-state resource", _fmt(steady_state_resource(p))
+    yield "dilution fraction", _fmt(dilution_fraction(p))
+    yield "half-dilution crowd size n*", _fmt(dilution_threshold(p))
     phi, omega, sigma = gbm_coefficients(p)
-    _kv("resource drift phi", _fmt(phi))
-    _kv("resource volatility omega", _fmt(omega))
-    _kv("effective log drift", _fmt(sigma))
+    yield "resource drift phi", _fmt(phi)
+    yield "resource volatility omega", _fmt(omega)
+    yield "effective log drift", _fmt(sigma)
     stats = density_stats(stationary_cognition_density(p))
-    click.echo("[stationary log density]")
-    _kv("mean", _fmt(stats.mean_x))
-    _kv("variance", _fmt(stats.var_x))
-    _kv("left tail rate", _fmt(stats.tail_exponent_left))
-    _kv("right tail rate", _fmt(stats.tail_exponent_right))
+    yield "[stationary log density]"
+    yield "mean", _fmt(stats.mean_x)
+    yield "variance", _fmt(stats.var_x)
+    yield "left tail rate", _fmt(stats.tail_exponent_left)
+    yield "right tail rate", _fmt(stats.tail_exponent_right)
 
 
 @scenario_command(click.option(
     "--ensemble", "ensemble_path", default=None, metavar="PATH",
     help="source-ensemble file; a three-source demo is used when omitted"))
-def datavalue(cfg, ensemble_path) -> None:
+def datavalue(cfg, ensemble_path=None):
     """Entropy-based source values and the aggregate data-value index."""
     ensemble = cfg.data_ensemble(ensemble_path)
-    click.echo("[sources]")
+    yield "[sources]"
     values = ensemble.source_values()
     for idx, (s, v) in enumerate(zip(ensemble.sources, values), start=1):
-        _kv(f"{idx}: {s.kind}", f"entropy {_fmt(differential_entropy(s))}  value {_fmt(v)}  "
-                                f"weight {_fmt(value_weight(v))}")
-    click.echo("[aggregate]")
-    _kv("entropy cap", _fmt(ensemble.sigma_max))
-    _kv("coupling J", _fmt(ensemble.j_coupling))
+        yield f"{idx}: {s.kind}", (f"entropy {_fmt(differential_entropy(s))}  value {_fmt(v)}  "
+                                   f"weight {_fmt(value_weight(v))}")
+    yield "[aggregate]"
+    yield "entropy cap", _fmt(ensemble.sigma_max)
+    yield "coupling J", _fmt(ensemble.j_coupling)
     d = aggregate_data_value(ensemble, values)
-    _kv("ensemble data value", _fmt(d))
-    _kv("squashed index", _fmt(data_value_index([d])))
+    yield "ensemble data value", _fmt(d)
+    yield "squashed index", _fmt(data_value_index([d]))
 
 
 @scenario_command()
-def consumption(cfg) -> None:
+def consumption(cfg):
     """Belief adjustments and the consumption adjustment weight."""
     sp = cfg.shrinkage_params()
     p1 = cfg.get("consumption", "p1")
     s = bayes_adjustment(p1)
-    click.echo("[belief adjustment]")
-    _kv("upward belief p1", _fmt(p1))
-    _kv("exact log-odds adjustment S", _fmt(s))
-    _kv("shrunken adjustment", _fmt(nonbayes_adjustment(s, sp)))
+    yield "[belief adjustment]"
+    yield "upward belief p1", _fmt(p1)
+    yield "exact log-odds adjustment S", _fmt(s)
+    yield "shrunken adjustment", _fmt(nonbayes_adjustment(s, sp))
     crossover = shrinkage_crossover(sp)
     if crossover is None:
-        _kv("crossover", "none (slope one)")
+        yield "crossover", "none (slope one)"
     else:
-        _kv("crossover ln S", _fmt(crossover))
+        yield "crossover ln S", _fmt(crossover)
         # The two lines meet at S = 1 only when mu_b = 1; any level shift
         # moves the intersection, so it is reported rather than assumed.
-        _kv("crossover S", _fmt(np.exp(crossover)))
+        yield "crossover S", _fmt(np.exp(crossover))
     sh = cfg.values["shrinkage"]
     implied = implied_shrinkage(sh["sigma_s"], sh["sigma_n"], sh["mu_s"])
-    _kv("implied beta from noise model", _fmt(implied.beta_b))
-    _kv("implied mu from noise model", _fmt(implied.mu_b))
+    yield "implied beta from noise model", _fmt(implied.beta_b)
+    yield "implied mu from noise model", _fmt(implied.mu_b)
     cp = cfg.cawf_params()
-    click.echo("[adjustment weight]")
+    yield "[adjustment weight]"
     for d in (0.25, 0.5, 0.75):
         row = (f"n->0 {_fmt(cawf_bayes_limit(d, cp)):>14}  "
                f"n=omega {_fmt(cawf(d, cp.omega, cp)):>14}  "
                f"n->inf {_fmt(cawf_nonbayes_limit(d, cp)):>14}")
-        _kv(f"D = {d:g}", row)
+        yield f"D = {d:g}", row
     eff = effective_consumption(0.75, cp)
-    _kv("effective consumption at D=0.75, n=omega", _fmt(eff.utility_consumption()))
+    yield "effective consumption at D=0.75, n=omega", _fmt(eff.utility_consumption())
 
 
 @scenario_command()
-def tax(cfg) -> None:
+def tax(cfg):
     """Output-tax economy: masses, consumptions, and tax-rate preference."""
     e = cfg.tax_economy()
-    click.echo("[population]")
-    _kv("truncated level-ability mean", _fmt(truncated_exp_mean(e.mu_bar, e.sigma_mu, e.k_cut)))
-    _kv("implied investor mass", _fmt(check_mass_consistency(e)))
-    _kv("configured investor mass m", _fmt(e.m))
+    yield "[population]"
+    yield "truncated level-ability mean", _fmt(truncated_exp_mean(e.mu_bar, e.sigma_mu, e.k_cut))
+    yield "implied investor mass", _fmt(check_mass_consistency(e))
+    yield "configured investor mass m", _fmt(e.m)
     h_zero, h_shift = hazard_ratio_check(e.k_cut - e.mu_bar, e.sigma_mu)
-    _kv("hazard at cutoff (zero mean)", _fmt(h_zero))
-    _kv("hazard at cutoff (shifted mean)", _fmt(h_shift))
-    click.echo("[consumption at zero shocks]")
+    yield "hazard at cutoff (zero mean)", _fmt(h_zero)
+    yield "hazard at cutoff (shifted mean)", _fmt(h_shift)
+    yield "[consumption at zero shocks]"
     c_gov, c_inv = consumptions(e, 0.0, 0.0, mu_b=0.0)
-    _kv("government worker", _fmt(c_gov))
-    _kv("investor", _fmt(c_inv))
-    click.echo("[tax preference]")
+    yield "government worker", _fmt(c_gov)
+    yield "investor", _fmt(c_inv)
+    yield "[tax preference]"
     tau_low, tau_high = cfg.get("tax", "tau_low"), cfg.get("tax", "tau_high")
     u_low, u_high, prefers_low = proposition1_check(e, tau_low, tau_high)
-    _kv(f"expected utility at tau = {tau_low:g}", _fmt(u_low))
-    _kv(f"expected utility at tau = {tau_high:g}", _fmt(u_high))
-    _kv("investor prefers the lower rate", str(prefers_low).lower())
+    yield f"expected utility at tau = {tau_low:g}", _fmt(u_low)
+    yield f"expected utility at tau = {tau_high:g}", _fmt(u_high)
+    yield "investor prefers the lower rate", str(prefers_low).lower()
 
 
-def _echo_wealth_stats(header: str, density) -> None:
+def _wealth_stats_rows(header: str, density):
     stats = density_stats(density)
-    click.echo(header)
-    _kv("mean log wealth", _fmt(stats.mean_x))
-    _kv("log wealth variance", _fmt(stats.var_x))
-    _kv("left tail rate", _fmt(stats.tail_exponent_left))
-    _kv("right tail rate", _fmt(stats.tail_exponent_right))
-    if stats.wealth_mean_exists:
-        _kv("mean level wealth", _fmt(stats.wealth_mean))
-    else:
-        _kv("mean level wealth", "divergent (right tail rate <= 1)")
+    yield header
+    yield "mean log wealth", _fmt(stats.mean_x)
+    yield "log wealth variance", _fmt(stats.var_x)
+    yield "left tail rate", _fmt(stats.tail_exponent_left)
+    yield "right tail rate", _fmt(stats.tail_exponent_right)
+    yield "mean level wealth", (_fmt(stats.wealth_mean) if stats.wealth_mean_exists
+                                else "divergent (right tail rate <= 1)")
 
 
 @scenario_command()
-def wealth(cfg) -> None:
+def wealth(cfg):
     """Firm activity, optimal policies, and the stationary wealth density."""
     p = cfg.wealth_params()
     z_min = productivity_cutoff(p.r, p.delta, p.alpha, p.w)
-    click.echo("[technology]")
-    _kv("productivity cutoff z_min", _fmt(z_min))
-    _kv("configured productivity z", _fmt(p.z))
+    yield "[technology]"
+    yield "productivity cutoff z_min", _fmt(z_min)
+    yield "configured productivity z", _fmt(p.z)
     if p.z >= z_min:
         policy = firm_policy(p, a=1.0)
-        _kv("capital per unit wealth", _fmt(policy.capital))
-        _kv("labor per unit wealth", _fmt(policy.labor))
-        _kv("profit per unit wealth", _fmt(policy.profit))
+        yield "capital per unit wealth", _fmt(policy.capital)
+        yield "labor per unit wealth", _fmt(policy.labor)
+        yield "profit per unit wealth", _fmt(policy.profit)
     else:
-        _kv("firm activity", "inactive (z below cutoff)")
+        yield "firm activity", "inactive (z below cutoff)"
     coeffs = policy_functions(p)
-    click.echo("[policies]")
-    _kv("risky share coefficient", _fmt(coeffs.kappa_coeff))
-    _kv("consumption coefficient", _fmt(coeffs.c_coeff))
+    yield "[policies]"
+    yield "risky share coefficient", _fmt(coeffs.kappa_coeff)
+    yield "consumption coefficient", _fmt(coeffs.c_coeff)
     law = drift_diffusion(p)
-    click.echo("[log-wealth law]")
-    _kv("drift mu", _fmt(law.mu))
-    _kv("volatility sigma_x", _fmt(law.sigma_x))
-    _kv("reset rate", _fmt(law.reset_rate))
-    _echo_wealth_stats("[stationary density]", stationary_wealth_density(law))
+    yield "[log-wealth law]"
+    yield "drift mu", _fmt(law.mu)
+    yield "volatility sigma_x", _fmt(law.sigma_x)
+    yield "reset rate", _fmt(law.reset_rate)
+    yield from _wealth_stats_rows("[stationary density]", stationary_wealth_density(law))
 
 
 @scenario_command()
-def equilibrium(cfg) -> None:
+def equilibrium(cfg):
     """Closed-form market-clearing prices and the equilibrium density."""
     p = cfg.equilibrium_params()
     prices = equilibrium_prices(p)
-    click.echo("[prices]")
-    _kv("equilibrium rate r*", _fmt(prices.r_star))
-    _kv("clearing constant", _fmt(prices.clearing_constant))
+    yield "[prices]"
+    yield "equilibrium rate r*", _fmt(prices.r_star)
+    yield "clearing constant", _fmt(prices.clearing_constant)
     if not prices.valid:
-        _kv("equilibrium wage w*", "none")
+        yield "equilibrium wage w*", "none"
         raise DegenerateModelError(
             "clearing constant is nonnegative "
             f"({_fmt(prices.clearing_constant)}); no equilibrium wage exists")
-    _kv("equilibrium wage w*", _fmt(prices.w_star))
+    yield "equilibrium wage w*", _fmt(prices.w_star)
     eq = replace(p, w=prices.w_star, r=prices.r_star)
     density = stationary_wealth_density(drift_diffusion(eq))
-    _echo_wealth_stats("[equilibrium density]", density)
-    click.echo("[consistency]")
-    _kv("labor-market residual", _fmt(labor_residual_at(eq, density)))
-    _kv("firm profit rate at w*", _fmt(profit_rate(eq)))
+    yield from _wealth_stats_rows("[equilibrium density]", density)
+    yield "[consistency]"
+    yield "labor-market residual", _fmt(labor_residual_at(eq, density))
+    yield "firm profit rate at w*", _fmt(profit_rate(eq))
 
 
 @scenario_command(click.option("--figure", "figure_spec", default="all", metavar="N|all",
@@ -296,8 +332,12 @@ def reproduce(cfg, figure_spec) -> None:
             raise click.BadParameter(f"--figure must lie in 1..14, got {fid}")
         ids = (fid,)
     for fid in ids:
-        path = build_series(fid, cfg).write(cfg.out_dir)
-        click.echo(f"wrote {path}")
+        # a swept column can leave floating-point range where every report is in it
+        try:
+            series = build_series(fid, cfg)
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"figure {fid}: {exc}") from exc
+        click.echo(f"wrote {series.write(cfg.out_dir)}")
 
 
 @scenario_command()

@@ -56,36 +56,26 @@ def test_gain_met_false_when_the_change_is_worse():
     assert summary["sweep"]["wall_s"]["gain_met"] is False
 
 
-def test_each_run_stores_the_calibration_timed_just_before_it(tmp_path, monkeypatch):
+def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch):
     change = tmp_path / "change"
     change.mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower"}]}))
     events = []
 
-    def fake_calibrate():
-        events.append("calibrate")
-        return 0.01 * len(events)
-
     def fake_run_once(checkout, workload, seed, seconds, trace):
         events.append(checkout.name)
         return {"result": {"metrics": {"wall_s": {"value": 1.0}},
                            "failed": 0, "attempted": 1, "correct": True}}
 
-    monkeypatch.setattr(bench_pairs, "calibrate", fake_calibrate)
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(tmp_path / "parent"), str(change),
                                       "--label", "t", "--runs", "sweep:1-2"])
     bench_pairs.main()
     out = json.loads((tmp_path / "BENCH_t.json").read_text())
-    # one calibration right before each of the four runs, in the order they ran
-    assert events == ["calibrate", "parent", "calibrate", "change",
-                      "calibrate", "change", "calibrate", "parent"]
-    assert [r["calibration_s"] for r in out["runs"]] == pytest.approx([0.01, 0.03, 0.05, 0.07])
-    assert out["calibration_s"]["n"] == 4
-    assert out["calibration_s"]["median"] == pytest.approx(0.04)
-
-
-def test_calibration_is_a_positive_time():
-    assert 0.0 < bench_pairs.calibrate() < 10.0
+    # even pairs run the parent first, odd pairs the change
+    assert events == ["parent", "change", "change", "parent"]
+    assert [(r["pair"], r["side"]) for r in out["runs"]] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
+    assert out["summary"]["sweep"]["wall_s"]["pairs"] == 2

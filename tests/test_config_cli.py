@@ -109,6 +109,7 @@ def test_paired_type_requires_explicit_friction(tmp_path):
     ("[wealth]\nlam = 5\nlam = 25\n", r"line 3: key 'lam' set twice in \[wealth\]"),
     ("[wealth]\nlam = 5\n[run]\nseed = 1\n[wealth]\nlam = 25\n",
      r"line 6: key 'lam' set twice in \[wealth\]"),
+    ("[datavalue]\nref_variance = 1e308\n", r"ref_variance 1e\+308 implies an infinite entropy cap"),
 ])
 def test_parse_errors_carry_line_context(tmp_path, text, needle):
     path = write_config(tmp_path, text)
@@ -151,8 +152,8 @@ def test_report_subcommands_succeed(cmd, capsys):
 
 
 def test_equilibrium_solves_its_prices_once(monkeypatch, capsys):
-    # The scenario is loaded before the count starts: its range check builds
-    # the equilibrium law once on its own.
+    # The scenario is loaded before the count starts: with a scenario file,
+    # the load evaluates the equilibrium report once on its own.
     cfg = parse_config(None)
     monkeypatch.setattr(cli_mod, "parse_config", lambda path: cfg)
     calls = {"equilibrium_prices": 0, "drift_diffusion": 0}
@@ -264,6 +265,7 @@ IN_RANGE_EXTREMES = {
     ("cognition", "psi_c = 1e-300"),  # the squared volatility underflows to 0
     ("cognition", "mu_c = 1e9"),      # the right decay rate cancels to 0
     ("tax", "mu_bar = 1e9"),          # the truncated ability mean overflows
+    ("wealth", "beta = 1e300"),       # the density's second moment overflows
 ])
 def test_finite_extremes_exit_one_without_traceback(tmp_path, capsys, verb, section, line):
     path = write_config(tmp_path, f"[{section}]\n{line}\n")
@@ -273,6 +275,29 @@ def test_finite_extremes_exit_one_without_traceback(tmp_path, capsys, verb, sect
     if expected == 1:
         assert err.startswith(f"config error: [{section}] ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+REPORT_VERBS = ("cognition", "datavalue", "consumption", "tax", "wealth", "equilibrium")
+
+
+@pytest.mark.parametrize("verb", REPORT_VERBS)
+def test_report_out_of_range_exits_one_under_every_report_verb(tmp_path, capsys, verb):
+    # Every report is evaluated at load, so a value that only the wealth
+    # verb's last rows overflow on is refused before any verb prints a row.
+    path = write_config(tmp_path, "[wealth]\nbeta = 1e300\n")
+    assert run_cli([verb, "--config", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: [wealth] ") and err.count("\n") == 1
+
+
+def test_warning_of_the_load_check_prints_once(tmp_path, capsys):
+    # The tax validators and the tax report both evaluate the overflowing
+    # utility; the warning is one line all the same.
+    path = write_config(tmp_path, "[tax]\ngamma_b = 1e100\n")
+    assert run_cli(["tax", "--config", path]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines().count("warning: overflow encountered in expm1") == 1
 
 
 @pytest.mark.parametrize("line", ["horizon = 1e300", "reversion = 1e300"])
@@ -526,6 +551,27 @@ def test_divergent_equilibrium_wealth_mean_exits_three(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("gamma", ["1e-20", "1e20", "1e100", "1e-100"])
+def test_figure_out_of_range_exits_one(tmp_path, capsys, gamma):
+    # Every report is in range, but a swept column of figure 9 is not: the
+    # decay rates cancel to 0, or a division by zero.
+    path = write_config(tmp_path, f"[wealth]\ngamma = {gamma}\n")
+    assert run_cli(["wealth", "--config", path]) == 0
+    capsys.readouterr()
+    assert run_cli(["reproduce", "--figure", "9", "--config", path,
+                    "--out", str(tmp_path / "series")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: figure 9: ") and err.count("\n") == 1
+
+
+def test_figures_written_before_an_out_of_range_figure_stay(tmp_path, capsys):
+    path = write_config(tmp_path, "[wealth]\ngamma = 1e-100\n")
+    out = tmp_path / "series"
+    assert run_cli(["reproduce", "--config", path, "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == [f"figure{i:02d}.csv" for i in range(1, 9)]
+    assert capsys.readouterr().err == "config error: figure 9: float division by zero\n"
+
+
 def test_reproduce_rejects_mismatched_agent_type(tmp_path, capsys):
     path = write_config(tmp_path, "[wealth]\nagent_type = one\n")
     assert run_cli(["reproduce", "--figure", "9", "--config", path]) == 1
@@ -583,6 +629,8 @@ gaussian 0.25
     ("j = 0.5\nj = 5\n[sources]\nuniform 1.0\n", "line 2: ensemble header 'j' set twice"),
     ("ref_variance = 1\nj = 0.5\nref_variance = 2\n[sources]\nuniform 1.0\n",
      "line 3: ensemble header 'ref_variance' set twice"),
+    ("j = 0.5\nref_variance = 1e308\n[sources]\nuniform 1.0\n",
+     "line 2: ref_variance 1e+308 implies an infinite entropy cap"),
 ])
 def test_bad_ensemble_files_exit_one(tmp_path, capsys, body, needle):
     path = tmp_path / "sources.txt"
@@ -597,12 +645,11 @@ def test_bad_ensemble_files_exit_one(tmp_path, capsys, body, needle):
 
 # ------------------------------------------------------------------ fuzz ---
 
-REPORT_VERBS = ("cognition", "datavalue", "consumption", "tax", "wealth", "equilibrium")
 # The keys of the sections the report verbs read: all but [run] and [validate].
 FUZZ_KEYS = [(section, key) for section, keys in SCHEMA.items()
              if section not in ("run", "validate") for key in keys]
-FUZZ_EXTREMES = st.sampled_from(["0", "-0", "-1", "1e308", "-1e308", "1e-300", "1e9",
-                                 "0.999999", "2", "one", "two"])
+FUZZ_EXTREMES = st.sampled_from(["0", "-0", "-1", "1e308", "-1e308", "1e300", "1e200", "1e-20",
+                                 "1e-100", "1e-300", "1e9", "0.999999", "2", "one", "two"])
 FUZZ_MALFORMED = st.sampled_from(["nan", "inf", "-inf", "1e400", "", "fast", "0x10", "1_0"])
 FUZZ_JUNK = st.sampled_from(["[wealth", "[nosuchsection]", "just words", "= 1", "[run]",
                              "nope = 1", "# comment only"])
