@@ -29,7 +29,7 @@ from .cognition import (
     stationary_cognition_density,
     steady_state_resource,
 )
-from .config import apply_overrides, explain_lines, parse_config
+from .config import apply_overrides, config_error, explain_lines, parse_config
 from .consumption import (
     bayes_adjustment,
     cawf,
@@ -101,21 +101,23 @@ _REPORTS = {}
 
 
 def _evaluate_reports(cfg) -> None:
-    """Evaluate every report verb's rows once, printing nothing.
+    """Drain every report verb's rows once, printing nothing: the load check.
 
-    Values that pass their validators can still take a report's closed forms
-    out of floating-point range (an overflow, a division by zero, a decay rate
-    that cancels to 0): such a file exits 1 under every verb.  A degenerate
-    model is in range; the verb that uses it exits 3.
+    A value that a report's rows reject exits 1 under every verb, labelled
+    with that verb's name: a validator's own message, or an overflow or a
+    division by zero named with the last row the report yielded before it.
+    A degenerate model is in range; the verb that uses it exits 3.
     """
     for name, rows in _REPORTS.items():
+        row = None
         try:
-            for _ in rows(cfg):
+            for row in rows(cfg):
                 pass
         except DegenerateModelError:
             continue
         except (ValueError, ArithmeticError) as exc:
-            raise ConfigError(f"[{name}] report out of floating-point range ({exc})") from exc
+            label = row if row is None or isinstance(row, str) else row[0]
+            raise config_error(name, exc, label) from exc
 
 
 def scenario_command(*extra_options):
@@ -123,8 +125,9 @@ def scenario_command(*extra_options):
 
     The verb receives the loaded ScenarioConfig, after --explain has printed
     it, followed by its own options as keyword arguments.  A report verb
-    yields its rows, printed as they come; with a scenario file, every report
-    is evaluated at load.
+    yields its rows, printed as they come.  With a scenario file, every
+    report's rows are drained at load, under every verb: that is where the
+    values the reports consume are checked.
     """
     def register(verb):
         report = inspect.isgeneratorfunction(verb)
@@ -303,7 +306,7 @@ def equilibrium(cfg):
     yield "[prices]"
     yield "equilibrium rate r*", _fmt(prices.r_star)
     yield "clearing constant", _fmt(prices.clearing_constant)
-    if not prices.valid:
+    if prices.w_star is None:
         yield "equilibrium wage w*", "none"
         raise DegenerateModelError(
             "clearing constant is nonnegative "

@@ -8,8 +8,6 @@ stationary density under Poisson refresh events.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .densities import PiecewiseExpDensity

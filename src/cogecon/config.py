@@ -7,6 +7,11 @@ interactions (see parse_ensemble).  Unknown sections or keys are rejected
 with the offending line number, as are unparseable or non-finite values and
 a scenario key set twice.  No scenario file, or an empty one, resolves to the
 documented defaults.
+
+parse_config checks a scenario's values against the four rules that no
+report verb evaluates; every other value is checked by the validator of the
+function that consumes it, which the CLI reaches by draining every report
+verb's rows at load.
 """
 
 from __future__ import annotations
@@ -16,21 +21,15 @@ from collections.abc import Callable, Collection
 from dataclasses import fields
 from pathlib import Path
 
-from .consumption import (
-    CawfParams,
-    ShrinkageParams,
-    bayes_adjustment,
-    cawf,
-    implied_shrinkage,
-)
+from .consumption import CawfParams, ShrinkageParams
 from .cognition import CognitionParams, RetentionParams
 from .data_value import InfoEnsemble, SourceDist, gaussian_entropy
 from .errors import ConfigError
 from .records import record
 from .rng import RngSpec
-from .sde import OuProcessSpec
-from .tax_model import TaxEconomy, proposition1_check
-from .wealth import EQUILIBRIUM_ALPHA, EconomyParams, productivity_cutoff
+from .sde import REVERSION_PER_STEP, OuProcessSpec
+from .tax_model import TaxEconomy
+from .wealth import EQUILIBRIUM_ALPHA, EconomyParams
 
 
 @record
@@ -265,7 +264,13 @@ def _parse_value(raw: str, kind: type, name: str):
 
 
 def parse_config(path: str | Path | None) -> ScenarioConfig:
-    """Load a scenario file; None gives pure defaults."""
+    """Load a scenario file; None gives pure defaults.
+
+    Beyond the grammar, only the rules that no report verb evaluates are
+    checked here: the agent_type pair, the seed, the Euler budget and the
+    [validate] sizes.  The values the report verbs consume are checked by
+    those verbs' own validators: the CLI drains every report at load.
+    """
     cfg = default_config()
     if path is None:
         return cfg
@@ -282,18 +287,43 @@ def parse_config(path: str | Path | None) -> ScenarioConfig:
         cfg.origins[section][key] = "file"
 
     _scan_lines(path, "config", SCHEMA, handle)
-    revalidate(cfg)
+    agent_type = cfg.values["wealth"]["agent_type"]
+    if agent_type not in ("one", "two"):
+        raise ConfigError(f"wealth.agent_type must be 'one' or 'two', got {agent_type!r}")
+    if agent_type == "two" and cfg.origins["wealth"]["f_sigma"] == "default":
+        raise ConfigError("wealth.agent_type = two requires an explicit f_sigma; "
+                          "the type pairs the friction weight to the leverage tier")
+    _check("run", lambda: RngSpec(cfg.seed))
+    _check("consumption", lambda: _check_euler_budget(cfg.values["consumption"]))
+    for key, low, high in (("n_points", 3, MAX_FD_POINTS), ("n_samples", 100, MAX_MC_SAMPLES)):
+        n = cfg.values["validate"][key]
+        if not low <= n <= high:
+            raise ConfigError(f"[validate] {key} must lie in [{low}, {high}], got {n}")
     return cfg
+
+
+def config_error(section: str, exc: ValueError | ArithmeticError,
+                 row: str | None = None) -> ConfigError:
+    """A callee's rejection of the values of [section], as one ConfigError.
+
+    A ValueError keeps the callee's message.  An ArithmeticError is marked as
+    out of floating-point range, with the strerror of the (errno, strerror)
+    pair that float ** raises, and names row, the last row a report yielded
+    before it, when one is given.
+    """
+    if isinstance(exc, ValueError):
+        return ConfigError(f"[{section}] {exc}")
+    reason = exc.args[1] if len(exc.args) == 2 else exc
+    after = "" if row is None else f" after the row {row!r}"
+    return ConfigError(f"[{section}] {reason} (values out of floating-point range){after}")
 
 
 def _check(section: str, view) -> None:
     """Run one callee's own validator; its rejection becomes a ConfigError."""
     try:
         view()
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from exc
-    except ArithmeticError as exc:
-        raise ConfigError(f"[{section}] {exc} (values out of floating-point range)") from exc
+    except (ValueError, ArithmeticError) as exc:
+        raise config_error(section, exc) from exc
 
 
 # Most Euler path-steps figure 6 may take; the defaults take 6e6.
@@ -306,64 +336,14 @@ MAX_FD_POINTS = 1_000_000
 MAX_MC_SAMPLES = 100_000_000
 
 
-def _check_euler_budget(p: CawfParams) -> None:
-    """Refuse a data-value simulation over MAX_EULER_WORK; the work is a float,
-    so one that overflows to inf is refused too."""
-    work = p.n_paths * p.ou.horizon / p.ou.step_size()
+def _check_euler_budget(c: dict) -> None:
+    """Refuse a data-value simulation over MAX_EULER_WORK at the sampler's
+    default step REVERSION_PER_STEP / reversion; the work is a float, so one
+    that overflows to inf is refused too."""
+    work = c["n_paths"] * c["horizon"] * c["reversion"] / REVERSION_PER_STEP
     if work > MAX_EULER_WORK:
         raise ValueError(f"n_paths * horizon / step size is {work:.3g} Euler path-steps, "
                          f"above the budget of {MAX_EULER_WORK:.0e}")
-
-
-def _check_effective_consumption(p: CawfParams) -> None:
-    """Refuse a CAWF at or below -1 at D = 0.75, n = omega, where the
-    consumption verb reports effective consumption: 1 + CAWF must be positive."""
-    n = cawf(0.75, p.omega, p)
-    if n <= -1.0:
-        raise ValueError(f"scale = {p.scale} and d_bar = {p.d_bar} put the CAWF at "
-                         f"D = 0.75, n = omega at {n}, at or below -1")
-
-
-def revalidate(cfg: ScenarioConfig) -> None:
-    """Re-run every module-level validator over the resolved values.
-
-    Constructing the typed views, and calling the functions that consume the
-    remaining keys, triggers their own validators, so each bad value is
-    rejected by the one check that guards it.  Overflow and division by zero
-    in a validator count as out of range.  Whether values that pass keep the
-    reports themselves in floating-point range is not checked here: the CLI
-    evaluates every report verb's rows once when a scenario file is given.
-    """
-    agent_type = cfg.values["wealth"]["agent_type"]
-    if agent_type not in ("one", "two"):
-        raise ConfigError(f"wealth.agent_type must be 'one' or 'two', got {agent_type!r}")
-    if agent_type == "two" and cfg.origins["wealth"]["f_sigma"] == "default":
-        raise ConfigError("wealth.agent_type = two requires an explicit f_sigma; "
-                          "the type pairs the friction weight to the leverage tier")
-    tax, wealth = cfg.values["tax"], cfg.values["wealth"]
-    checks = (
-        ("run", lambda: RngSpec(cfg.seed)),
-        ("cognition", cfg.cognition_params),
-        ("retention", cfg.retention_params),
-        ("consumption", cfg.cawf_params),
-        ("consumption", cfg.shrinkage_params),
-        ("consumption", lambda: _check_euler_budget(cfg.cawf_params())),
-        ("consumption", lambda: _check_effective_consumption(cfg.cawf_params())),
-        ("consumption", lambda: bayes_adjustment(cfg.get("consumption", "p1"))),
-        ("shrinkage", lambda: implied_shrinkage(**cfg.values["shrinkage"])),
-        ("tax", lambda: proposition1_check(cfg.tax_economy(), tax["tau_low"], tax["tau_high"])),
-        ("wealth", cfg.wealth_params),
-        ("wealth", lambda: productivity_cutoff(wealth["r"], wealth["delta"],
-                                               wealth["alpha"], wealth["w"])),
-        ("equilibrium", cfg.equilibrium_params),
-        ("datavalue", cfg.data_ensemble),
-    )
-    for section, view in checks:
-        _check(section, view)
-    for key, low, high in (("n_points", 3, MAX_FD_POINTS), ("n_samples", 100, MAX_MC_SAMPLES)):
-        n = cfg.values["validate"][key]
-        if not low <= n <= high:
-            raise ConfigError(f"[validate] {key} must lie in [{low}, {high}], got {n}")
 
 
 def apply_overrides(cfg: ScenarioConfig, seed: int | None, out: str | None) -> ScenarioConfig:

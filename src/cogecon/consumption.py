@@ -218,8 +218,13 @@ class EffectiveConsumption:
 
 
 def effective_consumption(d_value: float, p: CawfParams) -> EffectiveConsumption:
-    """One unit of total consumption adjusted by the CAWF at D and n = omega."""
-    return EffectiveConsumption(c_total=1.0, c_delta=float(cawf(d_value, p.omega, p)))
+    """One unit of total consumption adjusted by the CAWF at D and n = omega;
+    1 + CAWF must be positive there."""
+    c_delta = float(cawf(d_value, p.omega, p))
+    if c_delta <= -1.0:
+        raise ValueError(f"scale = {p.scale} and d_bar = {p.d_bar} put the CAWF at "
+                         f"D = {d_value:g}, n = omega at {c_delta}, at or below -1")
+    return EffectiveConsumption(c_total=1.0, c_delta=c_delta)
 
 
 def net_utility(e: EffectiveConsumption, gamma: float) -> float:

@@ -25,6 +25,9 @@ from .rng import RngSpec
 # cache, large enough that the per-chunk Python overhead is noise.
 CHUNK = 1 << 16
 
+# Reversion per Euler step of the default step size.
+REVERSION_PER_STEP = 1e-3
+
 
 @record
 class OuProcessSpec:
@@ -61,8 +64,8 @@ class OuProcessSpec:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
 
     def step_size(self) -> float:
-        """Default step keeps reversion-per-step at 1e-3."""
-        return self.dt if self.dt is not None else 1e-3 / self.reversion
+        """Default step keeps reversion-per-step at REVERSION_PER_STEP."""
+        return self.dt if self.dt is not None else REVERSION_PER_STEP / self.reversion
 
 
 def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,

@@ -15,7 +15,6 @@ prices solve a quadratic and are available in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .densities import PiecewiseExpDensity
 from .errors import ConfigError, DegenerateModelError
@@ -216,14 +215,12 @@ def density_stats(d: PiecewiseExpDensity) -> DensityStats:
 class EquilibriumPrices:
     """Market-clearing prices under the square-root technology.
 
-    valid records whether the clearing quadratic admits a positive root; when
-    it does not, w_star is None and the other fields still report the pieces
-    so callers can explain the failure.
+    w_star is None when the clearing quadratic admits no positive root; the
+    other fields still report the pieces so callers can explain the failure.
     """
 
     r_star: float
     w_star: float | None
-    valid: bool
     clearing_constant: float
 
 
@@ -246,8 +243,7 @@ def equilibrium_prices(p: EconomyParams) -> EquilibriumPrices:
     r_star = p.theta - p.gamma * p.sigma**2 * (1.0 - p.lam)
     c_const = _clearing_constant(p, r_star)
     if c_const >= 0.0:
-        return EquilibriumPrices(r_star=r_star, w_star=None, valid=False,
-                                 clearing_constant=c_const)
+        return EquilibriumPrices(r_star=r_star, w_star=None, clearing_constant=c_const)
     zl = p.z * p.lam
     sqrt_arg = zl * zl - 8.0 * p.beta * zl * p.gamma * c_const
     # The positive root (-zl + sqrt(sqrt_arg)) / (4 beta zl gamma), rationalized:
@@ -255,18 +251,7 @@ def equilibrium_prices(p: EconomyParams) -> EquilibriumPrices:
     sqrt_t = -2.0 * c_const / (zl + math.sqrt(sqrt_arg))
     # t = ((1-alpha)/w)^(1/alpha) and alpha = 1/2, so w = (1-alpha)/sqrt(t).
     w_star = (1.0 - p.alpha) / sqrt_t
-    return EquilibriumPrices(r_star=r_star, w_star=w_star, valid=True,
-                             clearing_constant=c_const)
-
-
-def equilibrium_economy(p: EconomyParams) -> EconomyParams:
-    """The same economy with prices replaced by their equilibrium values."""
-    prices = equilibrium_prices(p)
-    if not prices.valid:
-        raise DegenerateModelError(
-            "clearing constant is nonnegative: no valid equilibrium wage exists "
-            f"(constant = {prices.clearing_constant:.6g})")
-    return replace(p, w=prices.w_star, r=prices.r_star)
+    return EquilibriumPrices(r_star=r_star, w_star=w_star, clearing_constant=c_const)
 
 
 def labor_residual_at(p: EconomyParams, density: PiecewiseExpDensity | None = None) -> float:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,6 @@ from cogecon.wealth import (
     EconomyParams,
     density_stats,
     drift_diffusion,
-    equilibrium_economy,
     equilibrium_prices,
     labor_residual_at,
     productivity_cutoff,
@@ -286,9 +286,9 @@ def test_criterion_11_labor_market_self_consistency():
     with criterion(11, "labor residual below 1e-8 at the equilibrium prices; "
                        "wage perturbations flip its sign consistently"):
         t0 = time.perf_counter()
-        eq = equilibrium_economy(p)
+        prices = equilibrium_prices(p)
+        eq = replace(p, w=prices.w_star, r=prices.r_star)
         assert abs(labor_residual_at(eq)) < 1e-8
-        from dataclasses import replace
         assert labor_residual_at(replace(eq, w=eq.w * 1.01)) < 0.0
         assert labor_residual_at(replace(eq, w=eq.w * 0.99)) > 0.0
         assert time.perf_counter() - t0 < 1.0

@@ -4,6 +4,7 @@ import io
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from cogecon.config import (
 from cogecon.errors import ConfigError
 from cogecon.tax_model import hazard_ratio_check
 from cogecon.validate import ComboReport, benchmark_combos
-from cogecon.wealth import EQUILIBRIUM_ALPHA, EconomyParams, equilibrium_economy, profit_rate
+from cogecon.wealth import EQUILIBRIUM_ALPHA, EconomyParams, equilibrium_prices, profit_rate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -74,12 +75,6 @@ seed = 9
     assert cfg.wealth_params().lam == 25.0
 
 
-def test_negative_gamma_rejected_with_key_name(tmp_path):
-    path = write_config(tmp_path, "[wealth]\ngamma = -1\n")
-    with pytest.raises(ConfigError, match="gamma must be positive"):
-        parse_config(path)
-
-
 def test_paired_type_requires_explicit_friction(tmp_path):
     path = write_config(tmp_path, "[wealth]\nagent_type = two\n")
     with pytest.raises(ConfigError, match="f_sigma"):
@@ -97,19 +92,14 @@ def test_paired_type_requires_explicit_friction(tmp_path):
     ("gamma = 2\n", "outside of any"),
     ("[wealth\ngamma = 2\n", "malformed section"),
     ("[wealth]\njust words\n", "expected 'key = value'"),
-    ("[tax]\ntau_low = 0.5\ntau_high = 0.3\n", r"\[tax\] tau_low must be below tau_high"),
-    ("[shrinkage]\nmu_s = 1e6\n", r"\[shrinkage\] math range error"),
     ("[run]\nseed = -1\n", r"\[run\] master_seed must fit"),
     (f"[run]\nseed = {2**64}\n", r"\[run\] master_seed must fit"),
-    ("[wealth]\nr = -0.7\n", r"\[wealth\] r \+ delta must be positive"),
     ("[wealth]\nlam = nan\n", r"line 2: value 'nan' for wealth\.lam is not a finite float"),
     ("[cognition]\nbeta_c = inf\n", r"line 2: value 'inf' for cognition\.beta_c is not a finite"),
     ("[equilibrium]\nrho = -inf\n", r"line 2: value '-inf' for equilibrium\.rho is not a finite"),
-    ("[datavalue]\nj_coupling = -1\n", r"\[datavalue\] j_coupling must be nonnegative, got -1\.0"),
     ("[wealth]\nlam = 5\nlam = 25\n", r"line 3: key 'lam' set twice in \[wealth\]"),
     ("[wealth]\nlam = 5\n[run]\nseed = 1\n[wealth]\nlam = 25\n",
      r"line 6: key 'lam' set twice in \[wealth\]"),
-    ("[datavalue]\nref_variance = 1e308\n", r"ref_variance 1e\+308 implies an infinite entropy cap"),
 ])
 def test_parse_errors_carry_line_context(tmp_path, text, needle):
     path = write_config(tmp_path, text)
@@ -188,7 +178,9 @@ def test_equilibrium_prints_the_firm_profit_rate_at_equilibrium_prices(capsys):
     assert run_cli(["equilibrium"]) == 0
     line = next(line for line in capsys.readouterr().out.splitlines()
                 if "firm profit rate at w*" in line)
-    expected = _fmt(profit_rate(equilibrium_economy(default_config().equilibrium_params())))
+    p = default_config().equilibrium_params()
+    prices = equilibrium_prices(p)
+    expected = _fmt(profit_rate(replace(p, w=prices.w_star, r=prices.r_star)))
     assert line.split()[-1] == expected
     # z = 5 lies below the activity cutoff at w*, so the firm would lose money
     assert expected.startswith("-")
@@ -283,12 +275,65 @@ REPORT_VERBS = ("cognition", "datavalue", "consumption", "tax", "wealth", "equil
 @pytest.mark.parametrize("verb", REPORT_VERBS)
 def test_report_out_of_range_exits_one_under_every_report_verb(tmp_path, capsys, verb):
     # Every report is evaluated at load, so a value that only the wealth
-    # verb's last rows overflow on is refused before any verb prints a row.
-    path = write_config(tmp_path, "[wealth]\nbeta = 1e300\n")
-    assert run_cli([verb, "--config", path]) == 1
+    # verb's later rows overflow on is refused before any verb prints a row.
+    # The error names the last row the wealth report yielded before it.
+    for line, row in (("beta = 1e300", "reset rate"), ("w = 1e-100", "configured productivity z")):
+        path = write_config(tmp_path, f"[wealth]\n{line}\n")
+        assert run_cli([verb, "--config", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("config error: [wealth] Numerical result out of range "
+                       f"(values out of floating-point range) after the row '{row}'\n")
+        assert "(34," not in err
+
+
+ALL_VERBS = REPORT_VERBS + ("reproduce", "validate")
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+@pytest.mark.parametrize("text,message", [
+    ("[wealth]\ngamma = -1\n", "[wealth] gamma must be positive, got -1.0"),
+    ("[tax]\ntau_low = 0.5\ntau_high = 0.3\n", "[tax] tau_low must be below tau_high"),
+    ("[shrinkage]\nmu_s = 1e6\n",
+     "[consumption] math range error (values out of floating-point range)"),
+    ("[wealth]\nr = -0.7\n", "[wealth] r + delta must be positive"),
+    ("[datavalue]\nj_coupling = -1\n", "[datavalue] j_coupling must be nonnegative, got -1.0"),
+    ("[datavalue]\nref_variance = 1e308\n", "ref_variance 1e+308 implies an infinite entropy cap"),
+    ("[retention]\nr0 = 2\n", "[cognition] r0 must lie in (0, 1], got 2.0"),
+    ("[cognition]\ngamma_c = 2\n", "[cognition] gamma_c must lie in (0, 1), got 2.0"),
+    ("[consumption]\nomega = -1\n", "[consumption] omega must be positive, got -1.0"),
+    ("[consumption]\nmu_b = -1\n", "[consumption] mu_b must be positive, got -1.0"),
+    ("[consumption]\np1 = 0.3\n", "[consumption] p1 must lie in [0.5, 1), got 0.3"),
+    ("[shrinkage]\nsigma_s = -1\n", "[consumption] sigma_s and sigma_n must be positive"),
+    ("[equilibrium]\ngamma = -1\n", "[equilibrium] gamma must be positive, got -1.0"),
+])
+def test_values_a_report_rejects_exit_one_at_load_under_every_verb(tmp_path, capsys, verb,
+                                                                   text, message):
+    # parse_config loads each file: the value is refused by the validator of
+    # a function that a report's rows call, when the load drains every report.
+    path = write_config(tmp_path, text)
+    parse_config(path)
+    assert run_cli([verb, "--config", path, "--out", str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("config error: [wealth] ") and err.count("\n") == 1
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_degenerate_tax_row_hides_the_tax_preference_rates(tmp_path, capsys, verb):
+    # The tax report's first row, the truncated ability mean, is degenerate at
+    # this cutoff, so its later tax-preference check never runs: the reversed
+    # rates are not refused, and only the tax verb fails, with exit 3.
+    path = write_config(tmp_path, "[tax]\nk_cut = 1e5\ntau_low = 0.5\ntau_high = 0.3\n"
+                                  "[validate]\nn_points = 2001\nn_samples = 20000\n")
+    argv = [verb, "--config", path, "--out", str(tmp_path / "out")]
+    if verb == "reproduce":
+        argv += ["--figure", "1"]  # no figure reads [tax]
+    assert run_cli(argv) == (3 if verb == "tax" else 0)
+    err = capsys.readouterr().err
+    assert err == ("degenerate model: cutoff 100000.0 leaves no ability mass above it at "
+                   "double precision\n" if verb == "tax" else "")
 
 
 def test_warning_of_the_load_check_prints_once(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cogecon.errors import ConfigError, DegenerateModelError
+from cogecon.errors import ConfigError
 from cogecon.validate import benchmark_combos
 from cogecon.wealth import (
     EconomyParams,
@@ -19,7 +19,6 @@ from cogecon.wealth import (
     WealthLaw,
     density_stats,
     drift_diffusion,
-    equilibrium_economy,
     equilibrium_prices,
     firm_policy,
     labor_residual_at,
@@ -30,6 +29,12 @@ from cogecon.wealth import (
 )
 
 EQ = EconomyParams(alpha=0.5)
+
+
+def at_equilibrium(p: EconomyParams) -> EconomyParams:
+    """The same economy with prices replaced by their equilibrium values."""
+    prices = equilibrium_prices(p)
+    return replace(p, w=prices.w_star, r=prices.r_star)
 
 
 def test_productivity_cutoff_hand_value():
@@ -197,18 +202,18 @@ def test_density_stats_flags_divergent_wealth_mean():
     assert heavy.tail_exponent_right < 1.0
     assert not heavy.wealth_mean_exists
     assert heavy.wealth_mean is None
-    light = density_stats(stationary_wealth_density(drift_diffusion(equilibrium_economy(EQ))))
+    light = density_stats(stationary_wealth_density(drift_diffusion(at_equilibrium(EQ))))
     assert light.wealth_mean_exists
     assert light.wealth_mean == pytest.approx(0.7106177648272114, rel=1e-12)
 
 
 def test_equilibrium_reference_values():
     pr = equilibrium_prices(EQ)
-    assert pr.valid
+    assert pr.w_star is not None
     assert pr.r_star == pytest.approx(0.07, abs=1e-15)
     assert pr.clearing_constant == pytest.approx(-7.62, rel=1e-13)
     assert pr.w_star == pytest.approx(2.1074536839916695, rel=1e-13)
-    d = stationary_wealth_density(drift_diffusion(equilibrium_economy(EQ)))
+    d = stationary_wealth_density(drift_diffusion(at_equilibrium(EQ)))
     assert d.rate_left == pytest.approx(1.7024479136224346, rel=1e-12)
     assert d.rate_right == pytest.approx(8.810842246611408, rel=1e-12)
 
@@ -225,7 +230,6 @@ def textbook_sqrt_t(p: EconomyParams) -> float:
 def test_equilibrium_wage_matches_textbook_root(lam, gamma):
     p = EconomyParams(alpha=0.5, lam=lam, gamma=gamma)
     pr = equilibrium_prices(p)
-    assert pr.valid
     assert pr.w_star == pytest.approx((1.0 - p.alpha) / textbook_sqrt_t(p), rel=1e-12)
 
 
@@ -244,11 +248,11 @@ def test_equilibrium_requires_square_root_technology():
 
 
 def test_labor_market_clears_at_equilibrium():
-    assert abs(labor_residual_at(equilibrium_economy(EQ))) < 1e-12
+    assert abs(labor_residual_at(at_equilibrium(EQ))) < 1e-12
 
 
 def test_labor_residual_signs_off_equilibrium():
-    eq = equilibrium_economy(EQ)
+    eq = at_equilibrium(EQ)
     assert labor_residual_at(replace(eq, w=eq.w * 1.01)) < -1e-3
     assert labor_residual_at(replace(eq, w=eq.w * 0.99)) > 1e-3
 
@@ -256,11 +260,8 @@ def test_labor_residual_signs_off_equilibrium():
 def test_invalid_clearing_constant_invalidates_wage():
     bad = EconomyParams(alpha=0.5, theta=0.5, sigma=0.5, lam=50.0)
     pr = equilibrium_prices(bad)
-    assert not pr.valid
     assert pr.w_star is None
     assert pr.clearing_constant > 0.0
-    with pytest.raises(DegenerateModelError, match="clearing constant"):
-        equilibrium_economy(bad)
 
 
 def test_wealth_law_validation():
