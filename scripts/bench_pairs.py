@@ -11,6 +11,10 @@ both checkouts, one after the other; even pairs run the parent first, odd
 pairs the change.  --trace-runs pairs do the same with --trace 1.  The run
 length S is BENCHMARK.json's run_seconds in CHANGE.
 
+After the pairs, each side runs the tier-1 suite once with src on the path,
+``python -m pytest -q --continue-on-collection-errors -p no:cacheprovider``,
+and its wall time and exit code are kept as ``tier1_s`` and ``tier1_exit``.
+
 The JSON file keeps the last line of every run (the benchmark's result), the
 seeds, and for each workload and end-to-end metric of BENCHMARK.json the
 median and quartiles of each side, the pairs the change won, the parent's
@@ -29,6 +33,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 
@@ -62,6 +67,18 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     if proc.returncode != 0 or not lines:
         return {"result": None, "error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
     return {"result": json.loads(lines[-1])}
+
+
+def run_tier1(checkout: Path) -> tuple[float, int]:
+    """Wall time and exit code of one tier-1 pytest run in checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in ("src", env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"],
+        cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return time.perf_counter() - start, proc.returncode
 
 
 def quartiles(values: list[float]) -> dict:
@@ -148,6 +165,12 @@ def main() -> None:
                     path.write_text(json.dumps(out, indent=1) + "\n")
                     status = "ok" if record["result"] is not None else record["error"]
                     print(f"{workload} seed {seed} {side} trace {trace}: {status}", flush=True)
+    out["tier1_s"], out["tier1_exit"] = {}, {}
+    for side, checkout in (("parent", parent), ("change", change)):
+        out["tier1_s"][side], out["tier1_exit"][side] = run_tier1(checkout)
+        path.write_text(json.dumps(out, indent=1) + "\n")
+        print(f"tier-1 {side}: {out['tier1_s'][side]:.1f} s, exit {out['tier1_exit'][side]}",
+              flush=True)
     print(f"wrote {path}")
 
 

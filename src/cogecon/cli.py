@@ -51,6 +51,7 @@ from .figures import FIGURE_IDS
 from .figures import reproduce as build_series
 from .tax_model import (
     check_mass_consistency,
+    check_tax_rates,
     consumptions,
     hazard_ratio_check,
     proposition1_check,
@@ -241,6 +242,9 @@ def consumption(cfg):
 def tax(cfg):
     """Output-tax economy: masses, consumptions, and tax-rate preference."""
     e = cfg.tax_economy()
+    # checked before the first row, which a degenerate cutoff ends
+    tau_low, tau_high = cfg.get("tax", "tau_low"), cfg.get("tax", "tau_high")
+    check_tax_rates(tau_low, tau_high)
     yield "[population]"
     yield "truncated level-ability mean", _fmt(truncated_exp_mean(e.mu_bar, e.sigma_mu, e.k_cut))
     yield "implied investor mass", _fmt(check_mass_consistency(e))
@@ -253,7 +257,6 @@ def tax(cfg):
     yield "government worker", _fmt(c_gov)
     yield "investor", _fmt(c_inv)
     yield "[tax preference]"
-    tau_low, tau_high = cfg.get("tax", "tau_low"), cfg.get("tax", "tau_high")
     u_low, u_high, prefers_low = proposition1_check(e, tau_low, tau_high)
     yield f"expected utility at tau = {tau_low:g}", _fmt(u_low)
     yield f"expected utility at tau = {tau_high:g}", _fmt(u_high)

@@ -20,9 +20,9 @@ from .errors import DegenerateDiffusionError
 from .records import record
 from .rng import RngSpec
 
-# Normals per chunk of either sampler's scratch buffers, and sorted samples
-# per step of validate's KS sweep: 512 KiB per array, small enough to stay in
-# cache, large enough that the per-chunk Python overhead is noise.
+# Normals per chunk of either sampler's scratch buffers, and most sorted
+# samples per batch of validate's pruned KS: 512 KiB per array, small enough
+# to stay in cache, large enough that the per-chunk Python overhead is noise.
 CHUNK = 1 << 16
 
 # Reversion per Euler step of the default step size.

@@ -196,11 +196,16 @@ def expected_utility_investor(e: TaxEconomy, tau: float, mu_b: float = 0.0) -> f
     return math.expm1(one_minus * math.log(base) + log_agg_moment + log_bracket_moment) / one_minus
 
 
+def check_tax_rates(tau_low: float, tau_high: float) -> None:
+    """The two rates Proposition 1 compares must come in order."""
+    if not tau_low < tau_high:
+        raise ValueError("tau_low must be below tau_high")
+
+
 def proposition1_check(e: TaxEconomy, tau_low: float, tau_high: float,
                        mu_b: float = 0.0) -> tuple[float, float, bool]:
     """Utilities at the two tax rates and whether the lower rate wins."""
-    if not tau_low < tau_high:
-        raise ValueError("tau_low must be below tau_high")
+    check_tax_rates(tau_low, tau_high)
     u_low = expected_utility_investor(e, tau_low, mu_b)
     u_high = expected_utility_investor(e, tau_high, mu_b)
     return u_low, u_high, u_low > u_high

@@ -68,14 +68,22 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch):
         return {"result": {"metrics": {"wall_s": {"value": 1.0}},
                            "failed": 0, "attempted": 1, "correct": True}}
 
+    def fake_run_tier1(checkout):
+        events.append(f"tier1 {checkout.name}")
+        return 30.0, 0
+
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_pairs, "run_tier1", fake_run_tier1)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(tmp_path / "parent"), str(change),
                                       "--label", "t", "--runs", "sweep:1-2"])
     bench_pairs.main()
     out = json.loads((tmp_path / "BENCH_t.json").read_text())
-    # even pairs run the parent first, odd pairs the change
-    assert events == ["parent", "change", "change", "parent"]
+    # even pairs run the parent first, odd pairs the change; then each
+    # side's tier-1 suite runs once
+    assert events == ["parent", "change", "change", "parent", "tier1 parent", "tier1 change"]
+    assert out["tier1_s"] == {"parent": 30.0, "change": 30.0}
+    assert out["tier1_exit"] == {"parent": 0, "change": 0}
     assert [(r["pair"], r["side"]) for r in out["runs"]] == [
         (0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
     assert out["summary"]["sweep"]["wall_s"]["pairs"] == 2

@@ -321,11 +321,23 @@ def test_values_a_report_rejects_exit_one_at_load_under_every_verb(tmp_path, cap
 
 
 @pytest.mark.parametrize("verb", ALL_VERBS)
-def test_degenerate_tax_row_hides_the_tax_preference_rates(tmp_path, capsys, verb):
+def test_reversed_tax_rates_exit_one_before_a_degenerate_row(tmp_path, capsys, verb):
     # The tax report's first row, the truncated ability mean, is degenerate at
-    # this cutoff, so its later tax-preference check never runs: the reversed
-    # rates are not refused, and only the tax verb fails, with exit 3.
+    # this cutoff; the rates are checked before it, so every verb refuses them.
     path = write_config(tmp_path, "[tax]\nk_cut = 1e5\ntau_low = 0.5\ntau_high = 0.3\n"
+                                  "[validate]\nn_points = 2001\nn_samples = 20000\n")
+    argv = [verb, "--config", path, "--out", str(tmp_path / "out")]
+    if verb == "reproduce":
+        argv += ["--figure", "1"]  # no figure reads [tax]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "config error: [tax] tau_low must be below tau_high\n"
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_degenerate_tax_row_fails_only_the_tax_verb(tmp_path, capsys, verb):
+    # With its rates in order, the same cutoff is in range: only the tax
+    # verb, which reports the degenerate mean, fails, with exit 3.
+    path = write_config(tmp_path, "[tax]\nk_cut = 1e5\n"
                                   "[validate]\nn_points = 2001\nn_samples = 20000\n")
     argv = [verb, "--config", path, "--out", str(tmp_path / "out")]
     if verb == "reproduce":
@@ -729,6 +741,57 @@ def test_fuzzed_scenario_files_leave_through_an_exit_code(tmp_path_factory, text
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
         main([verb, "--config", str(path)])
+    code = exc.value.code or 0
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code:
+        assert len([ln for ln in err.getvalue().splitlines()
+                    if not ln.startswith("warning: ")]) == 1
+
+
+# Ensemble files drawn from parse_ensemble's grammar: header lines, known or
+# not and maybe repeated, a [sources] block and an [interactions] block whose
+# pairs may be out of range, reversed or repeated.  Values are ordinary, at an
+# extreme of the float range, non-finite or malformed.
+ENSEMBLE_ORDINARY = st.sampled_from(["1", "0.5", "2.5", "0.1", "3"])
+ENSEMBLE_EXTREMES = st.sampled_from(["0", "-0", "-1", "1e308", "1e-320", "nan", "1e400",
+                                     "fast", ""])
+ENSEMBLE_VALUES = st.one_of(ENSEMBLE_ORDINARY, ENSEMBLE_ORDINARY, ENSEMBLE_ORDINARY,
+                            ENSEMBLE_EXTREMES)
+ENSEMBLE_HEADERS = st.builds("{} = {}".format,
+                             st.sampled_from(["j", "ref_variance", "j", "ref_variance", "k"]),
+                             ENSEMBLE_VALUES)
+ENSEMBLE_SOURCES = st.builds("{} {}".format,
+                             st.sampled_from(["uniform", "gaussian"] * 4 + ["cauchy"]),
+                             ENSEMBLE_VALUES)
+ENSEMBLE_INDICES = st.one_of(st.integers(1, 3), st.integers(1, 3), st.integers(-1, 5))
+ENSEMBLE_PAIRS = st.builds("{} {} {} {}".format, ENSEMBLE_INDICES, ENSEMBLE_INDICES,
+                           ENSEMBLE_VALUES, ENSEMBLE_VALUES)
+
+
+@st.composite
+def ensemble_file(draw) -> str:
+    lines = draw(st.lists(ENSEMBLE_HEADERS, max_size=2))
+    lines += ["[sources]"] + draw(st.lists(ENSEMBLE_SOURCES, max_size=3))
+    if draw(st.booleans()):
+        lines += ["[interactions]"] + draw(st.lists(ENSEMBLE_PAIRS, max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["[sources]", "[interactions]", "[nosuchsection]",
+                                           "j = 1", "uniform 1", "1 2 0.1 0.1"])))
+    return "\n".join(lines) + "\n"
+
+
+# 300 files take about 2 s in-process on a 2-core x86-64 VM.
+@settings(max_examples=300, deadline=None)
+@given(text=ensemble_file())
+def test_fuzzed_ensemble_files_leave_through_an_exit_code(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_ensemble.txt"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["datavalue", "--ensemble", str(path)])
     code = exc.value.code or 0
     event(f"exit {code}")
     assert code in (0, 1, 2, 3)

@@ -9,6 +9,8 @@ import pytest
 
 import cogecon.validate as validate_mod
 from cogecon import sde
+from cogecon.config import default_config
+from cogecon.densities import PiecewiseExpDensity
 from cogecon.errors import DegenerateModelError
 from cogecon.rng import RngSpec
 from cogecon.validate import (
@@ -54,10 +56,8 @@ def test_ks_distance_hand_case():
         ks_distance(np.array([]), d)
 
 
-def test_ks_distance_of_exact_quantiles_is_small():
-    # samples placed at the (i - 1/2)/n model quantiles by bisection
-    d = stationary_wealth_density(LAW)
-    n = 2000
+def exact_quantiles(d, n):
+    """Samples placed at the (i - 1/2)/n model quantiles by bisection."""
     targets = (np.arange(n) + 0.5) / n
     lo, hi = np.full(n, -80.0), np.full(n, 80.0)
     for _ in range(60):
@@ -65,7 +65,13 @@ def test_ks_distance_of_exact_quantiles_is_small():
         below = d.cdf(mid) < targets
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    assert ks_distance(0.5 * (lo + hi), d) <= 0.5 / n + 1e-9
+    return 0.5 * (lo + hi)
+
+
+def test_ks_distance_of_exact_quantiles_is_small():
+    d = stationary_wealth_density(LAW)
+    n = 2000
+    assert ks_distance(exact_quantiles(d, n), d) <= 0.5 / n + 1e-9
 
 
 def whole_array_ks(samples, density):
@@ -81,7 +87,11 @@ def whole_array_ks(samples, density):
 CHUNK = sde.CHUNK
 
 
-@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 1_000_003])
+def same_bits(a, b):
+    return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, CHUNK - 1, CHUNK, CHUNK + 1, 1_000_003])
 @pytest.mark.parametrize("side", ["both", "left", "right"])
 def test_streamed_ks_equals_whole_array_ks(n, side):
     d = stationary_wealth_density(LAW)
@@ -96,14 +106,58 @@ def test_streamed_ks_equals_whole_array_ks(n, side):
     elif side == "right":
         x = np.abs(x)
     expected = whole_array_ks(x, d)
-    got = ks_distance(x, d)
-    assert np.float64(got).view(np.uint64) == np.float64(expected).view(np.uint64)
+    assert same_bits(ks_distance(x, d), expected)
     assert np.all(x[1:] >= x[:-1])   # sorted in place, as documented
 
 
+@pytest.mark.parametrize("case", ["all_equal", "wrong_law", "quantiles", "quantiles_batched"])
+def test_pruned_ks_equals_whole_array_ks(case):
+    # Samples where a wrong pruning would show: one value repeated, a law
+    # far from the model (large D), and exact quantiles, where every gap is
+    # close to D, so nearly every block is kept; at 3 CHUNK + 5 samples the
+    # kept blocks take four batches, the last one short.
+    d = stationary_wealth_density(LAW)
+    if case == "all_equal":
+        x = np.full(1000, 0.3)
+    elif case == "wrong_law":
+        x = sde.simulate_gbm_reset(LAW.mu * 1.05, LAW.sigma_x, LAW.reset_rate, RngSpec(4),
+                                   100_000)
+    else:
+        x = exact_quantiles(d, 2000 if case == "quantiles" else 3 * CHUNK + 5)
+    expected = whole_array_ks(x, d)
+    assert same_bits(ks_distance(x, d), expected)
+    if case == "wrong_law":
+        assert expected > 0.01
+
+
+def test_ks_of_the_benchmark_laws_evaluates_few_samples(monkeypatch):
+    # The 13 laws of `cogecon validate --seed 42` at full size: the pruned
+    # maximum is the whole array's bit for bit, and the model cdf sees at
+    # most 5 % of the samples, so a fallback to the full pass fails here.
+    n = 1_000_000
+    evaluated = []
+    cdf = PiecewiseExpDensity.cdf
+
+    def counting_cdf(self, x):
+        evaluated.append(np.size(x))
+        return cdf(self, x)
+
+    configured = drift_diffusion(default_config().wealth_params())
+    for _, law, rng in validation_jobs(42, configured=configured):
+        x = sde.simulate_gbm_reset(law.mu, abs(law.sigma_x), law.reset_rate, rng, n)
+        d = stationary_wealth_density(law)
+        expected = whole_array_ks(x, d)
+        evaluated.clear()
+        with monkeypatch.context() as m:
+            m.setattr(PiecewiseExpDensity, "cdf", counting_cdf)
+            got = ks_distance(x, d)
+        assert same_bits(got, expected)
+        assert 0 < sum(evaluated) <= 0.05 * n
+
+
 def test_mc_ks_memory_stays_near_its_sample():
-    # The sample (8 bytes each) is the only n-sized array; sort, cdf and gaps
-    # work in place or chunk by chunk.
+    # The sample (8 bytes each) is the only n-sized array; the sort works in
+    # place, and cdf and gaps run on the marks and the kept blocks alone.
     n = 1_000_000
     mc_ks_for(LAW, RngSpec(5), 1000)
     tracemalloc.start()
@@ -112,7 +166,7 @@ def test_mc_ks_memory_stays_near_its_sample():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * n + 4 * 2**20
+    assert peak <= 8 * n + 1.5 * 2**20
 
 
 def test_pooled_reports_equal_sequential_loop():
