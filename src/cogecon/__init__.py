@@ -8,8 +8,8 @@ cross-validated against independent finite-difference and Monte Carlo
 oracles; the CLI reproduces the figure-backing data series as CSV.
 """
 
-# The wealth pipeline a sweep of economies runs; every other name is imported
-# from the module that defines it.
+# The wealth pipeline a sweep of economies runs, which loads without numpy;
+# every other name is imported from the module that defines it.
 from .wealth import EconomyParams, density_stats, drift_diffusion, stationary_wealth_density
 
 __version__ = "0.1.0"

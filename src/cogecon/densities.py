@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import field
 
-import numpy as np
-
 from .errors import DegenerateDiffusionError
 from .records import record
 
@@ -57,6 +55,10 @@ class PiecewiseExpDensity:
     # -- pointwise evaluation -------------------------------------------------
 
     def pdf(self, x):
+        # Imported here: `import cogecon` and the scalar wealth chain skip
+        # numpy's import, the larger part of their start-up.
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         out = np.where(x < 0.0,
                        self.norm_K * np.exp(self.rate_left * np.minimum(x, 0.0)),
@@ -64,6 +66,8 @@ class PiecewiseExpDensity:
         return out if out.ndim else float(out)
 
     def cdf(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         left_mass = self.norm_K / self.rate_left
         right_mass = self.norm_K / self.rate_right

@@ -30,6 +30,10 @@ _FACTORY = _Factory()
 def record(cls: type) -> type:
     """cls as a frozen, slotted dataclass whose __init__ stores through the slots."""
     doc = cls.__doc__
+    if doc is None:
+        # A placeholder, so that dataclass skips the signature of
+        # object.__init__; the real one is set from __init__ below.
+        cls.__doc__ = cls.__name__
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     env = {"_FACTORY": _FACTORY}
     params, body, annotations = [], [], {"return": None}

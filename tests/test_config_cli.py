@@ -1,5 +1,6 @@
 """Scenario-file parsing, override plumbing, CLI exit codes and cold start."""
 
+import inspect
 import io
 import subprocess
 import sys
@@ -26,7 +27,15 @@ from cogecon.config import (
 from cogecon.errors import ConfigError
 from cogecon.tax_model import hazard_ratio_check
 from cogecon.validate import ComboReport, benchmark_combos
-from cogecon.wealth import EQUILIBRIUM_ALPHA, EconomyParams, equilibrium_prices, profit_rate
+from cogecon.wealth import (
+    EQUILIBRIUM_ALPHA,
+    EconomyParams,
+    density_stats,
+    drift_diffusion,
+    equilibrium_prices,
+    profit_rate,
+    stationary_wealth_density,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -818,6 +827,58 @@ def test_package_import_loads_only_the_wealth_pipeline():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == str(["cogecon", "cogecon.densities", "cogecon.errors",
                                "cogecon.records", "cogecon.wealth"]) + "\n"
+
+
+# The four names run on `math` alone.  numpy loads on the first pdf or cdf,
+# called on scalars before the probe imports numpy itself; every value matches
+# the one of this process, which imported numpy first.
+NO_NUMPY_ECONOMIES = ({}, {"gamma": 5.0, "lam": 20.0}, {"sigma": 0.2, "f_sigma": 0.3})
+NO_NUMPY_POINTS = (-3.0, -0.25, 0.0, 0.5, 4.0)
+
+
+def _wealth_chain_values():
+    values, densities = [], []
+    for kw in NO_NUMPY_ECONOMIES:
+        law = drift_diffusion(EconomyParams(**kw))
+        d = stationary_wealth_density(law)
+        s = density_stats(d)
+        values += [law.mu, law.sigma_x, law.reset_rate, d.norm_K, s.mean_x, s.var_x,
+                   s.tail_exponent_left, s.tail_exponent_right]
+        densities.append(d)
+    return [v.hex() for v in values], densities
+
+
+def _density_values(densities):
+    curves = [f for d in densities for f in (d.pdf, d.cdf)]
+    values = [f(x) for f in curves for x in NO_NUMPY_POINTS]
+    import numpy as np
+
+    values += [v for f in curves for v in f(np.array(NO_NUMPY_POINTS))]
+    return [float(v).hex() for v in values]
+
+
+# The probe runs the two helpers above from their source: importing this
+# module would load numpy through cogecon.cli.
+NO_NUMPY_PROBE = "\n".join([
+    "import sys",
+    "from cogecon import EconomyParams, density_stats, drift_diffusion, "
+    "stationary_wealth_density",
+    f"NO_NUMPY_ECONOMIES, NO_NUMPY_POINTS = {NO_NUMPY_ECONOMIES!r}, {NO_NUMPY_POINTS!r}",
+    inspect.getsource(_wealth_chain_values),
+    inspect.getsource(_density_values),
+    "values, densities = _wealth_chain_values()",
+    'assert "numpy" not in sys.modules',
+    "print(values)",
+    "print(_density_values(densities))",
+])
+
+
+def test_wealth_chain_runs_without_numpy():
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    values, densities = _wealth_chain_values()
+    assert proc.stdout.splitlines() == [str(values), str(_density_values(densities))]
 
 
 # Runs every verb in a fresh interpreter in which `import scipy` fails, so
