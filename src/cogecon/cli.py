@@ -323,27 +323,23 @@ def equilibrium(cfg):
     yield "firm profit rate at w*", _fmt(profit_rate(eq))
 
 
-@scenario_command(click.option("--figure", "figure_spec", default="all", metavar="N|all",
-                               help="figure id in 1..14, or all"))
+@scenario_command(click.option("--figure", "figure_spec", default="all",
+                               type=click.Choice(["all", *map(str, FIGURE_IDS)]),
+                               help="one figure's id, or all"))
 def reproduce(cfg, figure_spec) -> None:
     """Write the CSV data series behind the reference figures."""
-    if figure_spec == "all":
-        ids = FIGURE_IDS
-    else:
-        try:
-            fid = int(figure_spec)
-        except ValueError:
-            raise click.BadParameter(f"--figure expects an integer or 'all', got {figure_spec!r}")
-        if fid not in FIGURE_IDS:
-            raise click.BadParameter(f"--figure must lie in 1..14, got {fid}")
-        ids = (fid,)
-    for fid in ids:
+    for fid in FIGURE_IDS if figure_spec == "all" else (int(figure_spec),):
         # a swept column can leave floating-point range where every report is in it
         try:
             series = build_series(fid, cfg)
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"figure {fid}: {exc}") from exc
-        click.echo(f"wrote {series.write(cfg.out_dir)}")
+        try:
+            path = series.write(cfg.out_dir)
+        except OSError as exc:
+            raise ConfigError(f"figure {fid}: cannot write {series.name}.csv "
+                              f"under {cfg.out_dir}: {exc.strerror or exc}") from exc
+        click.echo(f"wrote {path}")
 
 
 @scenario_command()

@@ -35,7 +35,6 @@ from .wealth import EQUILIBRIUM_ALPHA, EconomyParams
 @record
 class _Key:
     default: object
-    kind: type
     help: str
 
 
@@ -58,77 +57,77 @@ _ECONOMY_HELP = {
 
 
 def _economy_keys(*omitted: str) -> dict[str, _Key]:
-    return {f.name: _Key(f.default, float, _ECONOMY_HELP[f.name])
+    return {f.name: _Key(f.default, _ECONOMY_HELP[f.name])
             for f in fields(EconomyParams) if f.name not in omitted}
 
 
-# Every configurable key, its default, and what it means.
+# Every configurable key: its default (a file's value is parsed as its type) and what it means.
 SCHEMA: dict[str, dict[str, _Key]] = {
     "run": {
-        "seed": _Key(42, int, "master seed for every stochastic routine"),
-        "out": _Key("out", str, "directory for CSV output"),
+        "seed": _Key(42, "master seed for every stochastic routine"),
+        "out": _Key("out", "directory for CSV output"),
     },
     "cognition": {
-        "mu_c": _Key(2.0, float, "cognitive recovery rate"),
-        "eta_c": _Key(1.0, float, "per-contact dilution intensity"),
-        "sigma_c": _Key(0.4, float, "interaction strength"),
-        "gamma_c": _Key(0.4, float, "crowding discount exponent, in (0,1)"),
-        "psi_c": _Key(0.4, float, "volatility scale of the resource process"),
-        "beta_c": _Key(0.8, float, "Poisson refresh rate of the resource process"),
-        "theta_c": _Key(2.0, float, "gross growth multiple per recovery event"),
-        "n": _Key(10, int, "number of competing agents"),
+        "mu_c": _Key(2.0, "cognitive recovery rate"),
+        "eta_c": _Key(1.0, "per-contact dilution intensity"),
+        "sigma_c": _Key(0.4, "interaction strength"),
+        "gamma_c": _Key(0.4, "crowding discount exponent, in (0,1)"),
+        "psi_c": _Key(0.4, "volatility scale of the resource process"),
+        "beta_c": _Key(0.8, "Poisson refresh rate of the resource process"),
+        "theta_c": _Key(2.0, "gross growth multiple per recovery event"),
+        "n": _Key(10, "number of competing agents"),
     },
     "retention": {
-        "r0": _Key(0.99, float, "initial retention share, in (0,1]"),
-        "dilution_rate": _Key(3.0, float, "retention dilution rate"),
-        "recovery_rate": _Key(2.0, float, "retention recovery rate"),
+        "r0": _Key(0.99, "initial retention share, in (0,1]"),
+        "dilution_rate": _Key(3.0, "retention dilution rate"),
+        "recovery_rate": _Key(2.0, "retention recovery rate"),
     },
     "datavalue": {
-        "j_coupling": _Key(1.0, float, "interaction coupling of the demo ensemble"),
-        "ref_variance": _Key(1.0, float, "variance of the reference gaussian setting the entropy cap"),
+        "j_coupling": _Key(1.0, "interaction coupling of the demo ensemble"),
+        "ref_variance": _Key(1.0, "variance of the reference gaussian setting the entropy cap"),
     },
     "consumption": {
-        "scale": _Key(1.15, float, "gross adjustment multiplier of the weight function"),
-        "omega": _Key(100.0, float, "crowd size at which the two belief regimes weigh equally"),
-        "d_bar": _Key(0.5, float, "neutral data value"),
-        "reversion": _Key(0.1, float, "mean-reversion rate of the data-value process"),
-        "volatility": _Key(0.8, float, "volatility of the data-value process"),
-        "horizon": _Key(60.0, float, "simulation horizon used to reach the stationary regime"),
-        "n_paths": _Key(1000, int, "Monte Carlo paths for the average adjustment curves"),
-        "beta_b": _Key(0.8, float, "shrinkage exponent of the non-Bayesian adjustment"),
-        "mu_b": _Key(0.9, float, "level multiplier of the non-Bayesian adjustment"),
-        "p1": _Key(0.75, float, "upward belief used in the adjustment report, in [0.5,1)"),
+        "scale": _Key(1.15, "gross adjustment multiplier of the weight function"),
+        "omega": _Key(100.0, "crowd size at which the two belief regimes weigh equally"),
+        "d_bar": _Key(0.5, "neutral data value"),
+        "reversion": _Key(0.1, "mean-reversion rate of the data-value process"),
+        "volatility": _Key(0.8, "volatility of the data-value process"),
+        "horizon": _Key(60.0, "simulation horizon used to reach the stationary regime"),
+        "n_paths": _Key(1000, "Monte Carlo paths for the average adjustment curves"),
+        "beta_b": _Key(0.8, "shrinkage exponent of the non-Bayesian adjustment"),
+        "mu_b": _Key(0.9, "level multiplier of the non-Bayesian adjustment"),
+        "p1": _Key(0.75, "upward belief used in the adjustment report, in [0.5,1)"),
     },
     "shrinkage": {
-        "sigma_s": _Key(1.0, float, "log dispersion of the true adjustment"),
-        "sigma_n": _Key(0.5, float, "log noise of the observed estimate"),
-        "mu_s": _Key(0.0, float, "log-mean of the true adjustment"),
+        "sigma_s": _Key(1.0, "log dispersion of the true adjustment"),
+        "sigma_n": _Key(0.5, "log noise of the observed estimate"),
+        "mu_s": _Key(0.0, "log-mean of the true adjustment"),
     },
     "tax": {
-        "tau": _Key(0.3, float, "output tax rate"),
-        "tau_low": _Key(0.2, float, "lower tax rate compared in the preference check"),
-        "tau_high": _Key(0.4, float, "higher tax rate compared in the preference check"),
-        "g_scale": _Key(1.0, float, "output scale"),
-        "m": _Key(0.5, float, "investor mass, in (0,1)"),
-        "mu_bar": _Key(0.0, float, "mean log ability"),
-        "sigma_mu": _Key(1.0, float, "dispersion of log ability"),
-        "k_cut": _Key(0.0, float, "ability cutoff defining investors"),
-        "sigma_agg": _Key(0.2, float, "aggregate shock scale"),
-        "sigma_idio": _Key(0.2, float, "idiosyncratic shock scale"),
-        "theta_c": _Key(0.5, float, "risky technology share, in [0,1]"),
-        "gamma_b": _Key(2.0, float, "CRRA curvature of investors"),
+        "tau": _Key(0.3, "output tax rate"),
+        "tau_low": _Key(0.2, "lower tax rate compared in the preference check"),
+        "tau_high": _Key(0.4, "higher tax rate compared in the preference check"),
+        "g_scale": _Key(1.0, "output scale"),
+        "m": _Key(0.5, "investor mass, in (0,1)"),
+        "mu_bar": _Key(0.0, "mean log ability"),
+        "sigma_mu": _Key(1.0, "dispersion of log ability"),
+        "k_cut": _Key(0.0, "ability cutoff defining investors"),
+        "sigma_agg": _Key(0.2, "aggregate shock scale"),
+        "sigma_idio": _Key(0.2, "idiosyncratic shock scale"),
+        "theta_c": _Key(0.5, "risky technology share, in [0,1]"),
+        "gamma_b": _Key(2.0, "CRRA curvature of investors"),
     },
     "wealth": {
         **_economy_keys(),
-        "agent_type": _Key("one", str,
+        "agent_type": _Key("one",
                            "leverage regime: one = fixed friction, two = friction paired to leverage"),
     },
     # The wage and the rate are equilibrium outcomes, and the closed-form
     # clearing fixes alpha at EQUILIBRIUM_ALPHA.
     "equilibrium": _economy_keys("alpha", "w", "r"),
     "validate": {
-        "n_points": _Key(4001, int, "finite-difference grid points per density check"),
-        "n_samples": _Key(1000000, int, "Monte Carlo samples per density check"),
+        "n_points": _Key(4001, "finite-difference grid points per density check"),
+        "n_samples": _Key(1000000, "Monte Carlo samples per density check"),
     },
 }
 
@@ -153,10 +152,8 @@ class ScenarioConfig:
     def out_dir(self) -> str:
         return self.values["run"]["out"]
 
-    def cognition_params(self, **overrides) -> CognitionParams:
-        kw = dict(self.values["cognition"])
-        kw.update(overrides)
-        return CognitionParams(**kw)
+    def cognition_params(self) -> CognitionParams:
+        return CognitionParams(**self.values["cognition"])
 
     def retention_params(self) -> RetentionParams:
         return RetentionParams(**self.values["retention"])
@@ -195,10 +192,9 @@ class ScenarioConfig:
             return None
         return self.values["wealth"]["agent_type"]
 
-    def wealth_params(self, **overrides) -> EconomyParams:
+    def wealth_params(self) -> EconomyParams:
         kw = dict(self.values["wealth"])
         kw.pop("agent_type")
-        kw.update(overrides)
         return EconomyParams(**kw)
 
     def equilibrium_params(self) -> EconomyParams:
@@ -283,7 +279,8 @@ def parse_config(path: str | Path | None) -> ScenarioConfig:
             raise ConfigError(f"unknown key {key!r} in [{section}]")
         if cfg.origins[section][key] == "file":
             raise ConfigError(f"key {key!r} set twice in [{section}]")
-        cfg.values[section][key] = _parse_value(raw, SCHEMA[section][key].kind, f"{section}.{key}")
+        cfg.values[section][key] = _parse_value(raw, type(SCHEMA[section][key].default),
+                                                 f"{section}.{key}")
         cfg.origins[section][key] = "file"
 
     _scan_lines(path, "config", SCHEMA, handle)

@@ -163,21 +163,19 @@ class CawfCurves:
     n_low: int
 
 
-def default_n_grid(top: float = 300.0, points: int = 50) -> np.ndarray:
-    """Geometric crowd-size grid from 1 to top."""
-    return np.geomspace(1.0, top, points)
+def default_n_grid() -> np.ndarray:
+    """Geometric crowd-size grid of 50 points from 1 to 300."""
+    return np.geomspace(1.0, 300.0, 50)
 
 
-def cawf_montecarlo(p: CawfParams, rng: RngSpec, n_grid=None) -> CawfCurves:
+def cawf_montecarlo(p: CawfParams, rng: RngSpec) -> CawfCurves:
     """Average CAWF curves over stationary draws of the data-value process.
 
     Draws p.n_paths terminal values of the reflected mean-reverting process,
     splits them at d_bar into high-value and low-value environments, and
-    averages the CAWF over each group on the crowd-size grid.
+    averages the CAWF over each group on the default crowd-size grid.
     """
-    if n_grid is None:
-        n_grid = default_n_grid()
-    n_grid = np.asarray(n_grid, dtype=float)
+    n_grid = default_n_grid()
     draws = simulate_ou_reflected(p.ou, rng, p.n_paths,
                                   record_times=[p.ou.horizon])[:, -1]
     high = draws[draws > p.d_bar]
@@ -202,19 +200,16 @@ def cawf_montecarlo(p: CawfParams, rng: RngSpec, n_grid=None) -> CawfCurves:
 
 @record
 class EffectiveConsumption:
-    """Total consumption and its data-driven adjustment."""
+    """The data-driven adjustment of one unit of total consumption."""
 
-    c_total: float
     c_delta: float
 
     def __post_init__(self) -> None:
-        if self.c_total <= 0.0:
-            raise ValueError(f"c_total must be positive, got {self.c_total}")
         if self.c_delta <= -1.0:
             raise ValueError(f"c_delta must exceed -1, got {self.c_delta}")
 
     def utility_consumption(self) -> float:
-        return self.c_total * (1.0 + self.c_delta)
+        return 1.0 + self.c_delta
 
 
 def effective_consumption(d_value: float, p: CawfParams) -> EffectiveConsumption:
@@ -224,7 +219,7 @@ def effective_consumption(d_value: float, p: CawfParams) -> EffectiveConsumption
     if c_delta <= -1.0:
         raise ValueError(f"scale = {p.scale} and d_bar = {p.d_bar} put the CAWF at "
                          f"D = {d_value:g}, n = omega at {c_delta}, at or below -1")
-    return EffectiveConsumption(c_total=1.0, c_delta=c_delta)
+    return EffectiveConsumption(c_delta=c_delta)
 
 
 def net_utility(e: EffectiveConsumption, gamma: float) -> float:

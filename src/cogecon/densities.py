@@ -71,20 +71,10 @@ class PiecewiseExpDensity:
         x = np.asarray(x, dtype=float)
         left_mass = self.norm_K / self.rate_left
         right_mass = self.norm_K / self.rate_right
-        # Each branch runs only on its own elements, in place: the KS oracle
-        # calls this on a million samples, where temporaries cost more than
-        # exp.  Its samples are sorted, so each mask is one run of elements.
-        left = x < 0.0
-        right = ~left
-        out = np.multiply(self.rate_left, x, out=np.empty_like(x), where=left)
-        np.multiply(-self.rate_right, x, out=out, where=right)
-        np.exp(out, out=out)
-        # left: left_mass * exp(rate_left * x)
-        np.multiply(left_mass, out, out=out, where=left)
-        # right: left_mass + right_mass * (1 - exp(-rate_right * x))
-        np.subtract(1.0, out, out=out, where=right)
-        np.multiply(right_mass, out, out=out, where=right)
-        np.add(left_mass, out, out=out, where=right)
+        out = np.where(
+            x < 0.0,
+            left_mass * np.exp(self.rate_left * np.minimum(x, 0.0)),
+            left_mass + right_mass * (1.0 - np.exp(-self.rate_right * np.maximum(x, 0.0))))
         return out if out.ndim else float(out)
 
     # -- moments ---------------------------------------------------------------

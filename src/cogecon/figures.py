@@ -10,13 +10,15 @@ id, so nothing depends on scheduling or thread count.
 from __future__ import annotations
 
 import functools
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .cognition import RetentionParams, retention_trajectory, stationary_cognition_density
+from .cognition import (CognitionParams, RetentionParams, retention_trajectory,
+                        stationary_cognition_density)
 from .config import ScenarioConfig
-from .consumption import cawf, cawf_montecarlo, default_n_grid
+from .consumption import cawf, cawf_montecarlo
 from .errors import ConfigError
 from .records import record
 from .rng import RngSpec
@@ -42,11 +44,8 @@ RETENTION_STARTS = (0.99, 0.5, 0.1)
 # Regime pin for the strong-dilution cognition panel.
 STRONG_DILUTION_ETA = 2.1
 
-FIGURE_IDS = tuple(range(1, 15))
-
-# Wealth panels split by leverage regime: fixed friction vs friction paired
-# to the leverage tier.
-TYPE_ONE_FIGURES = frozenset({7, 8, 11, 12})
+# Wealth panels with the friction paired to the leverage tier; the other
+# wealth panels hold it fixed.
 TYPE_TWO_FIGURES = frozenset({9, 10, 13, 14})
 
 
@@ -96,24 +95,17 @@ def _figure_retention(cfg: ScenarioConfig) -> SeriesTable:
     return SeriesTable("figure01", tuple(columns), np.column_stack(series), meta)
 
 
-def _cognition_density_table(cfg: ScenarioConfig, figure_id: int, n_values,
-                             eta_override: float | None) -> SeriesTable:
-    x = COGNITION_X_GRID
-    columns = ["x"]
-    series = [x]
-    overrides = {} if eta_override is None else {"eta_c": eta_override}
-    for n in n_values:
-        p = cfg.cognition_params(n=n, **overrides)
-        d = stationary_cognition_density(p)
-        columns.append(f"n{n}")
-        series.append(d.pdf(x))
-    p0 = cfg.cognition_params(**overrides)
-    meta = {"figure": figure_id, "seed": "unused",
-            "params": _params_echo({
-                "mu_c": p0.mu_c, "eta_c": p0.eta_c, "sigma_c": p0.sigma_c,
-                "gamma_c": p0.gamma_c, "psi_c": p0.psi_c, "beta_c": p0.beta_c,
-                "theta_c": p0.theta_c, "n": list(n_values)})}
-    return SeriesTable(f"figure{figure_id:02d}", tuple(columns), np.column_stack(series), meta)
+def _density_table(figure_id: int, x: np.ndarray, densities: dict, params: dict) -> SeriesTable:
+    """Stationary densities on the grid x, one column per label of densities."""
+    meta = {"figure": figure_id, "seed": "unused", "params": _params_echo(params)}
+    return SeriesTable(f"figure{figure_id:02d}", ("x", *densities),
+                       np.column_stack([x, *(d.pdf(x) for d in densities.values())]), meta)
+
+
+def _cognition_density_table(figure_id: int, p: CognitionParams, crowd: tuple) -> SeriesTable:
+    """Stationary log-resource densities of p at each crowd size n."""
+    densities = {f"n{n}": stationary_cognition_density(replace(p, n=n)) for n in crowd}
+    return _density_table(figure_id, COGNITION_X_GRID, densities, {**asdict(p), "n": list(crowd)})
 
 
 def _figure_shrinkage_lines(cfg: ScenarioConfig) -> SeriesTable:
@@ -121,8 +113,7 @@ def _figure_shrinkage_lines(cfg: ScenarioConfig) -> SeriesTable:
     p = cfg.shrinkage_params()
     ln_s = np.linspace(-2.0, 2.0, 401)
     ln_hat = p.beta_b * ln_s + np.log(p.mu_b)
-    meta = {"figure": 4, "seed": "unused",
-            "params": _params_echo({"beta_b": p.beta_b, "mu_b": p.mu_b})}
+    meta = {"figure": 4, "seed": "unused", "params": _params_echo(asdict(p))}
     return SeriesTable("figure04", ("ln_s", "ln_bayes", "ln_nonbayes"),
                        np.column_stack([ln_s, ln_s, ln_hat]), meta)
 
@@ -148,7 +139,7 @@ def _figure_cawf_montecarlo(cfg: ScenarioConfig) -> SeriesTable:
     """Average adjustment curves over stationary data-value draws."""
     p = cfg.cawf_params()
     rng = RngSpec(cfg.seed, stream_id=6)
-    curves = cawf_montecarlo(p, rng, default_n_grid())
+    curves = cawf_montecarlo(p, rng)
     meta = {"figure": 6, "seed": cfg.seed,
             "params": _params_echo({
                 "scale": p.scale, "omega": p.omega, "d_bar": p.d_bar,
@@ -171,6 +162,8 @@ _WEALTH_ASSETS = {
     7: (("", ASSET_LOW),), 8: (("", ASSET_HIGH),), 9: (("", ASSET_LOW),), 10: (("", ASSET_HIGH),),
     11: _THETA_AXIS, 12: _SIGMA_AXIS, 13: _THETA_AXIS, 14: _SIGMA_AXIS,
 }
+# The EconomyParams fields of a wealth_sweeps economy, in its order.
+_SWEPT_FIELDS = ("theta", "sigma", "lam", "f_sigma")
 
 
 def wealth_sweeps(figure_id: int) -> list[tuple[str, tuple[float, float, float, float]]]:
@@ -183,47 +176,40 @@ def wealth_sweeps(figure_id: int) -> list[tuple[str, tuple[float, float, float, 
 
 def _wealth_density_table(cfg: ScenarioConfig, figure_id: int) -> SeriesTable:
     """Stationary log-wealth densities, one column per economy of wealth_sweeps."""
-    x = WEALTH_X_GRID
-    columns = ["x"]
-    series = [x]
-    sweeps = wealth_sweeps(figure_id)
-    for label, (theta, sigma, lam, f_sigma) in sweeps:
-        p = cfg.wealth_params(theta=theta, sigma=sigma, lam=lam, f_sigma=f_sigma)
-        density = stationary_wealth_density(drift_diffusion(p))
-        columns.append(label)
-        series.append(density.pdf(x))
     base = cfg.wealth_params()
-    meta = {"figure": figure_id, "seed": "unused",
-            "params": _params_echo({
-                "rho": base.rho, "gamma": base.gamma, "alpha": base.alpha,
-                "delta": base.delta, "beta": base.beta, "w": base.w,
-                "r": base.r, "z": base.z,
-                "sweeps": [f"{lbl}:theta={t:g},sigma={s:g},lam={l:g},f={f:g}"
-                           for lbl, (t, s, l, f) in sweeps]})}
-    return SeriesTable(f"figure{figure_id:02d}", tuple(columns), np.column_stack(series), meta)
+    sweeps = wealth_sweeps(figure_id)
+    densities = {label: stationary_wealth_density(drift_diffusion(
+                     replace(base, **dict(zip(_SWEPT_FIELDS, economy)))))
+                 for label, economy in sweeps}
+    params = {k: v for k, v in asdict(base).items() if k not in _SWEPT_FIELDS}
+    params["sweeps"] = [f"{lbl}:theta={t:g},sigma={s:g},lam={l:g},f={f:g}"
+                        for lbl, (t, s, l, f) in sweeps]
+    return _density_table(figure_id, WEALTH_X_GRID, densities, params)
 
 
 # Figure id -> builder of its series.
 _BUILDERS = {
     1: _figure_retention,
-    2: lambda cfg: _cognition_density_table(cfg, 2, (10, 15, 20, 25), eta_override=None),
-    3: lambda cfg: _cognition_density_table(cfg, 3, (10, 25), eta_override=STRONG_DILUTION_ETA),
+    2: lambda cfg: _cognition_density_table(2, cfg.cognition_params(), (10, 15, 20, 25)),
+    3: lambda cfg: _cognition_density_table(
+        3, replace(cfg.cognition_params(), eta_c=STRONG_DILUTION_ETA), (10, 25)),
     4: _figure_shrinkage_lines,
     5: _figure_cawf_slices,
     6: _figure_cawf_montecarlo,
     **{fid: functools.partial(_wealth_density_table, figure_id=fid) for fid in _WEALTH_ASSETS},
 }
+FIGURE_IDS = tuple(_BUILDERS)
 
 
 def reproduce(figure_id: int, cfg: ScenarioConfig) -> SeriesTable:
-    """Build the data series behind one reference figure (1 through 14)."""
+    """Build the data series behind one reference figure, an id of FIGURE_IDS."""
     if figure_id not in FIGURE_IDS:
-        raise ValueError(f"figure_id must be in 1..14, got {figure_id}")
+        raise ValueError(f"figure_id must be one of {FIGURE_IDS}, got {figure_id}")
     explicit = cfg.explicit_agent_type
     if explicit == "one" and figure_id in TYPE_TWO_FIGURES:
         raise ConfigError(f"figure {figure_id} shows the paired-friction regime; "
                           "config pins agent_type = one")
-    if explicit == "two" and figure_id in TYPE_ONE_FIGURES:
+    if explicit == "two" and figure_id in _WEALTH_ASSETS.keys() - TYPE_TWO_FIGURES:
         raise ConfigError(f"figure {figure_id} shows the fixed-friction regime; "
                           "config pins agent_type = two")
     return _BUILDERS[figure_id](cfg)

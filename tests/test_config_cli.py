@@ -1,7 +1,9 @@
 """Scenario-file parsing, override plumbing, CLI exit codes and cold start."""
 
+import errno
 import inspect
 import io
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -592,9 +594,31 @@ def test_reproduce_seed_flag_reaches_output(tmp_path):
     assert b"# seed: 7" in raw
 
 
-def test_reproduce_rejects_bad_figure_numbers(capsys):
-    assert run_cli(["reproduce", "--figure", "99"]) == 1
-    assert run_cli(["reproduce", "--figure", "zero"]) == 1
+def test_reproduce_rejects_bad_figure_numbers(tmp_path, capsys):
+    out = tmp_path / "series"
+    for spec in ("99", "zero", "0", "15", "06", "6.0"):
+        assert run_cli(["reproduce", "--figure", spec, "--out", str(out)]) == 1, spec
+        assert not out.exists(), spec
+    assert run_cli(["reproduce", "--figure", "14", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["figure14.csv"]
+
+
+@pytest.mark.parametrize("out_name, errno_code", [
+    ("file", errno.EEXIST), ("file/series", errno.ENOTDIR), ("series", errno.EISDIR)])
+def test_unwritable_out_exits_one(tmp_path, capsys, out_name, errno_code):
+    # --out is a file, lies under a file, or holds a directory named figure03.csv
+    (tmp_path / "file").write_text("")
+    (tmp_path / "series" / "figure03.csv").mkdir(parents=True)
+    out = tmp_path / out_name
+    fid = 3 if out_name == "series" else 1
+    assert run_cli(["reproduce", "--out", str(out)]) == 1
+    reason = os.strerror(errno_code)
+    assert capsys.readouterr().err == (f"config error: figure {fid}: cannot write "
+                                       f"figure{fid:02d}.csv under {out}: {reason}\n")
+    if out_name == "series":
+        # the figures written before the failure stay
+        assert sorted(p.name for p in out.iterdir()) == ["figure01.csv", "figure02.csv",
+                                                         "figure03.csv"]
 
 
 def test_degenerate_data_value_draws_exit_three(tmp_path, capsys):

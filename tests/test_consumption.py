@@ -150,14 +150,12 @@ def test_montecarlo_deterministic():
 
 
 def test_effective_consumption_and_utility():
-    e = EffectiveConsumption(c_total=2.0, c_delta=0.15)
-    assert e.utility_consumption() == pytest.approx(2.3, rel=1e-15)
-    assert net_utility(e, gamma=1.0) == pytest.approx(math.log(2.3), rel=1e-14)
-    assert net_utility(e, gamma=2.0) == pytest.approx(2.3 ** (-1.0) / (-1.0), rel=1e-14)
+    e = EffectiveConsumption(c_delta=0.15)
+    assert e.utility_consumption() == 1.15
+    assert net_utility(e, gamma=1.0) == pytest.approx(math.log(1.15), rel=1e-14)
+    assert net_utility(e, gamma=2.0) == pytest.approx(1.15 ** (-1.0) / (-1.0), rel=1e-14)
     with pytest.raises(ValueError):
-        EffectiveConsumption(c_total=2.0, c_delta=-1.0)
-    with pytest.raises(ValueError):
-        EffectiveConsumption(c_total=0.0, c_delta=0.1)
+        EffectiveConsumption(c_delta=-1.0)
 
 
 def test_cawf_param_validation():

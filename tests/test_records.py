@@ -31,12 +31,12 @@ LAW = drift_diffusion(CFG.wealth_params())
 
 # One valid instance of each record, by class name.
 EXAMPLES = {
-    "_Key": lambda: cogecon.config._Key(1.0, float, "help"),
+    "_Key": lambda: cogecon.config._Key(1.0, "help"),
     "ScenarioConfig": lambda: CFG,
     "ShrinkageParams": CFG.shrinkage_params,
     "CawfParams": CFG.cawf_params,
     "CawfCurves": lambda: CawfCurves(*[np.ones(3)] * 4, 1, 2),
-    "EffectiveConsumption": lambda: EffectiveConsumption(1.0, 0.1),
+    "EffectiveConsumption": lambda: EffectiveConsumption(0.1),
     "ComboReport": lambda: cogecon.validate.ComboReport("x", LAW, 1e-5, 1e-3, 1e-3, 0.02),
     "RetentionParams": CFG.retention_params,
     "CognitionParams": CFG.cognition_params,

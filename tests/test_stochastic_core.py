@@ -75,6 +75,40 @@ def test_cdf_properties(drift, vol, reset):
     assert d.cdf(0.0) == pytest.approx(d.norm_K / d.rate_left, rel=1e-12)
 
 
+def masked_cdf(d: PiecewiseExpDensity, x):
+    """The cdf as an in-place masked evaluation: each branch on its own elements."""
+    x = np.asarray(x, dtype=float)
+    left_mass = d.norm_K / d.rate_left
+    right_mass = d.norm_K / d.rate_right
+    left = x < 0.0
+    right = ~left
+    out = np.multiply(d.rate_left, x, out=np.empty_like(x), where=left)
+    np.multiply(-d.rate_right, x, out=out, where=right)
+    np.exp(out, out=out)
+    np.multiply(left_mass, out, out=out, where=left)
+    np.subtract(1.0, out, out=out, where=right)
+    np.multiply(right_mass, out, out=out, where=right)
+    np.add(left_mass, out, out=out, where=right)
+    return out if out.ndim else float(out)
+
+
+def test_cdf_equals_masked_form_bit_for_bit():
+    def bits(value):
+        return np.asarray(value, dtype=float).view(np.uint64)
+
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324])
+    rng = np.random.default_rng(3)
+    for drift, vol, reset in ((0.1, 0.4, 0.3), (-0.7, 0.5, 0.4), (2.0, 0.05, 1e-3)):
+        d = PiecewiseExpDensity.from_reset_law(drift=drift, vol=vol, reset_rate=reset)
+        for x in (*specials, 1e300, -1e300, 3.0 / d.rate_right, -3.0 / d.rate_left):
+            assert bits(d.cdf(x)) == bits(masked_cdf(d, x)), (d, x)
+        for size in (1, 63, 64, 65, 15_626, 100_003):
+            x = rng.standard_normal(size) * 4.0 / min(d.rate_left, d.rate_right)
+            x[rng.integers(0, size, min(size, 14))] = np.resize(specials, min(size, 14))
+            for values in (x, np.sort(x)):
+                assert np.array_equal(bits(d.cdf(values)), bits(masked_cdf(d, values))), (d, size)
+
+
 def test_mean_sign_follows_drift():
     for drift in (-0.7, -0.1, 0.1, 0.7):
         d = PiecewiseExpDensity.from_reset_law(drift=drift, vol=0.5, reset_rate=0.4)
