@@ -21,12 +21,12 @@ import click
 import numpy as np
 
 from .cognition import (
+    cognition_law,
     dilution_fraction,
     dilution_threshold,
     gbm_coefficients,
     retention_limit,
     retention_trajectory,
-    stationary_cognition_density,
     steady_state_resource,
 )
 from .config import apply_overrides, config_error, explain_lines, parse_config
@@ -67,7 +67,6 @@ from .wealth import (
     policy_functions,
     productivity_cutoff,
     profit_rate,
-    stationary_wealth_density,
 )
 
 
@@ -178,7 +177,7 @@ def cognition(cfg):
     yield "resource drift phi", _fmt(phi)
     yield "resource volatility omega", _fmt(omega)
     yield "effective log drift", _fmt(sigma)
-    stats = density_stats(stationary_cognition_density(p))
+    stats = density_stats(cognition_law(p).density())
     yield "[stationary log density]"
     yield "mean", _fmt(stats.mean_x)
     yield "variance", _fmt(stats.var_x)
@@ -298,7 +297,7 @@ def wealth(cfg):
     yield "drift mu", _fmt(law.mu)
     yield "volatility sigma_x", _fmt(law.sigma_x)
     yield "reset rate", _fmt(law.reset_rate)
-    yield from _wealth_stats_rows("[stationary density]", stationary_wealth_density(law))
+    yield from _wealth_stats_rows("[stationary density]", law.density())
 
 
 @scenario_command()
@@ -316,7 +315,7 @@ def equilibrium(cfg):
             f"({_fmt(prices.clearing_constant)}); no equilibrium wage exists")
     yield "equilibrium wage w*", _fmt(prices.w_star)
     eq = replace(p, w=prices.w_star, r=prices.r_star)
-    density = stationary_wealth_density(drift_diffusion(eq))
+    density = drift_diffusion(eq).density()
     yield from _wealth_stats_rows("[equilibrium density]", density)
     yield "[consistency]"
     yield "labor-market residual", _fmt(labor_residual_at(eq, density))

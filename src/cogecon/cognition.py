@@ -2,15 +2,15 @@
 
 Two layers: a deterministic retention share following a logistic law (dilution
 pulls the share down, recovery pulls it back up), and a geometric growth
-process for the resource level whose log settles into a two-sided exponential
-stationary density under Poisson refresh events.
+process for the resource level whose log, refreshed at Poisson events, is a
+ResetLaw with a two-sided exponential stationary density.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .densities import PiecewiseExpDensity
+from .densities import ResetLaw
 from .records import record
 
 # Below this gap between recovery and dilution the logistic solution switches
@@ -129,14 +129,14 @@ def gbm_coefficients(p: CognitionParams) -> tuple[float, float, float]:
     return phi, omega, sigma
 
 
-def stationary_cognition_density(p: CognitionParams) -> PiecewiseExpDensity:
-    """Stationary law of the log resource under Poisson refresh at rate beta_c.
+def cognition_law(p: CognitionParams) -> ResetLaw:
+    """Law of the log resource between Poisson refreshes at rate beta_c.
 
-    Raises DegenerateDiffusionError at n = 1, where the volatility channel
-    shuts off.
+    At n = 1 the volatility channel shuts off, and the law's density()
+    raises DegenerateDiffusionError.
     """
     _, omega, sigma = gbm_coefficients(p)
-    return PiecewiseExpDensity.from_reset_law(drift=sigma, vol=omega, reset_rate=p.beta_c)
+    return ResetLaw(sigma, omega, p.beta_c)
 
 
 def retention_ode_rhs(p: RetentionParams, r: float) -> float:

@@ -1,9 +1,9 @@
-"""Two-sided exponential stationary densities.
+"""Reset laws and their two-sided exponential stationary densities.
 
 A drift-diffusion in log space that is reset to a fixed point at a constant
 Poisson rate settles into a piecewise exponential stationary law: one decay
 rate to the left of the reset point, another to the right.  Both the
-cognitive-resource process and the wealth process land on this family, with
+cognitive-resource process and the wealth process are such a ResetLaw, with
 different coefficient maps feeding the same algebra.
 """
 
@@ -98,6 +98,24 @@ class PiecewiseExpDensity:
         if self.rate_right <= 1.0:
             return None
         return self.norm_K * (1.0 / (self.rate_left + 1.0) + 1.0 / (self.rate_right - 1.0))
+
+
+@record
+class ResetLaw:
+    """dx = mu dt + sigma_x dW between resets to x = 0 at Poisson rate reset_rate."""
+
+    mu: float
+    sigma_x: float
+    reset_rate: float
+
+    def __post_init__(self) -> None:
+        if self.reset_rate <= 0.0:
+            raise ValueError(f"reset_rate must be positive, got {self.reset_rate}")
+
+    def density(self) -> PiecewiseExpDensity:
+        """The stationary law; raises DegenerateDiffusionError when sigma_x = 0."""
+        # Through the class attribute, which perfbench's tracer patches.
+        return PiecewiseExpDensity.from_reset_law(self.mu, self.sigma_x, self.reset_rate)
 
 
 # The frozen record refuses setattr; the derived field is stored through its slot.

@@ -15,14 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cognition import (CognitionParams, RetentionParams, retention_trajectory,
-                        stationary_cognition_density)
+from .cognition import CognitionParams, RetentionParams, cognition_law, retention_trajectory
 from .config import ScenarioConfig
 from .consumption import cawf, cawf_montecarlo
 from .errors import ConfigError
 from .records import record
 from .rng import RngSpec
-from .wealth import drift_diffusion, stationary_wealth_density
+from .wealth import EconomyParams, drift_diffusion
 
 # Sweep constants shared by the wealth figures: leverage tiers with the
 # attention-friction levels paired to them, the low and high asset settings,
@@ -41,8 +40,11 @@ COGNITION_X_GRID = np.linspace(-6.0, 6.0, 1201)
 RETENTION_LEGS = ((3.0, 2.0), (5.0, 6.0), (4.0, 4.0))
 RETENTION_STARTS = (0.99, 0.5, 0.1)
 
-# Regime pin for the strong-dilution cognition panel.
+# Crowd sizes n of the cognition panels, and the regime pin and crowd sizes
+# of the strong-dilution one.
+COGNITION_CROWD = (10, 15, 20, 25)
 STRONG_DILUTION_ETA = 2.1
+STRONG_DILUTION_CROWD = (10, 25)
 
 # Wealth panels with the friction paired to the leverage tier; the other
 # wealth panels hold it fixed.
@@ -95,17 +97,17 @@ def _figure_retention(cfg: ScenarioConfig) -> SeriesTable:
     return SeriesTable("figure01", tuple(columns), np.column_stack(series), meta)
 
 
-def _density_table(figure_id: int, x: np.ndarray, densities: dict, params: dict) -> SeriesTable:
-    """Stationary densities on the grid x, one column per label of densities."""
+def _density_table(figure_id: int, x: np.ndarray, laws: dict, params: dict) -> SeriesTable:
+    """Stationary densities on the grid x, one column per label of laws."""
     meta = {"figure": figure_id, "seed": "unused", "params": _params_echo(params)}
-    return SeriesTable(f"figure{figure_id:02d}", ("x", *densities),
-                       np.column_stack([x, *(d.pdf(x) for d in densities.values())]), meta)
+    pdfs = [law.density().pdf(x) for law in laws.values()]
+    return SeriesTable(f"figure{figure_id:02d}", ("x", *laws), np.column_stack([x, *pdfs]), meta)
 
 
 def _cognition_density_table(figure_id: int, p: CognitionParams, crowd: tuple) -> SeriesTable:
     """Stationary log-resource densities of p at each crowd size n."""
-    densities = {f"n{n}": stationary_cognition_density(replace(p, n=n)) for n in crowd}
-    return _density_table(figure_id, COGNITION_X_GRID, densities, {**asdict(p), "n": list(crowd)})
+    laws = {f"n{n}": cognition_law(replace(p, n=n)) for n in crowd}
+    return _density_table(figure_id, COGNITION_X_GRID, laws, {**asdict(p), "n": list(crowd)})
 
 
 def _figure_shrinkage_lines(cfg: ScenarioConfig) -> SeriesTable:
@@ -162,37 +164,34 @@ _WEALTH_ASSETS = {
     7: (("", ASSET_LOW),), 8: (("", ASSET_HIGH),), 9: (("", ASSET_LOW),), 10: (("", ASSET_HIGH),),
     11: _THETA_AXIS, 12: _SIGMA_AXIS, 13: _THETA_AXIS, 14: _SIGMA_AXIS,
 }
-# The EconomyParams fields of a wealth_sweeps economy, in its order.
-_SWEPT_FIELDS = ("theta", "sigma", "lam", "f_sigma")
 
 
-def wealth_sweeps(figure_id: int) -> list[tuple[str, tuple[float, float, float, float]]]:
-    """The columns of wealth figure 7-14: (label, (theta, sigma, lam, f_sigma)) each."""
+def wealth_economies(figure_id: int, base: EconomyParams) -> list[tuple[str, EconomyParams]]:
+    """Columns of wealth figure 7-14: (label, base at the column's theta, sigma, lam, f_sigma)."""
     f_values = F_SIGMA_TIERS if figure_id in TYPE_TWO_FIGURES else (1.0, 1.0, 1.0)
-    return [(prefix + lam_label, (theta, sigma, lam, f_sigma))
+    return [(prefix + lam_label, replace(base, theta=theta, sigma=sigma, lam=lam, f_sigma=f_sigma))
             for prefix, (theta, sigma) in _WEALTH_ASSETS[figure_id]
             for lam_label, lam, f_sigma in zip(LAMBDA_LABELS, LAMBDA_TIERS, f_values)]
 
 
 def _wealth_density_table(cfg: ScenarioConfig, figure_id: int) -> SeriesTable:
-    """Stationary log-wealth densities, one column per economy of wealth_sweeps."""
+    """Stationary log-wealth densities, one column per economy of wealth_economies."""
     base = cfg.wealth_params()
-    sweeps = wealth_sweeps(figure_id)
-    densities = {label: stationary_wealth_density(drift_diffusion(
-                     replace(base, **dict(zip(_SWEPT_FIELDS, economy)))))
-                 for label, economy in sweeps}
-    params = {k: v for k, v in asdict(base).items() if k not in _SWEPT_FIELDS}
-    params["sweeps"] = [f"{lbl}:theta={t:g},sigma={s:g},lam={l:g},f={f:g}"
-                        for lbl, (t, s, l, f) in sweeps]
-    return _density_table(figure_id, WEALTH_X_GRID, densities, params)
+    economies = wealth_economies(figure_id, base)
+    params = {k: v for k, v in asdict(base).items()
+              if k not in ("theta", "sigma", "lam", "f_sigma")}
+    params["sweeps"] = [f"{label}:theta={p.theta:g},sigma={p.sigma:g},lam={p.lam:g},"
+                        f"f={p.f_sigma:g}" for label, p in economies]
+    return _density_table(figure_id, WEALTH_X_GRID,
+                          {label: drift_diffusion(p) for label, p in economies}, params)
 
 
 # Figure id -> builder of its series.
 _BUILDERS = {
     1: _figure_retention,
-    2: lambda cfg: _cognition_density_table(2, cfg.cognition_params(), (10, 15, 20, 25)),
+    2: lambda cfg: _cognition_density_table(2, cfg.cognition_params(), COGNITION_CROWD),
     3: lambda cfg: _cognition_density_table(
-        3, replace(cfg.cognition_params(), eta_c=STRONG_DILUTION_ETA), (10, 25)),
+        3, replace(cfg.cognition_params(), eta_c=STRONG_DILUTION_ETA), STRONG_DILUTION_CROWD),
     4: _figure_shrinkage_lines,
     5: _figure_cawf_slices,
     6: _figure_cawf_montecarlo,

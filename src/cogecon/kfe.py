@@ -68,7 +68,9 @@ def _bernoulli(z: float) -> float:
     """B(z) = z / (e^z - 1), the fitting factor of the Scharfetter-Gummel flux."""
     if abs(z) < 1e-10:
         return 1.0 - 0.5 * z
-    return z / np.expm1(z)
+    # Above z ~ 709.8 expm1 overflows to inf, and z / inf = 0.0 is the limit.
+    with np.errstate(over="ignore"):
+        return z / np.expm1(z)
 
 
 def _solve_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,

@@ -1,10 +1,10 @@
-"""Dual-route validation of the closed-form wealth densities.
+"""Dual-route validation of the closed-form stationary densities.
 
-Every analytic stationary density is checked two independent ways: a
+The stationary density of every ResetLaw is checked two independent ways: a
 finite-difference solve of the stationary forward equation on a tail-resolving
 grid, and a Kolmogorov-Smirnov distance against exact Monte Carlo samples of
-the reset diffusion.  Both take the closed form's (drift, vol, reset_rate)
-triple, and the FD grid's ends are placed from its two tail rates.  Those
+the reset diffusion.  Both oracles take the law's (mu, sigma_x, reset_rate),
+and the FD grid's ends are placed from its density's two tail rates.  Those
 choose only which law is checked and where the forward equation is solved;
 the FD values and the samples come from the equation and the sampler alone,
 so agreement is evidence rather than tautology.
@@ -17,14 +17,14 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .densities import PiecewiseExpDensity
+from .densities import PiecewiseExpDensity, ResetLaw
 from .errors import ValidationError
-from .figures import TYPE_TWO_FIGURES, wealth_sweeps
+from .figures import TYPE_TWO_FIGURES, wealth_economies
 from .kfe import Grid1D, solve_stationary_kfe_fd
 from .records import record
 from .rng import RngSpec
 from .sde import CHUNK, simulate_gbm_reset
-from .wealth import EconomyParams, WealthLaw, drift_diffusion, stationary_wealth_density
+from .wealth import EconomyParams, drift_diffusion
 
 # ln(1e8): the FD domain extends until each exponential tail has decayed by
 # eight orders of magnitude, so truncation error sits far below the tolerance.
@@ -45,7 +45,7 @@ _KS_SLACK = 1e-12
 @record
 class ComboReport:
     label: str
-    law: WealthLaw
+    law: ResetLaw
     fd_error: float
     fd_tol: float
     ks_distance: float
@@ -63,14 +63,9 @@ def benchmark_combos() -> list[tuple[str, EconomyParams]]:
     and six with the friction level paired to leverage, each at the low and
     high asset settings.
     """
-    combos = []
-    for fid in (7, 8, 9, 10):
-        paired = fid in TYPE_TWO_FIGURES
-        for _, (theta, sigma, lam, f_sigma) in wealth_sweeps(fid):
-            regime = f"type2_lam{lam:g}_f{f_sigma:g}" if paired else f"type1_lam{lam:g}"
-            combos.append((f"{regime}_theta{theta:g}_sigma{sigma:g}",
-                           EconomyParams(theta=theta, sigma=sigma, lam=lam, f_sigma=f_sigma)))
-    return combos
+    return [((f"type2_lam{p.lam:g}_f{p.f_sigma:g}" if fid in TYPE_TWO_FIGURES
+              else f"type1_lam{p.lam:g}") + f"_theta{p.theta:g}_sigma{p.sigma:g}", p)
+            for fid in (7, 8, 9, 10) for _, p in wealth_economies(fid, EconomyParams())]
 
 
 def ks_distance(samples: np.ndarray, density: PiecewiseExpDensity) -> float:
@@ -113,33 +108,33 @@ def ks_distance(samples: np.ndarray, density: PiecewiseExpDensity) -> float:
     return float(dist)
 
 
-def fd_grid_for(law: WealthLaw, n_points: int) -> Grid1D:
+def fd_grid_for(law: ResetLaw, n_points: int) -> Grid1D:
     """Tail-adaptive grid: wide enough that both exponential tails vanish."""
-    analytic = stationary_wealth_density(law)
+    analytic = law.density()
     left_width = TAIL_DECADES_LOG / analytic.rate_left
     right_width = TAIL_DECADES_LOG / analytic.rate_right
     return Grid1D.around_point(0.0, left_width, right_width, n_points)
 
 
-def fd_density_error(law: WealthLaw, n_points: int) -> float:
+def fd_density_error(law: ResetLaw, n_points: int) -> float:
     """Max abs deviation between the closed form and an FD solve of the
     stationary forward equation."""
-    analytic = stationary_wealth_density(law)
+    analytic = law.density()
     grid = fd_grid_for(law, n_points)
     numeric = solve_stationary_kfe_fd(law.mu, abs(law.sigma_x), law.reset_rate, grid)
     return float(np.max(np.abs(numeric - analytic.pdf(grid.nodes()))))
 
 
-def mc_ks_for(law: WealthLaw, rng: RngSpec, n_samples: int) -> float:
+def mc_ks_for(law: ResetLaw, rng: RngSpec, n_samples: int) -> float:
     """KS distance between exact reset-diffusion samples and the closed form.
 
     The samples are this function's own, so KS sorts them in place.
     """
     samples = simulate_gbm_reset(law.mu, abs(law.sigma_x), law.reset_rate, rng, n_samples)
-    return ks_distance(samples, stationary_wealth_density(law))
+    return ks_distance(samples, law.density())
 
 
-def run_density_validation(law: WealthLaw, rng: RngSpec, label: str, n_points: int,
+def run_density_validation(law: ResetLaw, rng: RngSpec, label: str, n_points: int,
                            n_samples: int) -> ComboReport:
     return ComboReport(label=label, law=law,
                        fd_error=fd_density_error(law, n_points), fd_tol=FD_TOL,
@@ -147,7 +142,7 @@ def run_density_validation(law: WealthLaw, rng: RngSpec, label: str, n_points: i
 
 
 def validation_jobs(master_seed: int,
-                    configured: WealthLaw | None = None) -> list[tuple[str, WealthLaw, RngSpec]]:
+                    configured: ResetLaw | None = None) -> list[tuple[str, ResetLaw, RngSpec]]:
     """(label, law, rng) jobs: the configured law, when given, on Monte Carlo
     stream 99, then benchmark law idx on stream 100 + idx, so each report is
     reproducible on its own."""
@@ -157,7 +152,7 @@ def validation_jobs(master_seed: int,
                    for idx, (label, params) in enumerate(benchmark_combos())]
 
 
-def run_validations(jobs: Sequence[tuple[str, WealthLaw, RngSpec]], n_points: int,
+def run_validations(jobs: Sequence[tuple[str, ResetLaw, RngSpec]], n_points: int,
                     n_samples: int) -> Iterator[ComboReport]:
     """Validate each (label, law, rng) job; yield the reports in job order.
 

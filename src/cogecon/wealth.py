@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .densities import PiecewiseExpDensity
+from .densities import PiecewiseExpDensity, ResetLaw
 from .errors import ConfigError, DegenerateModelError
 from .records import record
 
@@ -155,20 +155,7 @@ def policy_functions(p: EconomyParams) -> PolicyCoefficients:
     return PolicyCoefficients(kappa_coeff=excess / gamma_var, c_coeff=c_coeff)
 
 
-@record
-class WealthLaw:
-    """Log-wealth drift and volatility between redistribution events."""
-
-    mu: float
-    sigma_x: float
-    reset_rate: float
-
-    def __post_init__(self) -> None:
-        if self.reset_rate <= 0.0:
-            raise ValueError(f"reset_rate must be positive, got {self.reset_rate}")
-
-
-def drift_diffusion(p: EconomyParams) -> WealthLaw:
+def drift_diffusion(p: EconomyParams) -> ResetLaw:
     """Coefficients of d(log a) = mu dt + sigma_x dW implied by the optimal policies.
 
     sigma_x = (theta - r) / (gamma sigma) carries the sign of the excess
@@ -180,12 +167,11 @@ def drift_diffusion(p: EconomyParams) -> WealthLaw:
     # This chain (drift_diffusion, stationary_wealth_density, density_stats)
     # builds its records positionally, in field order: through type.__call__
     # each keyword argument costs about 130 ns more.
-    return WealthLaw(mu, sigma_x, p.beta)
+    return ResetLaw(mu, sigma_x, p.beta)
 
 
-def stationary_wealth_density(law: WealthLaw) -> PiecewiseExpDensity:
-    """Two-sided exponential stationary law of log wealth around the reset point."""
-    return PiecewiseExpDensity.from_reset_law(law.mu, law.sigma_x, law.reset_rate)
+# The package's name for the stationary law of log wealth, law.density().
+stationary_wealth_density = ResetLaw.density
 
 
 @record
@@ -259,7 +245,7 @@ def labor_residual_at(p: EconomyParams, density: PiecewiseExpDensity | None = No
     at whatever prices p carries, with the level-wealth mean taken from the
     stationary density those prices imply.  A caller that has already built
     that density passes it as density."""
-    d = stationary_wealth_density(drift_diffusion(p)) if density is None else density
+    d = drift_diffusion(p).density() if density is None else density
     wealth_mean = d.exp_moment()
     if wealth_mean is None:
         raise DegenerateModelError(

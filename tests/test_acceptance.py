@@ -22,11 +22,11 @@ from scipy.integrate import quad, solve_ivp
 from cogecon.cognition import (
     CognitionParams,
     RetentionParams,
+    cognition_law,
     dilution_fraction,
     dilution_threshold,
     retention_ode_rhs,
     retention_trajectory,
-    stationary_cognition_density,
 )
 from cogecon.config import default_config
 from cogecon.consumption import (
@@ -186,8 +186,8 @@ def test_criterion_7_cognition_closed_form_and_density():
 
         for eta in (1.0, 2.1):  # recovery-dominant and dilution-dominant
             cfg = dict(base, eta_c=eta)
-            means = [stationary_cognition_density(
-                CognitionParams(n=n, **cfg)).mean() for n in (10, 15, 20, 25)]
+            means = [cognition_law(
+                CognitionParams(n=n, **cfg)).density().mean() for n in (10, 15, 20, 25)]
             assert means[0] > means[1] > means[2] > means[3]
         assert time.perf_counter() - t0 < 10.0
 

@@ -8,13 +8,13 @@ from scipy.integrate import solve_ivp
 from cogecon.cognition import (
     CognitionParams,
     RetentionParams,
+    cognition_law,
     dilution_fraction,
     dilution_threshold,
     gbm_coefficients,
     retention_limit,
     retention_ode_rhs,
     retention_trajectory,
-    stationary_cognition_density,
     steady_state_resource,
 )
 
@@ -108,14 +108,14 @@ def test_density_mean_decreasing_in_n_both_regimes():
         for n in (10, 15, 20, 25):
             p = CognitionParams(mu_c=2.0, eta_c=eta, sigma_c=0.4, gamma_c=0.4,
                                 psi_c=0.4, beta_c=0.8, theta_c=2.0, n=n)
-            means.append(stationary_cognition_density(p).mean())
+            means.append(cognition_law(p).density().mean())
         assert all(a > b for a, b in zip(means, means[1:]))
 
 
 def test_density_uses_refresh_rate_as_reset():
     p = CognitionParams(mu_c=2.0, eta_c=1.0, sigma_c=0.4, gamma_c=0.4,
                         psi_c=0.4, beta_c=0.8, theta_c=2.0, n=10)
-    d = stationary_cognition_density(p)
+    d = cognition_law(p).density()
     _, omega, sigma = gbm_coefficients(p)
     s = np.sqrt(sigma**2 + 2.0 * p.beta_c * omega**2)
     assert d.rate_right == pytest.approx((s - sigma) / omega**2, rel=1e-12)

@@ -51,7 +51,7 @@ EXAMPLES = {
     "EconomyParams": CFG.wealth_params,
     "FirmPolicy": lambda: FirmPolicy(5.0, 2.0, 0.3, 1.5),
     "PolicyCoefficients": lambda: policy_functions(CFG.wealth_params()),
-    "WealthLaw": lambda: LAW,
+    "ResetLaw": lambda: LAW,
     "DensityStats": lambda: cogecon.density_stats(cogecon.stationary_wealth_density(LAW)),
     "EquilibriumPrices": lambda: equilibrium_prices(CFG.equilibrium_params()),
     "PiecewiseExpDensity": lambda: cogecon.stationary_wealth_density(LAW),
@@ -111,6 +111,6 @@ def test_record_is_frozen_slotted_with_the_dataclass_signature(cls):
 
 
 def test_scalar_records_are_among_the_plain_ones():
-    for name in ("EconomyParams", "WealthLaw", "PiecewiseExpDensity", "DensityStats", "RngSpec"):
+    for name in ("EconomyParams", "ResetLaw", "PiecewiseExpDensity", "DensityStats", "RngSpec"):
         assert _plain(EXAMPLES[name]())
 

@@ -478,6 +478,12 @@ def test_bernoulli_series_branch_continuous():
         assert _bernoulli(np.array([z]))[0] == pytest.approx(1.0 - z / 2.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_bernoulli_overflow_gives_its_zero_limit_without_warning():
+    # expm1 overflows past z ~ 709.8; z / inf is already the limit B -> 0.
+    assert _bernoulli(800.0) == 0.0
+
+
 def test_fd_matches_closed_form():
     d = PiecewiseExpDensity.from_reset_law(drift=0.2465236032, vol=0.4, reset_rate=0.3)
     grid = Grid1D.around_point(0.0, 19.0 / d.rate_left, 19.0 / d.rate_right, 4001)

@@ -3,15 +3,19 @@
 import os
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cogecon.validate as validate_mod
 from cogecon import sde
+from cogecon.cognition import cognition_law
 from cogecon.config import default_config
-from cogecon.densities import PiecewiseExpDensity
+from cogecon.densities import PiecewiseExpDensity, ResetLaw
 from cogecon.errors import DegenerateModelError
+from cogecon.figures import (COGNITION_CROWD, STRONG_DILUTION_CROWD, STRONG_DILUTION_ETA,
+                             wealth_economies)
 from cogecon.rng import RngSpec
 from cogecon.validate import (
     FD_TOL,
@@ -24,11 +28,12 @@ from cogecon.validate import (
     run_density_validation,
     run_validations,
     benchmark_combos,
+    check_reports,
     validation_jobs,
 )
-from cogecon.wealth import WealthLaw, drift_diffusion, stationary_wealth_density
+from cogecon.wealth import drift_diffusion, stationary_wealth_density
 
-LAW = WealthLaw(mu=0.2465236032020286, sigma_x=0.4, reset_rate=0.3)
+LAW = ResetLaw(mu=0.2465236032020286, sigma_x=0.4, reset_rate=0.3)
 
 
 def test_twelve_combos_cover_both_regimes():
@@ -255,3 +260,26 @@ def test_type2_laws_flip_drift_sign_across_tiers():
     mus = [drift_diffusion(p).mu for label, p in benchmark_combos()
            if label.startswith("type2_") and "theta0.05" in label]
     assert mus[0] < 0.0 < mus[-1]
+
+
+def test_every_plotted_law_passes_both_oracles():
+    # validate's benchmark laws are figures 7-10's columns; the other 30
+    # plotted laws, figures 11-14's and figures 2-3's cognition laws, pass
+    # both oracles at full size on streams of their own.
+    cfg = default_config()
+    plotted = {fid: [(f"fig{fid} {label}", drift_diffusion(p))
+                     for label, p in wealth_economies(fid, cfg.wealth_params())]
+               for fid in range(7, 15)}
+    assert [law for _, law, _ in validation_jobs(cfg.seed)] == [
+        law for fid in (7, 8, 9, 10) for _, law in plotted[fid]]
+
+    laws = [job for fid in (11, 12, 13, 14) for job in plotted[fid]]
+    weak = cfg.cognition_params()
+    strong = replace(weak, eta_c=STRONG_DILUTION_ETA)
+    laws += [(f"fig2 n{n}", cognition_law(replace(weak, n=n))) for n in COGNITION_CROWD]
+    laws += [(f"fig3 n{n}", cognition_law(replace(strong, n=n))) for n in STRONG_DILUTION_CROWD]
+    jobs = [(label, law, RngSpec(cfg.seed, stream_id=200 + idx))
+            for idx, (label, law) in enumerate(laws)]
+    reports = list(run_validations(jobs, n_points=4001, n_samples=1_000_000))
+    assert len(reports) == 30
+    check_reports(reports)

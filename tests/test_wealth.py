@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cogecon.densities import ResetLaw
 from cogecon.errors import ConfigError
 from cogecon.validate import benchmark_combos
 from cogecon.wealth import (
     EconomyParams,
     InactiveFirmError,
-    WealthLaw,
     density_stats,
     drift_diffusion,
     equilibrium_prices,
@@ -266,7 +266,7 @@ def test_invalid_clearing_constant_invalidates_wage():
 
 def test_wealth_law_validation():
     with pytest.raises(ValueError, match="reset_rate"):
-        WealthLaw(mu=0.1, sigma_x=0.4, reset_rate=0.0)
+        ResetLaw(mu=0.1, sigma_x=0.4, reset_rate=0.0)
 
 
 @pytest.mark.parametrize("field,value", [
