@@ -18,8 +18,9 @@ import warnings
 from dataclasses import replace
 
 import click
-import numpy as np
 
+# numpy is imported inside the functions that use it, here and in every module
+# this one loads, so that start-up, parsing and the array-free verbs skip it.
 from .cognition import (
     cognition_law,
     dilution_fraction,
@@ -164,7 +165,7 @@ def cognition(cfg):
     yield "[retention]"
     yield "gap (recovery - dilution)", _fmt(rp.gap())
     yield "limit as t -> inf", _fmt(retention_limit(rp))
-    times = np.array([1.0, 5.0, 10.0])
+    times = (1.0, 5.0, 10.0)
     for t, r in zip(times, retention_trajectory(rp, times)):
         yield f"r(t = {t:g})", _fmt(r)
     p = cfg.cognition_params()
@@ -207,6 +208,8 @@ def datavalue(cfg, ensemble_path=None):
 @scenario_command()
 def consumption(cfg):
     """Belief adjustments and the consumption adjustment weight."""
+    import numpy as np
+
     sp = cfg.shrinkage_params()
     p1 = cfg.get("consumption", "p1")
     s = bayes_adjustment(p1)
@@ -320,6 +323,7 @@ def equilibrium(cfg):
     yield "[consistency]"
     yield "labor-market residual", _fmt(labor_residual_at(eq, density))
     yield "firm profit rate at w*", _fmt(profit_rate(eq))
+    yield "firms active at w*", str(prices.firms_active).lower()
 
 
 @scenario_command(click.option("--figure", "figure_spec", default="all",

@@ -8,8 +8,6 @@ ResetLaw with a two-sided exponential stationary density.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .densities import ResetLaw
 from .records import record
 
@@ -43,6 +41,8 @@ def retention_trajectory(p: RetentionParams, times) -> np.ndarray:
     g = recovery - dilution, which is overflow-safe on both signs of g; the
     balanced case g -> 0 uses the limit r0 / (1 + r0 v t).
     """
+    import numpy as np
+
     t = np.asarray(times, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("times must be nonnegative")
@@ -137,8 +137,3 @@ def cognition_law(p: CognitionParams) -> ResetLaw:
     """
     _, omega, sigma = gbm_coefficients(p)
     return ResetLaw(sigma, omega, p.beta_c)
-
-
-def retention_ode_rhs(p: RetentionParams, r: float) -> float:
-    """Right-hand side of the retention ODE; exposed for independent integration checks."""
-    return -p.dilution_rate * r + p.recovery_rate * r * (1.0 - r)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DegenerateModelError
 from .records import record
 from .rng import RngSpec
@@ -71,31 +69,6 @@ def implied_shrinkage(sigma_s: float, sigma_n: float, mu_s: float) -> ShrinkageP
     return ShrinkageParams(beta_b=beta, mu_b=math.exp(ln_mu))
 
 
-def shrinkage_regression_check(sigma_s: float, sigma_n: float, mu_s: float,
-                               rng: RngSpec, n_draws: int) -> tuple[float, float]:
-    """Monte Carlo consistency check of the shrinkage reduced form.
-
-    Simulates the generative model draw by draw: a true adjustment S, a noisy
-    unbiased estimate, and the agent's combined belief (the mean of its
-    lognormal posterior over adjustments).  Returns the OLS (slope, intercept)
-    of ln(belief) on ln(S); they should recover beta_b and ln(mu_b).
-    """
-    if n_draws < 10:
-        raise ValueError(f"need at least 10 draws, got {n_draws}")
-    p = implied_shrinkage(sigma_s, sigma_n, mu_s)
-    beta = p.beta_b
-    gen = rng.generator()
-    ln_s = mu_s + sigma_s * gen.standard_normal(n_draws)
-    ln_est = ln_s - 0.5 * sigma_n**2 + sigma_n * gen.standard_normal(n_draws)
-    # Combined belief: precision-weighted log estimate (bias-corrected) and
-    # log prior mean, plus the variance half-term of the residual noise.
-    ln_belief = (beta * (ln_est + 0.5 * sigma_n**2)
-                 + (1.0 - beta) * (mu_s + 0.5 * sigma_s**2)
-                 + 0.5 * beta**2 * sigma_n**2)
-    slope, intercept = np.polyfit(ln_s, ln_belief, deg=1)
-    return float(slope), float(intercept)
-
-
 @record
 class CawfParams:
     """Consumption adjustment weight function and its data-value environment.
@@ -138,6 +111,8 @@ def cawf(d_value, n, p: CawfParams):
     n may be any nonnegative float including inf; n = 0 reproduces the
     Bayesian limit exactly and n = inf the non-Bayesian one.
     """
+    import numpy as np
+
     d_value = np.asarray(d_value, dtype=float)
     n_arr = np.asarray(n, dtype=float)
     if np.any(n_arr < 0.0):
@@ -165,6 +140,8 @@ class CawfCurves:
 
 def default_n_grid() -> np.ndarray:
     """Geometric crowd-size grid of 50 points from 1 to 300."""
+    import numpy as np
+
     return np.geomspace(1.0, 300.0, 50)
 
 
@@ -175,6 +152,8 @@ def cawf_montecarlo(p: CawfParams, rng: RngSpec) -> CawfCurves:
     splits them at d_bar into high-value and low-value environments, and
     averages the CAWF over each group on the default crowd-size grid.
     """
+    import numpy as np
+
     n_grid = default_n_grid()
     draws = simulate_ou_reflected(p.ou, rng, p.n_paths,
                                   record_times=[p.ou.horizon])[:, -1]
@@ -220,13 +199,3 @@ def effective_consumption(d_value: float, p: CawfParams) -> EffectiveConsumption
         raise ValueError(f"scale = {p.scale} and d_bar = {p.d_bar} put the CAWF at "
                          f"D = {d_value:g}, n = omega at {c_delta}, at or below -1")
     return EffectiveConsumption(c_delta=c_delta)
-
-
-def net_utility(e: EffectiveConsumption, gamma: float) -> float:
-    """CRRA utility of the adjustment-scaled consumption; gamma = 1 is log."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    c = e.utility_consumption()
-    if gamma == 1.0:
-        return math.log(c)
-    return c ** (1.0 - gamma) / (1.0 - gamma)

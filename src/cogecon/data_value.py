@@ -12,11 +12,7 @@ import math
 import warnings
 from dataclasses import field
 
-import numpy as np
-
 from .records import record
-
-_UNIT_NORM_TOL = 1e-9
 
 
 @record
@@ -94,33 +90,6 @@ def value_weight(v: float) -> float:
 
 
 @record
-class DirectionVector:
-    """Unit vector (a, b, c) giving the directional composition of a source."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        norm = math.sqrt(self.a**2 + self.b**2 + self.c**2)
-        if not math.isclose(norm, 1.0, rel_tol=0.0, abs_tol=_UNIT_NORM_TOL):
-            raise ValueError(f"direction vector must have unit norm, got |v| = {norm}")
-
-
-def direction_value_matrix(d: DirectionVector, magnitude: float) -> np.ndarray:
-    """Hermitian 2x2 encoding of a directed source value.
-
-    A = magnitude * [[c, a - ib], [a + ib, -c]]; its eigenvalues are exactly
-    +magnitude and -magnitude for any unit direction.
-    """
-    if magnitude < 0.0:
-        raise ValueError(f"magnitude must be nonnegative, got {magnitude}")
-    a, b, c = d.a, d.b, d.c
-    return magnitude * np.array([[c, a - 1j * b],
-                                 [a + 1j * b, -c]], dtype=complex)
-
-
-@record
 class InfoEnsemble:
     """A set of sources with pairwise couplings.
 
@@ -151,6 +120,8 @@ class InfoEnsemble:
                     raise ValueError(f"{table_name} key ({i}, {j}) is not an ordered pair of source indices")
 
     def source_values(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([information_value(differential_entropy(s), self.sigma_max)
                          for s in self.sources])
 
@@ -165,6 +136,8 @@ def aggregate_data_value(e: InfoEnsemble, values=None) -> float:
     D = (1/n) sum phi_i + J * sum_{i<j} (a_ij - b_ij) phi_i phi_j / (n(n-1)/2).
     A single-source ensemble has no interaction term.  values defaults to e.source_values().
     """
+    import numpy as np
+
     phis = value_weight(e.source_values() if values is None else np.asarray(values))
     n = phis.size
     base = float(np.mean(phis))
@@ -181,6 +154,8 @@ def aggregate_data_value(e: InfoEnsemble, values=None) -> float:
 
 def data_value_index(batch) -> float:
     """Squash a batch of aggregates into (0, 1): logistic of their sum."""
+    import numpy as np
+
     batch = np.asarray(batch, dtype=float)
     if batch.size == 0:
         raise ValueError("batch must be nonempty")

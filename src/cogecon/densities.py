@@ -55,8 +55,7 @@ class PiecewiseExpDensity:
     # -- pointwise evaluation -------------------------------------------------
 
     def pdf(self, x):
-        # Imported here: `import cogecon` and the scalar wealth chain skip
-        # numpy's import, the larger part of their start-up.
+        # numpy is imported where it is used, so that loading this module skips it.
         import numpy as np
 
         x = np.asarray(x, dtype=float)

@@ -13,8 +13,6 @@ import functools
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from .cognition import CognitionParams, RetentionParams, cognition_law, retention_trajectory
 from .config import ScenarioConfig
 from .consumption import cawf, cawf_montecarlo
@@ -33,8 +31,8 @@ ASSET_LOW = (0.05, 0.05)    # (theta, sigma)
 ASSET_HIGH = (0.5, 0.5)
 ROBUST_THETA = (0.1, 0.3)   # swept at sigma = ASSET_LOW[1]
 ROBUST_SIGMA = (0.3, 0.1)   # swept at theta = ASSET_LOW[0]
-WEALTH_X_GRID = np.linspace(-10.0, 10.0, 2001)
-COGNITION_X_GRID = np.linspace(-6.0, 6.0, 1201)
+WEALTH_X_GRID = (-10.0, 10.0, 2001)   # np.linspace's (start, stop, num)
+COGNITION_X_GRID = (-6.0, 6.0, 1201)
 
 # Retention sweeps: (dilution, recovery) legs crossed with starting shares.
 RETENTION_LEGS = ((3.0, 2.0), (5.0, 6.0), (4.0, 4.0))
@@ -84,6 +82,8 @@ def _params_echo(pairs: dict) -> str:
 
 def _figure_retention(cfg: ScenarioConfig) -> SeriesTable:
     """Nine retention trajectories: three rate legs crossed with three starts."""
+    import numpy as np
+
     t = np.linspace(0.0, 10.0, 201)
     columns = ["t"]
     series = [t]
@@ -97,8 +97,11 @@ def _figure_retention(cfg: ScenarioConfig) -> SeriesTable:
     return SeriesTable("figure01", tuple(columns), np.column_stack(series), meta)
 
 
-def _density_table(figure_id: int, x: np.ndarray, laws: dict, params: dict) -> SeriesTable:
-    """Stationary densities on the grid x, one column per label of laws."""
+def _density_table(figure_id: int, grid: tuple, laws: dict, params: dict) -> SeriesTable:
+    """Stationary densities on np.linspace(*grid), one column per label of laws."""
+    import numpy as np
+
+    x = np.linspace(*grid)
     meta = {"figure": figure_id, "seed": "unused", "params": _params_echo(params)}
     pdfs = [law.density().pdf(x) for law in laws.values()]
     return SeriesTable(f"figure{figure_id:02d}", ("x", *laws), np.column_stack([x, *pdfs]), meta)
@@ -112,6 +115,8 @@ def _cognition_density_table(figure_id: int, p: CognitionParams, crowd: tuple) -
 
 def _figure_shrinkage_lines(cfg: ScenarioConfig) -> SeriesTable:
     """Log-log adjustment lines: the identity and the shrunken rule."""
+    import numpy as np
+
     p = cfg.shrinkage_params()
     ln_s = np.linspace(-2.0, 2.0, 401)
     ln_hat = p.beta_b * ln_s + np.log(p.mu_b)
@@ -122,6 +127,8 @@ def _figure_shrinkage_lines(cfg: ScenarioConfig) -> SeriesTable:
 
 def _figure_cawf_slices(cfg: ScenarioConfig) -> SeriesTable:
     """Adjustment weight against data value, one column per crowd size."""
+    import numpy as np
+
     p = cfg.cawf_params()
     d = np.linspace(0.0, 1.0, 201)
     crowd_sizes = (0.0, 10.0, 100.0, 1000.0, np.inf)
@@ -139,6 +146,8 @@ def _figure_cawf_slices(cfg: ScenarioConfig) -> SeriesTable:
 
 def _figure_cawf_montecarlo(cfg: ScenarioConfig) -> SeriesTable:
     """Average adjustment curves over stationary data-value draws."""
+    import numpy as np
+
     p = cfg.cawf_params()
     rng = RngSpec(cfg.seed, stream_id=6)
     curves = cawf_montecarlo(p, rng)

@@ -22,8 +22,6 @@ two-sided exponential densities; it shares no algebra with them.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import DegenerateDiffusionError, SingularSystemError
 from .records import record
 
@@ -45,6 +43,8 @@ class Grid1D:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
     def nodes(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
     @classmethod
@@ -66,6 +66,8 @@ class Grid1D:
 
 def _bernoulli(z: float) -> float:
     """B(z) = z / (e^z - 1), the fitting factor of the Scharfetter-Gummel flux."""
+    import numpy as np
+
     if abs(z) < 1e-10:
         return 1.0 - 0.5 * z
     # Above z ~ 709.8 expm1 overflows to inf, and z / inf = 0.0 is the limit.
@@ -81,6 +83,8 @@ def _solve_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
     loop runs on Python floats, which is as fast as a sparse direct solve at
     a few thousand nodes and needs no linear-algebra library.
     """
+    import numpy as np
+
     sub, diag, d = lower.tolist(), main.tolist(), rhs.tolist()
     sup = upper.tolist() + [0.0]
     n = len(diag)
@@ -105,6 +109,8 @@ def solve_stationary_kfe_fd(drift: float, sigma: float, reset_rate: float,
     diffusion coefficient sigma^2 / 2.  The returned vector is normalized to
     integrate to one by the trapezoid rule.
     """
+    import numpy as np
+
     if sigma == 0.0:
         raise DegenerateDiffusionError("zero volatility: the stationary equation loses its diffusion term")
     if reset_rate <= 0.0:

@@ -10,8 +10,6 @@ how many streams exist or in what order they are consumed.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .records import record
 
 _U64_MAX = 2**64 - 1
@@ -30,6 +28,8 @@ class RngSpec:
 
     def generator(self) -> np.random.Generator:
         """Fresh counter-based generator for this (master_seed, stream_id) pair."""
+        import numpy as np
+
         seq = np.random.SeedSequence(entropy=int(self.master_seed),
                                      spawn_key=(int(self.stream_id),))
         return np.random.Generator(np.random.Philox(seed=seq))

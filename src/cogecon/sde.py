@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DegenerateDiffusionError
 from .records import record
 from .rng import RngSpec
@@ -77,6 +75,8 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
     into the interval symmetrically (repeatedly if the step is violent), which
     keeps every recorded value inside [lower_bound, upper_bound] exactly.
     """
+    import numpy as np
+
     if n_paths <= 0:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
     record_times = sorted(float(t) for t in record_times)
@@ -177,6 +177,8 @@ def simulate_gbm_reset(drift: float, volatility: float, reset_rate: float,
     memoryless, so the age since the last reset is Exp(reset_rate) exactly.
     Over that age the state advances by the exact Brownian transition.
     """
+    import numpy as np
+
     if volatility == 0.0:
         raise DegenerateDiffusionError("zero volatility: reset process collapses onto the drift line")
     if reset_rate <= 0.0:

@@ -14,8 +14,6 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 from .errors import TailUnderflowError
 from .records import record
 
@@ -152,6 +150,8 @@ def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
     The arrays are shared by every caller, so they are made read-only.
     """
+    import numpy as np
+
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -160,6 +160,8 @@ def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _hermite_expectation(fn, sigma: float, n_nodes: int = 64) -> float:
     """E[fn(eps)] for eps ~ N(-sigma^2/2, sigma^2) by Gauss-Hermite quadrature."""
+    import numpy as np
+
     if sigma == 0.0:
         return float(fn(0.0))
     nodes, weights = _hermite_rule(n_nodes)
@@ -178,6 +180,8 @@ def expected_utility_investor(e: TaxEconomy, tau: float, mu_b: float = 0.0) -> f
     gamma = 1 the level does not grow like 1/(1-gamma) and round away the
     gap between two tax rates.  gamma_b = 1 uses the log branch.
     """
+    import numpy as np
+
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"tau must lie in [0, 1), got {tau}")
     gamma = e.gamma_b

@@ -15,8 +15,6 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator, Sequence
 
-import numpy as np
-
 from .densities import PiecewiseExpDensity, ResetLaw
 from .errors import ValidationError
 from .figures import TYPE_TWO_FIGURES, wealth_economies
@@ -84,6 +82,8 @@ def ks_distance(samples: np.ndarray, density: PiecewiseExpDensity) -> float:
     maximum.  The remaining blocks are evaluated gap by gap, so the result
     is the maximum over every gap, bit for bit.
     """
+    import numpy as np
+
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n == 0:
@@ -119,6 +119,8 @@ def fd_grid_for(law: ResetLaw, n_points: int) -> Grid1D:
 def fd_density_error(law: ResetLaw, n_points: int) -> float:
     """Max abs deviation between the closed form and an FD solve of the
     stationary forward equation."""
+    import numpy as np
+
     analytic = law.density()
     grid = fd_grid_for(law, n_points)
     numeric = solve_stationary_kfe_fd(law.mu, abs(law.sigma_x), law.reset_rate, grid)

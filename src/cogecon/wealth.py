@@ -203,11 +203,14 @@ class EquilibriumPrices:
 
     w_star is None when the clearing quadratic admits no positive root; the
     other fields still report the pieces so callers can explain the failure.
+    firms_active says whether z reaches the productivity cutoff at (r*, w*),
+    and is None with w_star.
     """
 
     r_star: float
     w_star: float | None
     clearing_constant: float
+    firms_active: bool | None = None
 
 
 def _clearing_constant(p: EconomyParams, r_star: float) -> float:
@@ -237,7 +240,10 @@ def equilibrium_prices(p: EconomyParams) -> EquilibriumPrices:
     sqrt_t = -2.0 * c_const / (zl + math.sqrt(sqrt_arg))
     # t = ((1-alpha)/w)^(1/alpha) and alpha = 1/2, so w = (1-alpha)/sqrt(t).
     w_star = (1.0 - p.alpha) / sqrt_t
-    return EquilibriumPrices(r_star=r_star, w_star=w_star, clearing_constant=c_const)
+    # At r* + delta <= 0 the cutoff is not positive, and every z breaks even.
+    active = r_star + p.delta <= 0.0 or p.z >= productivity_cutoff(r_star, p.delta, p.alpha, w_star)
+    return EquilibriumPrices(r_star=r_star, w_star=w_star, clearing_constant=c_const,
+                             firms_active=active)
 
 
 def labor_residual_at(p: EconomyParams, density: PiecewiseExpDensity | None = None) -> float:

@@ -25,7 +25,6 @@ from cogecon.cognition import (
     cognition_law,
     dilution_fraction,
     dilution_threshold,
-    retention_ode_rhs,
     retention_trajectory,
 )
 from cogecon.config import default_config
@@ -35,9 +34,8 @@ from cogecon.consumption import (
     cawf_montecarlo,
     cawf_nonbayes_limit,
     implied_shrinkage,
-    shrinkage_regression_check,
 )
-from cogecon.data_value import DirectionVector, data_value_index, direction_value_matrix, gaussian_entropy
+from cogecon.data_value import data_value_index, gaussian_entropy
 from cogecon.rng import RngSpec
 from cogecon.tax_model import TaxEconomy, hazard_ratio_check, proposition1_check, truncated_exp_mean
 from cogecon.validate import check_reports, run_validations, validation_jobs
@@ -50,6 +48,8 @@ from cogecon.wealth import (
     productivity_cutoff,
     stationary_wealth_density,
 )
+from references import (DirectionVector, direction_value_matrix, retention_ode_rhs,
+                        shrinkage_regression_check)
 
 LAMBDA_TIERS = (5.0, 25.0, 50.0)
 F_TIERS = (0.2, 0.5, 0.8)

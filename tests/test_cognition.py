@@ -13,10 +13,10 @@ from cogecon.cognition import (
     dilution_threshold,
     gbm_coefficients,
     retention_limit,
-    retention_ode_rhs,
     retention_trajectory,
     steady_state_resource,
 )
+from references import retention_ode_rhs
 
 starts = st.floats(min_value=0.01, max_value=1.0)
 rates = st.floats(min_value=0.0, max_value=6.0)

@@ -3,6 +3,7 @@
 import errno
 import inspect
 import io
+import json
 import os
 import subprocess
 import sys
@@ -903,6 +904,51 @@ def test_wealth_chain_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr
     values, densities = _wealth_chain_values()
     assert proc.stdout.splitlines() == [str(values), str(_density_values(densities))]
+
+
+# The CLI's import, its set-up and the verbs that build no array run without
+# numpy; the first array verb loads it.  Each run's exit code and stdout.
+COLD_START_PROBE = """
+import contextlib, io, json, sys
+from cogecon.cli import main
+assert "numpy" not in sys.modules, "import"
+from cogecon.config import apply_overrides, parse_config
+apply_overrides(parse_config(None), 7, sys.argv[1])
+assert "numpy" not in sys.modules, "set-up"
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            main(list(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue()
+
+runs = [run("wealth"), run("equilibrium"), run("wealth", "--explain"), run("--help"),
+        run("reproduce", "--figure", "15")]
+assert "numpy" not in sys.modules, "verbs"
+runs.append(run("reproduce", "--figure", "4", "--out", sys.argv[1]))
+assert "numpy" in sys.modules, "reproduce"
+print(json.dumps(runs))
+"""
+
+
+def test_cli_starts_and_runs_the_scalar_verbs_without_numpy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE, str(tmp_path / "cold")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    wealth, equilibrium, explained, usage, bad_figure, figure = json.loads(proc.stdout)
+    golden = {name: (GOLDEN / f"{name}_default.txt").read_text()
+              for name in ("wealth", "equilibrium", "explain")}
+    assert wealth == [0, golden["wealth"]]
+    assert equilibrium == [0, golden["equilibrium"]]
+    assert explained == [0, golden["explain"] + "\n" + golden["wealth"]]
+    assert usage[0] == 0 and usage[1].startswith("Usage:")
+    assert bad_figure == [1, ""]
+    assert figure[0] == 0
+    assert run_cli(["reproduce", "--figure", "4", "--out", str(tmp_path / "warm")]) == 0
+    assert ((tmp_path / "cold" / "figure04.csv").read_bytes()
+            == (tmp_path / "warm" / "figure04.csv").read_bytes())
 
 
 # Runs every verb in a fresh interpreter in which `import scipy` fails, so

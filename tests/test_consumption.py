@@ -19,12 +19,11 @@ from cogecon.consumption import (
     cawf_nonbayes_limit,
     default_n_grid,
     implied_shrinkage,
-    net_utility,
     nonbayes_adjustment,
     shrinkage_crossover,
-    shrinkage_regression_check,
 )
 from cogecon.rng import RngSpec
+from references import net_utility, shrinkage_regression_check
 
 
 def test_bayes_adjustment_log_odds():

@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cogecon.data_value import (
-    DirectionVector,
     InfoEnsemble,
     SourceDist,
     aggregate_data_value,
     data_value_index,
     differential_entropy,
-    direction_value_matrix,
     gaussian_entropy,
     information_value,
     value_weight,
 )
+from references import DirectionVector, direction_value_matrix
 
 GAUSS_UNIT_ENTROPY = 0.5 * math.log(2.0 * math.pi * math.e)
 

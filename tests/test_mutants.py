@@ -6,14 +6,21 @@ is still a DKW bound at that n).  The row records on how many of the laws
 each gate fails.  A gate that loses its power, or a mutant that a gate
 starts to miss, changes a count and fails the test.  A mutant that every
 gate lets through stays in the table with zero kills, as a known gap.
+
+The equilibrium rows patch the closed-form prices instead, and count the
+square-root-technology economies whose wage is not the bracketed root of
+the labor-market residual.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
 import cogecon.validate as validate_mod
+import cogecon.wealth as wealth_mod
 from cogecon.densities import PiecewiseExpDensity, ResetLaw
+from references import EQUILIBRIUM_GRID, equilibrium_wage_root
 
 SEED = 42
 N_POINTS, N_SAMPLES = 2001, 20_000
@@ -57,3 +64,35 @@ def test_mutation_matrix_row(monkeypatch, owner, attr, mutant, fd_kills, ks_kill
     assert len(reports) == 12
     assert (sum(r.fd_error >= r.fd_tol for r in reports),
             sum(r.ks_distance >= r.ks_tol for r in reports)) == (fd_kills, ks_kills)
+
+
+true_equilibrium_prices = wealth_mod.equilibrium_prices
+
+
+def _other_root(p):
+    """The clearing quadratic's other root for sqrt(t): (-zl - sqrt(disc)) / (4 beta zl gamma)."""
+    prices = true_equilibrium_prices(p)
+    zl = p.z * p.lam
+    disc = zl * zl - 8.0 * p.beta * zl * p.gamma * prices.clearing_constant
+    sqrt_t = (-zl - math.sqrt(disc)) / (4.0 * p.beta * zl * p.gamma)
+    return replace(prices, w_star=(1.0 - p.alpha) / sqrt_t)
+
+
+# name, replacement of equilibrium_prices, economies of EQUILIBRIUM_GRID whose
+# wage the bracketed root of labor clearing rejects at a relative 1e-12.
+EQUILIBRIUM_MUTANTS = [
+    ("none", true_equilibrium_prices, 0),
+    ("other root of the quadratic", _other_root, len(EQUILIBRIUM_GRID)),
+]
+
+
+@pytest.mark.parametrize("mutant,kills", [row[1:] for row in EQUILIBRIUM_MUTANTS],
+                         ids=[row[0] for row in EQUILIBRIUM_MUTANTS])
+def test_equilibrium_mutation_row(monkeypatch, mutant, kills):
+    monkeypatch.setattr(wealth_mod, "equilibrium_prices", mutant)
+    rejected = 0
+    for p in EQUILIBRIUM_GRID:
+        prices = wealth_mod.equilibrium_prices(p)
+        root = equilibrium_wage_root(replace(p, r=prices.r_star))
+        rejected += not math.isclose(prices.w_star, root, rel_tol=1e-12)
+    assert rejected == kills

@@ -14,13 +14,15 @@ from cogecon.consumption import CawfCurves, EffectiveConsumption
 from cogecon.data_value import InfoEnsemble, SourceDist
 from cogecon.rng import RngSpec
 from cogecon.wealth import FirmPolicy, drift_diffusion, equilibrium_prices, policy_functions
+import references
 
 
 def record_classes() -> list[type]:
-    """Every dataclass defined in a cogecon module, so a new record cannot be missed."""
+    """Every dataclass defined in a cogecon module, so a new record cannot be missed,
+    and in the tests' reference forms."""
     found = []
-    for info in pkgutil.iter_modules(cogecon.__path__):
-        module = importlib.import_module(f"cogecon.{info.name}")
+    modules = [f"cogecon.{info.name}" for info in pkgutil.iter_modules(cogecon.__path__)]
+    for module in map(importlib.import_module, [*modules, "references"]):
         found += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
                   if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__]
     return sorted(found, key=lambda cls: cls.__qualname__)
@@ -45,7 +47,7 @@ EXAMPLES = {
     "TaxEconomy": CFG.tax_economy,
     "OuProcessSpec": lambda: CFG.cawf_params().ou,
     "SourceDist": lambda: SourceDist.gaussian(2.0),
-    "DirectionVector": lambda: cogecon.data_value.DirectionVector(0.6, 0.0, 0.8),
+    "DirectionVector": lambda: references.DirectionVector(0.6, 0.0, 0.8),
     "InfoEnsemble": lambda: InfoEnsemble((SourceDist.uniform(2.0), SourceDist.gaussian(1.0)),
                                          4.0, 0.5, synergy={(0, 1): 0.2}),
     "EconomyParams": CFG.wealth_params,

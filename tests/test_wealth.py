@@ -27,6 +27,7 @@ from cogecon.wealth import (
     profit_rate,
     stationary_wealth_density,
 )
+from references import EQUILIBRIUM_GRID, equilibrium_wage_root
 
 EQ = EconomyParams(alpha=0.5)
 
@@ -240,6 +241,28 @@ def test_equilibrium_wage_finite_where_textbook_root_cancels():
     # 8 beta gamma |c| is ~1e-300 of zl, so sqrt_t = -c / zl to first order
     assert pr.w_star == pytest.approx((1.0 - p.alpha) * p.z * p.lam / -pr.clearing_constant,
                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("p", EQUILIBRIUM_GRID,
+                         ids=lambda p: f"lam{p.lam:g}_gamma{p.gamma:g}_z{p.z:g}")
+def test_equilibrium_wage_is_the_bracketed_root_of_labor_clearing(p):
+    prices = equilibrium_prices(p)
+    root = equilibrium_wage_root(replace(p, r=prices.r_star))
+    assert root == pytest.approx(prices.w_star, rel=1e-12)
+
+
+def test_firms_active_flag_compares_z_with_the_cutoff_at_equilibrium_prices():
+    prices = equilibrium_prices(EQ)
+    assert prices.firms_active is False
+    assert profit_rate(at_equilibrium(EQ)) < 0.0
+    high_z = replace(EQ, z=20.0)
+    prices = equilibrium_prices(high_z)
+    assert high_z.z > productivity_cutoff(prices.r_star, high_z.delta, high_z.alpha, prices.w_star)
+    assert prices.firms_active is True
+    # r* + delta <= 0 has no positive cutoff: every z breaks even
+    assert equilibrium_prices(replace(EQ, theta=-1.0, delta=0.0, lam=1.0)).firms_active is True
+    no_wage = equilibrium_prices(replace(EQ, theta=0.5, sigma=0.5, lam=50.0))
+    assert no_wage.w_star is None and no_wage.firms_active is None
 
 
 def test_equilibrium_requires_square_root_technology():
