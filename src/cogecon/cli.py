@@ -11,13 +11,11 @@ Exit codes: 0 success, 1 usage or configuration error, 2 validation failure,
 
 from __future__ import annotations
 
-import functools
+import argparse
 import inspect
 import sys
 import warnings
 from dataclasses import replace
-
-import click
 
 # numpy is imported inside the functions that use it, here and in every module
 # this one loads, so that start-up, parsing and the array-free verbs skip it.
@@ -78,26 +76,36 @@ def _fmt(x: float) -> str:
 def _render(rows) -> None:
     """Print each row as it is yielded: a "[section]" header, or a (label, text) line."""
     for row in rows:
-        click.echo(row if isinstance(row, str) else f"  {row[0]:<34} {row[1]}")
+        print(row if isinstance(row, str) else f"  {row[0]:<34} {row[1]}")
 
 
-@click.group()
-def cli() -> None:
-    """Resource-dilution, data-valuation, and wealth-distribution toolkit."""
+def _seed(text: str) -> int:
+    """--seed: an integer >= 0."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
+def _option(*flags, **settings):
+    """One option of a verb: add_argument's arguments."""
+    return flags, settings
 
 
 _SCENARIO_OPTIONS = (
-    click.option("--config", "config_path", default=None, metavar="PATH",
-                 help="scenario file; [section] headers, key = value lines"),
-    click.option("--seed", type=click.IntRange(min=0), default=None,
-                 metavar="U64", help="master seed override"),
-    click.option("--out", "out_dir", default=None, metavar="DIR",
-                 help="output directory override"),
-    click.option("--explain", is_flag=True,
-                 help="print every resolved key with value, origin, meaning"),
+    _option("--config", dest="config_path", metavar="PATH",
+            help="scenario file; [section] headers, key = value lines"),
+    _option("--seed", type=_seed, metavar="U64", help="master seed override"),
+    _option("--out", dest="out_dir", metavar="DIR", help="output directory override"),
+    _option("--explain", action="store_true",
+            help="print every resolved key with value, origin, meaning"),
 )
 
-# The report verbs' row generators, by verb name, in registration order.
+# Every verb's (docstring, options, runner), and the report verbs' row
+# generators, by verb name, in registration order.
+_VERBS = {}
 _REPORTS = {}
 
 
@@ -135,7 +143,6 @@ def scenario_command(*extra_options):
         if report:
             _REPORTS[verb.__name__] = verb
 
-        @functools.wraps(verb)
         def run(config_path, seed, out_dir, explain, **extra) -> None:
             # a silent load: each verb prints, once, the warnings of what it computes
             with warnings.catch_warnings():
@@ -146,15 +153,14 @@ def scenario_command(*extra_options):
             cfg = apply_overrides(cfg, seed, out_dir)
             if explain:
                 for line in explain_lines(cfg):
-                    click.echo(line)
-                click.echo("")
+                    print(line)
+                print()
             result = verb(cfg, **extra)
             if report:
                 _render(result)
 
-        for option in extra_options + _SCENARIO_OPTIONS:
-            run = option(run)
-        return cli.command()(run)
+        _VERBS[verb.__name__] = verb.__doc__, extra_options + _SCENARIO_OPTIONS, run
+        return verb
     return register
 
 
@@ -186,8 +192,8 @@ def cognition(cfg):
     yield "right tail rate", _fmt(stats.tail_exponent_right)
 
 
-@scenario_command(click.option(
-    "--ensemble", "ensemble_path", default=None, metavar="PATH",
+@scenario_command(_option(
+    "--ensemble", dest="ensemble_path", metavar="PATH",
     help="source-ensemble file; a three-source demo is used when omitted"))
 def datavalue(cfg, ensemble_path=None):
     """Entropy-based source values and the aggregate data-value index."""
@@ -326,9 +332,8 @@ def equilibrium(cfg):
     yield "firms active at w*", str(prices.firms_active).lower()
 
 
-@scenario_command(click.option("--figure", "figure_spec", default="all",
-                               type=click.Choice(["all", *map(str, FIGURE_IDS)]),
-                               help="one figure's id, or all"))
+@scenario_command(_option("--figure", dest="figure_spec", default="all",
+                          choices=["all", *map(str, FIGURE_IDS)], help="one figure's id, or all"))
 def reproduce(cfg, figure_spec) -> None:
     """Write the CSV data series behind the reference figures."""
     for fid in FIGURE_IDS if figure_spec == "all" else (int(figure_spec),):
@@ -342,7 +347,7 @@ def reproduce(cfg, figure_spec) -> None:
         except OSError as exc:
             raise ConfigError(f"figure {fid}: cannot write {series.name}.csv "
                               f"under {cfg.out_dir}: {exc.strerror or exc}") from exc
-        click.echo(f"wrote {path}")
+        print(f"wrote {path}")
 
 
 @scenario_command()
@@ -351,47 +356,63 @@ def validate(cfg) -> None:
 
     def echo_report(rep) -> None:
         verdict = "PASS" if rep.passed else "FAIL"
-        click.echo(f"  {rep.label:<40} fd {rep.fd_error:.3e} (tol {rep.fd_tol:g})  "
-                   f"ks {rep.ks_distance:.3e} (tol {rep.ks_tol:g})  {verdict}")
+        print(f"  {rep.label:<40} fd {rep.fd_error:.3e} (tol {rep.fd_tol:g})  "
+              f"ks {rep.ks_distance:.3e} (tol {rep.ks_tol:g})  {verdict}")
 
-    click.echo("[configured law]")
+    print("[configured law]")
     law = drift_diffusion(cfg.wealth_params())
     results = run_validations(validation_jobs(cfg.seed, configured=law),
                               cfg.get("validate", "n_points"), cfg.get("validate", "n_samples"))
     try:
         reports = [next(results)]
     except DegenerateModelError as exc:
-        click.echo(f"  configured{'':<30} DEGENERATE  sigma_x = {law.sigma_x:g}")
+        print(f"  configured{'':<30} DEGENERATE  sigma_x = {law.sigma_x:g}")
         raise DegenerateModelError(
             f"configured wealth law is degenerate: {exc}") from exc
     echo_report(reports[0])
-    click.echo("[benchmark combinations]")
+    print("[benchmark combinations]")
     for rep in results:
         echo_report(rep)
         reports.append(rep)
     check_reports(reports)
-    click.echo(f"all {len(reports)} density checks passed")
+    print(f"all {len(reports)} density checks passed")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one stderr line and exit 1, not argparse's usage block and exit 2."""
+
+    def error(self, message):
+        print(f"usage error: {self.prog}: {message}", file=sys.stderr)
+        sys.exit(1)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="cogecon", allow_abbrev=False,
+                     description="Resource-dilution, data-valuation, and wealth-distribution toolkit.")
+    verbs = parser.add_subparsers(dest="verb", metavar="VERB", required=True)
+    for name, (doc, options, _) in _VERBS.items():
+        verb = verbs.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        for flags, settings in options:
+            verb.add_argument(*flags, **settings)
+    return parser
 
 
 def main(argv=None) -> None:
+    args = vars(_parser().parse_args(argv))
+    run = _VERBS[args.pop("verb")][2]
     # a warning is one stderr line and leaves the exit code alone
     with warnings.catch_warnings():
-        warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            cli.main(args=argv, standalone_mode=False)
-        except click.exceptions.Exit as exc:
-            sys.exit(exc.exit_code)
-        except click.UsageError as exc:
-            exc.show()
-            sys.exit(1)
+            run(**args)
         except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
+            print(f"config error: {exc}", file=sys.stderr)
             sys.exit(1)
         except ValidationError as exc:
-            click.echo(f"validation failure: {exc}", err=True)
+            print(f"validation failure: {exc}", file=sys.stderr)
             sys.exit(2)
         except DegenerateModelError as exc:
-            click.echo(f"degenerate model: {exc}", err=True)
+            print(f"degenerate model: {exc}", file=sys.stderr)
             sys.exit(3)
     sys.exit(0)
 

@@ -1,20 +1,25 @@
-"""Frozen, slotted records with a constructor that stores through the slots.
+"""Frozen, slotted records that share one set of methods.
 
-`record` is ``dataclass(frozen=True, slots=True)`` with one difference.  A
-frozen dataclass's ``__init__`` writes each field through ``object``'s
-``__setattr__``, to get past its own refusing ``__setattr__``; here
-each field is stored through its slot's member descriptor instead, which
-skips the attribute lookup.  The signature is the dataclass one: defaults, a
-fresh ``default_factory()`` per construction, ``field(init=False)`` fields
-left out, ``__post_init__`` called last, and a record without a docstring
-documented by its signature.  Equality, hashing, repr, immutability,
-``dataclasses.fields`` and ``dataclasses.replace`` are the dataclass ones.
+`record` gives what ``dataclass(frozen=True, slots=True)`` gives for less
+class-creation time, which every CLI process pays once per record class.
+``dataclass`` still does the field bookkeeping (``__dataclass_fields__``, which
+``fields``, ``replace`` and ``asdict`` read, and ``__match_args__``) but
+compiles no method; its ``__dataclass_params__`` describes that call.  Each
+class is then built once, with a slot per field, on `_Record`.  Its one
+``__eq__``, ``__hash__`` and ``__repr__``, its refusing ``__setattr__`` and
+``__delattr__`` and its pickle state methods act as the dataclass ones do,
+over field-name tuples that each class keeps.  Only ``__init__`` is compiled
+per class.  It stores each field through its slot's member descriptor and
+has the dataclass signature: defaults, a fresh ``default_factory()`` per
+call, no ``init=False`` fields, ``__post_init__`` last.  A record without a
+docstring is documented by that signature.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from reprlib import recursive_repr
 
 
 class _Factory:
@@ -27,17 +32,61 @@ class _Factory:
 _FACTORY = _Factory()
 
 
+class _Record:
+    """The methods every record shares; see the module docstring."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (tuple([getattr(self, name) for name in self._compared])
+                    == tuple([getattr(other, name) for name in self._compared]))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, name) for name in self._hashed]))
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __setstate__(self, state) -> None:
+        for f, value in zip(fields(self), state):
+            object.__setattr__(self, f.name, value)
+
+
 def record(cls: type) -> type:
-    """cls as a frozen, slotted dataclass whose __init__ stores through the slots."""
+    """cls, with no base of its own, as a frozen, slotted record on _Record."""
     doc = cls.__doc__
     if doc is None:
         # A placeholder, so that dataclass skips the signature of
         # object.__init__; the real one is set from __init__ below.
         cls.__doc__ = cls.__name__
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls = dataclass(cls, init=False, repr=False, eq=False)
+    own = fields(cls)
+    namespace = {key: value for key, value in cls.__dict__.items()
+                 if key not in cls.__dataclass_fields__ and key not in ("__dict__", "__weakref__")}
+    namespace.update(
+        __slots__=tuple(f.name for f in own),
+        _compared=tuple(f.name for f in own if f.compare),
+        _hashed=tuple(f.name for f in own if (f.compare if f.hash is None else f.hash)),
+        _shown=tuple(f.name for f in own if f.repr))
+    qualname = cls.__qualname__
+    cls = type(cls)(cls.__name__, (_Record,), namespace)
+    cls.__qualname__ = qualname
     env = {"_FACTORY": _FACTORY}
     params, body, annotations = [], [], {"return": None}
-    for f in fields(cls):
+    for f in own:
         name = f.name
         env.update({f"_set_{name}": cls.__dict__[name].__set__,
                     f"_default_{name}": f.default, f"_factory_{name}": f.default_factory})
@@ -56,7 +105,7 @@ def record(cls: type) -> type:
         body.append("    self.__post_init__()")
     exec(f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass"), env)
     cls.__init__ = env["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__.__qualname__ = f"{qualname}.__init__"
     cls.__init__.__annotations__ = annotations
     if doc is None:
         cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")

@@ -3,8 +3,10 @@
 Each one restates a piece of the model independently of the closed form it
 checks: the retention ODE's right-hand side for a numerical integrator, the
 CRRA utility of an effective consumption, a draw-by-draw simulation of the
-shrinkage model, the Hermitian matrix of a directed source value, and the
-equilibrium wage as a bracketed root of the labor-market residual.
+shrinkage model, the Hermitian matrix of a directed source value, the
+equilibrium wage as a bracketed root of the labor-market residual, and the
+KS distance over a whole sorted sample, with a sample on which pruning its
+blocks is easy to get wrong.
 """
 
 import math
@@ -124,3 +126,31 @@ def equilibrium_wage_root(p: EconomyParams) -> float:
             hi = mid
         mid = math.sqrt(lo * hi)
     return mid
+
+
+def whole_array_ks(samples, density) -> float:
+    """KS over the whole sorted array at once, gaps in one pass."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    cdf = density.cdf(x)
+    ecdf = np.arange(n + 1, dtype=float)
+    ecdf /= n
+    return float(max(np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1])))
+
+
+def block_end_ks_sample(density, block: int) -> np.ndarray:
+    """2 block samples whose largest KS gap is at the last sample of the first block.
+
+    With n = 2 block, the first block is one value tied block times at
+    F = 0.1/n, the next sample sits at F = 1.6/n and every later one 1/n
+    further up the model cdf.  So the largest gap, block/n - F(x_0) at
+    k = block - 1, is half a step of 1/n above the gap at the next block's
+    first sample: a pruning bound for the first block that is one sample
+    short drops it.
+    """
+    n = 2 * block
+    p = np.array([0.1] * block + [1.6] + [k - block + 2.6 for k in range(block + 1, n)]) / n
+    # the model cdf's inverse on each side of the reset point
+    left_mass = density.norm_K / density.rate_left
+    return np.where(p < left_mass, np.log(p / left_mass) / density.rate_left,
+                    -np.log((1.0 - p) * density.rate_right / density.norm_K) / density.rate_right)

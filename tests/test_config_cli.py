@@ -600,6 +600,10 @@ def test_reproduce_rejects_bad_figure_numbers(tmp_path, capsys):
     for spec in ("99", "zero", "0", "15", "06", "6.0"):
         assert run_cli(["reproduce", "--figure", spec, "--out", str(out)]) == 1, spec
         assert not out.exists(), spec
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cogecon reproduce: argument --figure: "
+                              f"invalid choice: '{spec}' (choose from 'all', '1', ")
+        assert err.count("\n") == 1
     assert run_cli(["reproduce", "--figure", "14", "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["figure14.csv"]
 
@@ -669,8 +673,32 @@ def test_reproduce_rejects_mismatched_agent_type(tmp_path, capsys):
     assert "agent_type" in capsys.readouterr().err
 
 
-def test_unknown_flag_is_usage_error():
+def test_unknown_flag_is_usage_error(capsys):
     assert run_cli(["wealth", "--no-such-flag"]) == 1
+    assert capsys.readouterr().err == "usage error: cogecon: unrecognized arguments: --no-such-flag\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "cogecon: the following arguments are required: VERB"),
+    (["wealthy"], "cogecon: argument VERB: invalid choice: 'wealthy'"),
+    (["wealth", "--se", "7"], "cogecon: unrecognized arguments: --se 7"),
+    (["wealth", "--seed"], "cogecon wealth: argument --seed: expected one argument"),
+    (["wealth", "--seed", "-1"], "cogecon wealth: argument --seed: expected an integer >= 0"),
+    (["wealth", "--seed", "7.0"], "cogecon wealth: argument --seed: expected an integer >= 0"),
+])
+def test_usage_errors_are_one_stderr_line(capsys, argv, message):
+    # no verb, an unknown verb, an abbreviated option and a bad seed
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["wealth", "--help"], ["reproduce", "-h"]])
+def test_help_exits_zero_on_stdout(capsys, argv):
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: cogecon") and captured.err == ""
 
 
 # -------------------------------------------------------------- ensembles ---
@@ -929,6 +957,7 @@ runs = [run("wealth"), run("equilibrium"), run("wealth", "--explain"), run("--he
 assert "numpy" not in sys.modules, "verbs"
 runs.append(run("reproduce", "--figure", "4", "--out", sys.argv[1]))
 assert "numpy" in sys.modules, "reproduce"
+assert "click" not in sys.modules, "argument parser"
 print(json.dumps(runs))
 """
 
@@ -943,7 +972,7 @@ def test_cli_starts_and_runs_the_scalar_verbs_without_numpy(tmp_path):
     assert wealth == [0, golden["wealth"]]
     assert equilibrium == [0, golden["equilibrium"]]
     assert explained == [0, golden["explain"] + "\n" + golden["wealth"]]
-    assert usage[0] == 0 and usage[1].startswith("Usage:")
+    assert usage[0] == 0 and usage[1].startswith("usage: cogecon ")
     assert bad_figure == [1, ""]
     assert figure[0] == 0
     assert run_cli(["reproduce", "--figure", "4", "--out", str(tmp_path / "warm")]) == 0
@@ -952,7 +981,7 @@ def test_cli_starts_and_runs_the_scalar_verbs_without_numpy(tmp_path):
 
 
 # Runs every verb in a fresh interpreter in which `import scipy` fails, so
-# the runtime provably needs numpy and click alone; the scenario file sets
+# the runtime provably needs numpy alone; the scenario file sets
 # [tax] keys, so the tax check at load runs too.  The import alone loads no
 # thread pool either: each user imports it when called.
 NO_SCIPY_PROBE = """

@@ -3,24 +3,34 @@
 Each row patches one mistake into the program and runs validate's twelve
 benchmark laws at a reduced size, 2001 FD points and 20 000 samples (KS_TOL
 is still a DKW bound at that n).  The row records on how many of the laws
-each gate fails.  A gate that loses its power, or a mutant that a gate
-starts to miss, changes a count and fails the test.  A mutant that every
-gate lets through stays in the table with zero kills, as a known gap.
+each gate fails, and on how many of two samples the KS distance differs
+from the whole-array KS in any bit.  A gate that loses its power, or a
+mutant that a gate starts to miss, changes a count and fails the test.  A
+mutant that every gate lets through stays in the table with zero kills, as
+a known gap.  No source file is edited: a mutant replaces an attribute,
+and the one inside ks_distance is compiled from its edited source.
 
 The equilibrium rows patch the closed-form prices instead, and count the
 square-root-technology economies whose wage is not the bracketed root of
-the labor-market residual.
+the labor-market residual.  The CAWF rows name the checks of the weight's
+limits and shape that fail.
 """
 
+import inspect
 import math
 from dataclasses import replace
 
 import pytest
 
+import cogecon.consumption as consumption_mod
 import cogecon.validate as validate_mod
 import cogecon.wealth as wealth_mod
+from cogecon.config import default_config
 from cogecon.densities import PiecewiseExpDensity, ResetLaw
-from references import EQUILIBRIUM_GRID, equilibrium_wage_root
+from cogecon.rng import RngSpec
+from cogecon.sde import simulate_gbm_reset
+from references import (EQUILIBRIUM_GRID, block_end_ks_sample, equilibrium_wage_root,
+                        whole_array_ks)
 
 SEED = 42
 N_POINTS, N_SAMPLES = 2001, 20_000
@@ -39,31 +49,59 @@ def _ito_term_dropped(p):
     return ResetLaw(law.mu + 0.5 * law.sigma_x**2, law.sigma_x, law.reset_rate)
 
 
-# name, patched owner, attribute, replacement, laws failed by FD, by KS.
+def _edited(function, old: str, new: str):
+    """function compiled from its source with old replaced by new, in its own module."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1
+    namespace = {}
+    exec("from __future__ import annotations\n" + source.replace(old, new),
+         function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
+# name, patched owner, attribute, replacement, laws failed by FD, by KS,
+# samples on which KS is not the whole-array KS.
 MUTANTS = [
-    ("none", ResetLaw, "density", true_density, 0, 0),
+    ("none", ResetLaw, "density", true_density, 0, 0, 0),
     ("mu x 1.05", ResetLaw, "density", lambda law: PiecewiseExpDensity.from_reset_law(
-        1.05 * law.mu, law.sigma_x, law.reset_rate), 12, 4),
+        1.05 * law.mu, law.sigma_x, law.reset_rate), 12, 4, 0),
     ("beta x 1.1", ResetLaw, "density", lambda law: PiecewiseExpDensity.from_reset_law(
-        law.mu, law.sigma_x, 1.1 * law.reset_rate), 12, 10),
+        law.mu, law.sigma_x, 1.1 * law.reset_rate), 12, 10, 0),
     ("sigma^2/2 for sigma^2", ResetLaw, "density", lambda law: PiecewiseExpDensity.from_reset_law(
-        law.mu, law.sigma_x / math.sqrt(2.0), law.reset_rate), 12, 8),
-    ("rates swapped", ResetLaw, "density", _swapped_rates, 12, 12),
+        law.mu, law.sigma_x / math.sqrt(2.0), law.reset_rate), 12, 8, 0),
+    ("rates swapped", ResetLaw, "density", _swapped_rates, 12, 12, 0),
     # Both oracles take the law drift_diffusion returns, so a wrong drift
     # that the closed form then follows is invisible to them.
-    ("Ito term dropped", validate_mod, "drift_diffusion", _ito_term_dropped, 0, 0),
+    ("Ito term dropped", validate_mod, "drift_diffusion", _ito_term_dropped, 0, 0, 0),
+    # Each block's bound on its (k+1)/n - F gaps ends one sample short.  It
+    # moves KS by at most 1/n, and only where the largest gap is a pruned
+    # block's last one: on random samples the result stays exact.
+    ("KS block bound one short", validate_mod, "ks_distance", _edited(
+        validate_mod.ks_distance, "starts + _KS_BLOCK, n)", "starts + _KS_BLOCK - 1, n)"),
+     0, 0, 1),
 ]
 
 
-@pytest.mark.parametrize("owner,attr,mutant,fd_kills,ks_kills",
+def _inexact_ks_samples() -> int:
+    """Of a random sample and the block-end one, how many ks_distance gets wrong in any bit."""
+    law = true_drift_diffusion(default_config().wealth_params())
+    density = ResetLaw.density(law)
+    random = simulate_gbm_reset(law.mu, law.sigma_x, law.reset_rate, RngSpec(SEED), N_SAMPLES)
+    samples = (random, block_end_ks_sample(density, validate_mod._KS_BLOCK))
+    return sum(validate_mod.ks_distance(x.copy(), density) != whole_array_ks(x, density)
+               for x in samples)
+
+
+@pytest.mark.parametrize("owner,attr,mutant,fd_kills,ks_kills,exact_kills",
                          [row[1:] for row in MUTANTS], ids=[row[0] for row in MUTANTS])
-def test_mutation_matrix_row(monkeypatch, owner, attr, mutant, fd_kills, ks_kills):
+def test_mutation_matrix_row(monkeypatch, owner, attr, mutant, fd_kills, ks_kills, exact_kills):
     monkeypatch.setattr(owner, attr, mutant)
     reports = list(validate_mod.run_validations(validate_mod.validation_jobs(SEED),
                                                 N_POINTS, N_SAMPLES))
     assert len(reports) == 12
     assert (sum(r.fd_error >= r.fd_tol for r in reports),
-            sum(r.ks_distance >= r.ks_tol for r in reports)) == (fd_kills, ks_kills)
+            sum(r.ks_distance >= r.ks_tol for r in reports),
+            _inexact_ks_samples()) == (fd_kills, ks_kills, exact_kills)
 
 
 true_equilibrium_prices = wealth_mod.equilibrium_prices
@@ -96,3 +134,50 @@ def test_equilibrium_mutation_row(monkeypatch, mutant, kills):
         root = equilibrium_wage_root(replace(p, r=prices.r_star))
         rejected += not math.isclose(prices.w_star, root, rel_tol=1e-12)
     assert rejected == kills
+
+
+true_cawf = consumption_mod.cawf
+
+
+def _cawf_limits_swapped(d_value, n, p):
+    """The CAWF with the weight 1/(1 + n/omega) on the large-crowd limit instead."""
+    return (consumption_mod.cawf_bayes_limit(d_value, p)
+            + consumption_mod.cawf_nonbayes_limit(d_value, p) - true_cawf(d_value, n, p))
+
+
+def _failed_cawf_checks(cawf) -> list[str]:
+    """The CAWF checks that fail at the default [consumption] keys (scale > 1), on 21 D."""
+    p = default_config().cawf_params()
+    crowds = (0.0, 1.0, 10.0, 100.0, 1000.0, 1e6)
+    failed = set()
+    for d in (i / 20 for i in range(21)):
+        lo = consumption_mod.cawf_bayes_limit(d, p)
+        hi = consumption_mod.cawf_nonbayes_limit(d, p)
+        values = [cawf(d, n, p) for n in crowds]
+        checks = {
+            "Bayes limit at n = 0": abs(cawf(d, 0.0, p) - lo) <= 1e-14,
+            "non-Bayes limit as n -> inf": abs(cawf(d, math.inf, p) - hi) <= 1e-14,
+            "midpoint at n = omega": math.isclose(cawf(d, p.omega, p), 0.5 * (lo + hi),
+                                                  rel_tol=1e-12, abs_tol=1e-14),
+            "between the limits": all(min(lo, hi) - 1e-12 <= v <= max(lo, hi) + 1e-12
+                                      for v in values),
+            "falls in n": all(b < a for a, b in zip(values, values[1:])),
+        }
+        failed.update(name for name, ok in checks.items() if not ok)
+    return sorted(failed)
+
+
+# name, replacement of cawf, the checks that reject it.  Swapped limits keep
+# the midpoint and the range; the limits and the direction in n catch them.
+CAWF_MUTANTS = [
+    ("none", true_cawf, []),
+    ("Bayes and non-Bayes limits swapped", _cawf_limits_swapped,
+     ["Bayes limit at n = 0", "falls in n", "non-Bayes limit as n -> inf"]),
+]
+
+
+@pytest.mark.parametrize("mutant,kills", [row[1:] for row in CAWF_MUTANTS],
+                         ids=[row[0] for row in CAWF_MUTANTS])
+def test_cawf_mutation_row(monkeypatch, mutant, kills):
+    monkeypatch.setattr(consumption_mod, "cawf", mutant)
+    assert _failed_cawf_checks(consumption_mod.cawf) == kills

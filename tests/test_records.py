@@ -1,8 +1,10 @@
 """Every record in cogecon is a frozen, slotted `record` with the dataclass signature."""
 
+import copy
 import dataclasses
 import importlib
 import inspect
+import pickle
 import pkgutil
 
 import numpy as np
@@ -12,6 +14,7 @@ import cogecon
 from cogecon.config import default_config
 from cogecon.consumption import CawfCurves, EffectiveConsumption
 from cogecon.data_value import InfoEnsemble, SourceDist
+from cogecon.records import record
 from cogecon.rng import RngSpec
 from cogecon.wealth import FirmPolicy, drift_diffusion, equilibrium_prices, policy_functions
 import references
@@ -116,3 +119,69 @@ def test_scalar_records_are_among_the_plain_ones():
     for name in ("EconomyParams", "ResetLaw", "PiecewiseExpDensity", "DensityStats", "RngSpec"):
         assert _plain(EXAMPLES[name]())
 
+
+class _Other:
+    """A value equal to nothing else, put into one field of a copy."""
+
+    def __repr__(self) -> str:
+        return "<other>"
+
+
+def _outcome(call):
+    """What call returns, or the type and message of what it raises."""
+    try:
+        return "returns", call()
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+
+
+def _twin(cls: type) -> type:
+    """A plain frozen, slotted dataclass with cls's name and fields, every one in __init__."""
+    spec = [(f.name, f.type, dataclasses.field(repr=f.repr, hash=f.hash, compare=f.compare))
+            for f in dataclasses.fields(cls)]
+    twin = dataclasses.make_dataclass(cls.__name__, spec, frozen=True, slots=True)
+    twin.__qualname__ = cls.__qualname__
+    return twin
+
+
+def _with(obj, name: str, value):
+    """A copy of obj with one field set behind its frozen __setattr__."""
+    changed = copy.copy(obj)
+    object.__setattr__(changed, name, value)
+    return changed
+
+
+@pytest.mark.parametrize("cls", record_classes(), ids=lambda cls: cls.__qualname__)
+def test_record_methods_match_a_real_dataclass(cls):
+    # The shared __eq__, __hash__, __repr__, refusals and pickle state against
+    # the ones dataclass compiles, on the same values and on a copy that
+    # differs in one field, so that a method which drops a field disagrees.
+    obj = EXAMPLES[cls.__name__]()
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(cls)}
+    twin = _twin(cls)(**values)
+    other = _Other()
+    changed = [(_with(obj, name, other), _with(twin, name, other)) for name in values]
+    for a, twin_a in [(obj, twin), (dataclasses.replace(obj), dataclasses.replace(twin)), *changed]:
+        assert _outcome(lambda: obj == a) == _outcome(lambda: twin == twin_a)
+        assert _outcome(lambda: obj != a) == _outcome(lambda: twin != twin_a)
+        assert _outcome(lambda: hash(a)) == _outcome(lambda: hash(twin_a))
+        assert repr(a) == repr(twin_a)
+    assert all(_outcome(lambda: obj == a) != ("returns", True) for a, _ in changed)
+
+    # A record of another class with the same fields and values is not equal.
+    namesake = record(type(cls.__name__, (), {"__annotations__": dict.fromkeys(values, "object")}))
+    stranger = namesake(**values)
+    assert obj.__eq__(stranger) is NotImplemented and obj != stranger and stranger != obj
+
+    for name in values:
+        assert _outcome(lambda: setattr(obj, name, 0)) == _outcome(lambda: setattr(twin, name, 0))
+        assert _outcome(lambda: delattr(obj, name)) == _outcome(lambda: delattr(twin, name))
+    # (dataclass's own refusal of a name that is not a field fails with a
+    # TypeError from super() on a slotted class in Python 3.11)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obj.extra = 0
+    assert obj.__getstate__() == twin.__getstate__() or not _plain(obj)
+    for restored in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(restored) is cls and restored is not obj
+        assert repr(restored) == repr(obj)
+        assert not _plain(obj) or (restored == obj and hash(restored) == hash(obj))

@@ -32,6 +32,7 @@ from cogecon.validate import (
     validation_jobs,
 )
 from cogecon.wealth import drift_diffusion, stationary_wealth_density
+from references import block_end_ks_sample, whole_array_ks
 
 LAW = ResetLaw(mu=0.2465236032020286, sigma_x=0.4, reset_rate=0.3)
 
@@ -79,16 +80,6 @@ def test_ks_distance_of_exact_quantiles_is_small():
     assert ks_distance(exact_quantiles(d, n), d) <= 0.5 / n + 1e-9
 
 
-def whole_array_ks(samples, density):
-    """Reference: KS over the whole sorted array at once, gaps in one pass."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    cdf = density.cdf(x)
-    ecdf = np.arange(n + 1, dtype=float)
-    ecdf /= n
-    return float(max(np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1])))
-
-
 CHUNK = sde.CHUNK
 
 
@@ -115,15 +106,19 @@ def test_streamed_ks_equals_whole_array_ks(n, side):
     assert np.all(x[1:] >= x[:-1])   # sorted in place, as documented
 
 
-@pytest.mark.parametrize("case", ["all_equal", "wrong_law", "quantiles", "quantiles_batched"])
+@pytest.mark.parametrize("case", ["all_equal", "wrong_law", "quantiles", "quantiles_batched",
+                                  "block_end"])
 def test_pruned_ks_equals_whole_array_ks(case):
     # Samples where a wrong pruning would show: one value repeated, a law
-    # far from the model (large D), and exact quantiles, where every gap is
-    # close to D, so nearly every block is kept; at 3 CHUNK + 5 samples the
-    # kept blocks take four batches, the last one short.
+    # far from the model (large D), exact quantiles, where every gap is
+    # close to D, so nearly every block is kept (at 3 CHUNK + 5 samples the
+    # kept blocks take four batches, the last one short), and a largest gap
+    # at a block's last sample that only the exact block bound keeps.
     d = stationary_wealth_density(LAW)
     if case == "all_equal":
         x = np.full(1000, 0.3)
+    elif case == "block_end":
+        x = block_end_ks_sample(d, validate_mod._KS_BLOCK)
     elif case == "wrong_law":
         x = sde.simulate_gbm_reset(LAW.mu * 1.05, LAW.sigma_x, LAW.reset_rate, RngSpec(4),
                                    100_000)

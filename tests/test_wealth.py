@@ -1,6 +1,8 @@
 """Firm policy, wealth dynamics coefficients, and closed-form equilibrium."""
 
+import collections
 import hashlib
+import itertools
 import math
 import types
 from dataclasses import replace
@@ -263,6 +265,20 @@ def test_firms_active_flag_compares_z_with_the_cutoff_at_equilibrium_prices():
     assert equilibrium_prices(replace(EQ, theta=-1.0, delta=0.0, lam=1.0)).firms_active is True
     no_wage = equilibrium_prices(replace(EQ, theta=0.5, sigma=0.5, lam=50.0))
     assert no_wage.w_star is None and no_wage.firms_active is None
+
+
+def test_equilibrium_grid_has_few_economies_with_active_firms():
+    # A coarse grid of 2592 economies at alpha = 1/2: most have no wage or a
+    # wage at which firms are inactive (profit_rate < 0), so the equilibrium
+    # density of those is built on negative leverage profits.
+    grid = itertools.product((1.5, 5.0, 25.0, 50.0), (0.05, 0.3, 1.0), (0.05, 0.3, 0.6),
+                             (0.02, 0.05), (1.5, 2.0, 4.0), (1.0, 5.0, 20.0),
+                             (0.05, 0.5), (0.05, 0.5))
+    counts = collections.Counter(
+        equilibrium_prices(replace(EQ, lam=lam, beta=beta, delta=delta, rho=rho, gamma=gamma,
+                                   z=z, theta=theta, sigma=sigma)).firms_active
+        for lam, beta, delta, rho, gamma, z, theta, sigma in grid)
+    assert counts == {None: 936, False: 1335, True: 321}
 
 
 def test_equilibrium_requires_square_root_technology():
