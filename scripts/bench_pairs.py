@@ -4,8 +4,10 @@
         --runs validate:1211-1220 --runs sweep:1221-1226 \
         --trace-runs validate:1231-1231 --change-note "what the change does"
 
-PARENT and CHANGE are two checkouts of this repository (the change need not
-be committed).  For each seed of each --runs workload, one pair runs
+PARENT and CHANGE are two checkouts of this repository.  PARENT must be the
+top of a git work tree (a clone, or made by ``git worktree add``), whose
+commit the JSON records; CHANGE need not be committed.  For each seed of
+each --runs workload, one pair runs
 ``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`` in
 both checkouts, one after the other; even pairs run the parent first, odd
 pairs the change.  --trace-runs pairs do the same with --trace 1.  The run
@@ -55,6 +57,17 @@ def machine() -> str:
     return (f"{len(os.sched_getaffinity(0))}-core {platform.machine()} {platform.system()}, "
             f"{mem_gb:.0f} GB RAM, {platform.python_implementation()} "
             f"{platform.python_version()}")
+
+
+def parent_commit(parent: Path) -> str:
+    """HEAD of the git work tree whose top is parent; exits 1 if there is none."""
+    proc = subprocess.run(["git", "-C", str(parent), "rev-parse", "--show-toplevel", "HEAD"],
+                          capture_output=True, text=True)
+    top, _, head = proc.stdout.partition("\n")
+    if proc.returncode or Path(top).resolve() != parent:
+        sys.exit(f"bench_pairs.py: PARENT {parent} is not the top of a git work tree, so its "
+                 "commit cannot be recorded; make one with `git worktree add` or `git clone`")
+    return head.strip()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -136,10 +149,9 @@ def main() -> None:
     args = ap.parse_args()
 
     parent, change = args.parent.resolve(), args.change.resolve()
+    commit = parent_commit(parent)
     bench = json.loads((change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    commit = subprocess.run(["git", "-C", str(parent), "rev-parse", "HEAD"],
-                            capture_output=True, text=True).stdout.strip() or None
     seeds = {w: s for w, s in args.runs}
     seeds.update({f"{w}_trace": s for w, s in args.trace_runs})
     out = {"what": "perfbench/run.py, parent commit against this change, "

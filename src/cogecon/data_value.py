@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import field
 
 from .records import record
 
@@ -101,9 +100,9 @@ class InfoEnsemble:
 
     sources: tuple[SourceDist, ...]
     sigma_max: float
-    j_coupling: float = 0.0
-    synergy: dict = field(default_factory=dict)
-    antagonism: dict = field(default_factory=dict)
+    j_coupling: float
+    synergy: dict
+    antagonism: dict
 
     def __post_init__(self) -> None:
         _set_sources(self, tuple(self.sources))

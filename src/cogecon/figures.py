@@ -1,10 +1,12 @@
 """Reproducible data series behind the package's reference figures.
 
-Each builder returns a SeriesTable: a column-labeled numeric table plus a
-metadata header (figure id, parameter echo, seed).  CSV output is stable
-byte for byte across runs: fixed column order, fixed 17-significant-digit
-formatting, CRLF line endings, and counter-based seeding keyed on the figure
-id, so nothing depends on scheduling or thread count.
+Each builder computes only its columns (label -> 1-D array, in CSV order) and
+the parameters its header echoes.  `reproduce` frames them as a SeriesTable:
+the table name, a metadata header (figure id, seed, parameter echo) and the
+column-labeled numeric table.  CSV output is stable byte for byte across
+runs: fixed column order, fixed 17-significant-digit formatting, CRLF line
+endings, and counter-based seeding keyed on the figure id, so nothing depends
+on scheduling or thread count.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ STRONG_DILUTION_CROWD = (10, 25)
 # wealth panels hold it fixed.
 TYPE_TWO_FIGURES = frozenset({9, 10, 13, 14})
 
+# The one random figure: its id is its RNG stream id, and only its header has a seed.
+SEEDED_FIGURE = 6
+
 
 @record
 class SeriesTable:
@@ -76,90 +81,63 @@ class SeriesTable:
         return target
 
 
-def _params_echo(pairs: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in pairs.items())
-
-
-def _figure_retention(cfg: ScenarioConfig) -> SeriesTable:
+def _figure_retention(cfg: ScenarioConfig) -> tuple[dict, dict]:
     """Nine retention trajectories: three rate legs crossed with three starts."""
     import numpy as np
 
     t = np.linspace(0.0, 10.0, 201)
-    columns = ["t"]
-    series = [t]
-    for dil, rec in RETENTION_LEGS:
-        for r0 in RETENTION_STARTS:
-            p = RetentionParams(r0=r0, dilution_rate=dil, recovery_rate=rec)
-            columns.append(f"dil{dil:g}_rec{rec:g}_r0_{r0:g}")
-            series.append(retention_trajectory(p, t))
-    meta = {"figure": 1, "seed": "unused",
-            "params": _params_echo({"legs": RETENTION_LEGS, "starts": RETENTION_STARTS})}
-    return SeriesTable("figure01", tuple(columns), np.column_stack(series), meta)
+    trajectories = {f"dil{dil:g}_rec{rec:g}_r0_{r0:g}": retention_trajectory(
+        RetentionParams(r0=r0, dilution_rate=dil, recovery_rate=rec), t)
+        for dil, rec in RETENTION_LEGS for r0 in RETENTION_STARTS}
+    return {"t": t, **trajectories}, {"legs": RETENTION_LEGS, "starts": RETENTION_STARTS}
 
 
-def _density_table(figure_id: int, grid: tuple, laws: dict, params: dict) -> SeriesTable:
-    """Stationary densities on np.linspace(*grid), one column per label of laws."""
+def _density_columns(grid: tuple, laws: dict) -> dict:
+    """x = np.linspace(*grid), then the stationary density of each law of laws on it."""
     import numpy as np
 
     x = np.linspace(*grid)
-    meta = {"figure": figure_id, "seed": "unused", "params": _params_echo(params)}
-    pdfs = [law.density().pdf(x) for law in laws.values()]
-    return SeriesTable(f"figure{figure_id:02d}", ("x", *laws), np.column_stack([x, *pdfs]), meta)
+    return {"x": x, **{label: law.density().pdf(x) for label, law in laws.items()}}
 
 
-def _cognition_density_table(figure_id: int, p: CognitionParams, crowd: tuple) -> SeriesTable:
+def _cognition_densities(p: CognitionParams, crowd: tuple) -> tuple[dict, dict]:
     """Stationary log-resource densities of p at each crowd size n."""
     laws = {f"n{n}": cognition_law(replace(p, n=n)) for n in crowd}
-    return _density_table(figure_id, COGNITION_X_GRID, laws, {**asdict(p), "n": list(crowd)})
+    return _density_columns(COGNITION_X_GRID, laws), {**asdict(p), "n": list(crowd)}
 
 
-def _figure_shrinkage_lines(cfg: ScenarioConfig) -> SeriesTable:
+def _figure_shrinkage_lines(cfg: ScenarioConfig) -> tuple[dict, dict]:
     """Log-log adjustment lines: the identity and the shrunken rule."""
     import numpy as np
 
     p = cfg.shrinkage_params()
     ln_s = np.linspace(-2.0, 2.0, 401)
-    ln_hat = p.beta_b * ln_s + np.log(p.mu_b)
-    meta = {"figure": 4, "seed": "unused", "params": _params_echo(asdict(p))}
-    return SeriesTable("figure04", ("ln_s", "ln_bayes", "ln_nonbayes"),
-                       np.column_stack([ln_s, ln_s, ln_hat]), meta)
+    return ({"ln_s": ln_s, "ln_bayes": ln_s, "ln_nonbayes": p.beta_b * ln_s + np.log(p.mu_b)},
+            asdict(p))
 
 
-def _figure_cawf_slices(cfg: ScenarioConfig) -> SeriesTable:
+def _figure_cawf_slices(cfg: ScenarioConfig) -> tuple[dict, dict]:
     """Adjustment weight against data value, one column per crowd size."""
     import numpy as np
 
     p = cfg.cawf_params()
     d = np.linspace(0.0, 1.0, 201)
     crowd_sizes = (0.0, 10.0, 100.0, 1000.0, np.inf)
-    columns = ["d_value"]
-    series = [d]
-    for n in crowd_sizes:
-        label = "n_inf" if np.isinf(n) else f"n{n:g}"
-        columns.append(label)
-        series.append(cawf(d, n, p))
-    meta = {"figure": 5, "seed": "unused",
-            "params": _params_echo({"scale": p.scale, "omega": p.omega,
-                                    "d_bar": p.d_bar, "crowd_sizes": crowd_sizes})}
-    return SeriesTable("figure05", tuple(columns), np.column_stack(series), meta)
+    slices = {"n_inf" if np.isinf(n) else f"n{n:g}": cawf(d, n, p) for n in crowd_sizes}
+    return ({"d_value": d, **slices},
+            {"scale": p.scale, "omega": p.omega, "d_bar": p.d_bar, "crowd_sizes": crowd_sizes})
 
 
-def _figure_cawf_montecarlo(cfg: ScenarioConfig) -> SeriesTable:
+def _figure_cawf_montecarlo(cfg: ScenarioConfig) -> tuple[dict, dict]:
     """Average adjustment curves over stationary data-value draws."""
-    import numpy as np
-
     p = cfg.cawf_params()
-    rng = RngSpec(cfg.seed, stream_id=6)
-    curves = cawf_montecarlo(p, rng)
-    meta = {"figure": 6, "seed": cfg.seed,
-            "params": _params_echo({
-                "scale": p.scale, "omega": p.omega, "d_bar": p.d_bar,
-                "reversion": p.ou.reversion, "volatility": p.ou.volatility,
-                "horizon": p.ou.horizon, "n_paths": p.n_paths,
-                "n_high": curves.n_high, "n_low": curves.n_low})}
-    return SeriesTable("figure06", ("n", "average", "high_value", "low_value"),
-                       np.column_stack([curves.n_grid, curves.average,
-                                        curves.high_value, curves.low_value]), meta)
+    curves = cawf_montecarlo(p, RngSpec(cfg.seed, stream_id=SEEDED_FIGURE))
+    return ({"n": curves.n_grid, "average": curves.average,
+             "high_value": curves.high_value, "low_value": curves.low_value},
+            {"scale": p.scale, "omega": p.omega, "d_bar": p.d_bar,
+             "reversion": p.ou.reversion, "volatility": p.ou.volatility,
+             "horizon": p.ou.horizon, "n_paths": p.n_paths,
+             "n_high": curves.n_high, "n_low": curves.n_low})
 
 
 # Wealth figure id -> (label prefix, (theta, sigma)) of each asset setting it
@@ -183,7 +161,7 @@ def wealth_economies(figure_id: int, base: EconomyParams) -> list[tuple[str, Eco
             for lam_label, lam, f_sigma in zip(LAMBDA_LABELS, LAMBDA_TIERS, f_values)]
 
 
-def _wealth_density_table(cfg: ScenarioConfig, figure_id: int) -> SeriesTable:
+def _wealth_densities(cfg: ScenarioConfig, figure_id: int) -> tuple[dict, dict]:
     """Stationary log-wealth densities, one column per economy of wealth_economies."""
     base = cfg.wealth_params()
     economies = wealth_economies(figure_id, base)
@@ -191,26 +169,26 @@ def _wealth_density_table(cfg: ScenarioConfig, figure_id: int) -> SeriesTable:
               if k not in ("theta", "sigma", "lam", "f_sigma")}
     params["sweeps"] = [f"{label}:theta={p.theta:g},sigma={p.sigma:g},lam={p.lam:g},"
                         f"f={p.f_sigma:g}" for label, p in economies]
-    return _density_table(figure_id, WEALTH_X_GRID,
-                          {label: drift_diffusion(p) for label, p in economies}, params)
+    laws = {label: drift_diffusion(p) for label, p in economies}
+    return _density_columns(WEALTH_X_GRID, laws), params
 
 
-# Figure id -> builder of its series.
+# Figure id -> builder of its (columns, params); see the module docstring.
 _BUILDERS = {
     1: _figure_retention,
-    2: lambda cfg: _cognition_density_table(2, cfg.cognition_params(), COGNITION_CROWD),
-    3: lambda cfg: _cognition_density_table(
-        3, replace(cfg.cognition_params(), eta_c=STRONG_DILUTION_ETA), STRONG_DILUTION_CROWD),
+    2: lambda cfg: _cognition_densities(cfg.cognition_params(), COGNITION_CROWD),
+    3: lambda cfg: _cognition_densities(
+        replace(cfg.cognition_params(), eta_c=STRONG_DILUTION_ETA), STRONG_DILUTION_CROWD),
     4: _figure_shrinkage_lines,
     5: _figure_cawf_slices,
-    6: _figure_cawf_montecarlo,
-    **{fid: functools.partial(_wealth_density_table, figure_id=fid) for fid in _WEALTH_ASSETS},
+    SEEDED_FIGURE: _figure_cawf_montecarlo,
+    **{fid: functools.partial(_wealth_densities, figure_id=fid) for fid in _WEALTH_ASSETS},
 }
 FIGURE_IDS = tuple(_BUILDERS)
 
 
 def reproduce(figure_id: int, cfg: ScenarioConfig) -> SeriesTable:
-    """Build the data series behind one reference figure, an id of FIGURE_IDS."""
+    """The data series behind one reference figure, an id of FIGURE_IDS, with its header."""
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"figure_id must be one of {FIGURE_IDS}, got {figure_id}")
     explicit = cfg.explicit_agent_type
@@ -220,4 +198,10 @@ def reproduce(figure_id: int, cfg: ScenarioConfig) -> SeriesTable:
     if explicit == "two" and figure_id in _WEALTH_ASSETS.keys() - TYPE_TWO_FIGURES:
         raise ConfigError(f"figure {figure_id} shows the fixed-friction regime; "
                           "config pins agent_type = two")
-    return _BUILDERS[figure_id](cfg)
+    import numpy as np
+
+    columns, params = _BUILDERS[figure_id](cfg)
+    meta = {"figure": figure_id, "seed": cfg.seed if figure_id == SEEDED_FIGURE else "unused",
+            "params": " ".join(f"{k}={v}" for k, v in params.items())}
+    return SeriesTable(f"figure{figure_id:02d}", tuple(columns),
+                       np.column_stack(tuple(columns.values())), meta)

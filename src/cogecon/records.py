@@ -10,9 +10,10 @@ class is then built once, with a slot per field, on `_Record`.  Its one
 ``__delattr__`` and its pickle state methods act as the dataclass ones do,
 over field-name tuples that each class keeps.  Only ``__init__`` is compiled
 per class.  It stores each field through its slot's member descriptor and
-has the dataclass signature: defaults, a fresh ``default_factory()`` per
-call, no ``init=False`` fields, ``__post_init__`` last.  A record without a
-docstring is documented by that signature.
+has the dataclass signature: plain defaults (no ``default_factory``),
+``__post_init__`` last.  An ``init=False`` field is derived: it takes no
+default, and ``__post_init__`` stores it.  A record without a docstring is
+documented by that signature.
 """
 
 from __future__ import annotations
@@ -20,16 +21,6 @@ from __future__ import annotations
 import inspect
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from reprlib import recursive_repr
-
-
-class _Factory:
-    """Default of a parameter whose field has a default_factory."""
-
-    def __repr__(self) -> str:
-        return "<factory>"
-
-
-_FACTORY = _Factory()
 
 
 class _Record:
@@ -84,23 +75,14 @@ def record(cls: type) -> type:
     qualname = cls.__qualname__
     cls = type(cls)(cls.__name__, (_Record,), namespace)
     cls.__qualname__ = qualname
-    env = {"_FACTORY": _FACTORY}
-    params, body, annotations = [], [], {"return": None}
+    env, params, body, annotations = {}, [], [], {"return": None}
     for f in own:
-        name = f.name
-        env.update({f"_set_{name}": cls.__dict__[name].__set__,
-                    f"_default_{name}": f.default, f"_factory_{name}": f.default_factory})
-        factory = f.default_factory is not MISSING
-        default = "_FACTORY" if factory else None if f.default is MISSING else f"_default_{name}"
         if f.init:
-            params.append(name if default is None else f"{name}={default}")
+            name = f.name
+            env[f"_set_{name}"], env[f"_default_{name}"] = cls.__dict__[name].__set__, f.default
+            params.append(name if f.default is MISSING else f"{name}=_default_{name}")
             annotations[name] = f.type
-            value = f"_factory_{name}() if {name} is _FACTORY else {name}" if factory else name
-        elif default is None:
-            continue
-        else:
-            value = f"_factory_{name}()" if factory else default
-        body.append(f"    _set_{name}(self, {value})")
+            body.append(f"    _set_{name}(self, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     exec(f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass"), env)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,6 +73,7 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch):
         events.append(f"tier1 {checkout.name}")
         return 30.0, 0
 
+    monkeypatch.setattr(bench_pairs, "parent_commit", lambda parent: "c0ffee")
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     monkeypatch.setattr(bench_pairs, "run_tier1", fake_run_tier1)
     monkeypatch.chdir(tmp_path)
@@ -82,8 +84,25 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch):
     # even pairs run the parent first, odd pairs the change; then each
     # side's tier-1 suite runs once
     assert events == ["parent", "change", "change", "parent", "tier1 parent", "tier1 change"]
+    assert out["parent_commit"] == "c0ffee"
     assert out["tier1_s"] == {"parent": 30.0, "change": 30.0}
     assert out["tier1_exit"] == {"parent": 0, "change": 0}
     assert [(r["pair"], r["side"]) for r in out["runs"]] == [
         (0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
     assert out["summary"]["sweep"]["wall_s"]["pairs"] == 2
+
+
+def test_a_parent_that_is_not_a_git_work_tree_is_refused_before_any_run(tmp_path):
+    # an exported tree (git archive) has no commit to record in the JSON
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    proc = subprocess.run([sys.executable, _SPEC.origin, str(parent), str(change),
+                           "--label", "t", "--runs", "sweep:1-2"],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "git worktree add" in proc.stderr
+    assert not list(tmp_path.glob("BENCH_*.json"))

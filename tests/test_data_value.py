@@ -82,7 +82,8 @@ def test_direction_vector_must_be_unit():
 
 
 def test_single_source_aggregate_is_its_weight():
-    e = InfoEnsemble(sources=(SourceDist.uniform(2.0),), sigma_max=GAUSS_UNIT_ENTROPY)
+    e = InfoEnsemble(sources=(SourceDist.uniform(2.0),), sigma_max=GAUSS_UNIT_ENTROPY,
+                     j_coupling=0.0, synergy={}, antagonism={})
     v = information_value(math.log(2.0), GAUSS_UNIT_ENTROPY)
     assert aggregate_data_value(e) == pytest.approx(value_weight(v), rel=1e-14)
 
@@ -90,11 +91,11 @@ def test_single_source_aggregate_is_its_weight():
 def test_synergy_raises_and_antagonism_lowers():
     sources = (SourceDist.uniform(2.0), SourceDist.gaussian(0.5))
     base = aggregate_data_value(InfoEnsemble(sources=sources, sigma_max=2.0,
-                                             j_coupling=1.0))
-    up = aggregate_data_value(InfoEnsemble(sources=sources, sigma_max=2.0,
-                                           j_coupling=1.0, synergy={(0, 1): 0.7}))
-    down = aggregate_data_value(InfoEnsemble(sources=sources, sigma_max=2.0,
-                                             j_coupling=1.0, antagonism={(0, 1): 0.7}))
+                                             j_coupling=1.0, synergy={}, antagonism={}))
+    up = aggregate_data_value(InfoEnsemble(sources=sources, sigma_max=2.0, j_coupling=1.0,
+                                           synergy={(0, 1): 0.7}, antagonism={}))
+    down = aggregate_data_value(InfoEnsemble(sources=sources, sigma_max=2.0, j_coupling=1.0,
+                                             synergy={}, antagonism={(0, 1): 0.7}))
     assert up > base > down
     assert up - base == pytest.approx(base - down, rel=1e-12)
 
@@ -102,19 +103,21 @@ def test_synergy_raises_and_antagonism_lowers():
 def test_coupling_scale_is_linear():
     sources = (SourceDist.uniform(2.0), SourceDist.gaussian(0.5))
     lift = [aggregate_data_value(InfoEnsemble(sources=sources, sigma_max=2.0,
-                                              j_coupling=j, synergy={(0, 1): 0.5}))
+                                              j_coupling=j, synergy={(0, 1): 0.5},
+                                              antagonism={}))
             for j in (0.0, 1.0, 2.0)]
     assert lift[2] - lift[1] == pytest.approx(lift[1] - lift[0], rel=1e-12)
 
 
 def test_ensemble_validation():
     with pytest.raises(ValueError):
-        InfoEnsemble(sources=(), sigma_max=1.0)
+        InfoEnsemble(sources=(), sigma_max=1.0, j_coupling=0.0, synergy={}, antagonism={})
     with pytest.raises(ValueError):
-        InfoEnsemble(sources=(SourceDist.uniform(1.0),), sigma_max=0.0)
+        InfoEnsemble(sources=(SourceDist.uniform(1.0),), sigma_max=0.0, j_coupling=0.0,
+                     synergy={}, antagonism={})
     with pytest.raises(ValueError):
         InfoEnsemble(sources=(SourceDist.uniform(1.0), SourceDist.uniform(2.0)),
-                     sigma_max=1.0, synergy={(1, 0): 0.5})
+                     sigma_max=1.0, j_coupling=0.0, synergy={(1, 0): 0.5}, antagonism={})
 
 
 def test_index_fixed_points():

@@ -28,6 +28,8 @@ def test_every_series_is_rectangular(fid, cfg):
     assert arr.shape[1] == len(t.columns)
     assert np.all(np.isfinite(arr))
     assert dict(t.meta)["figure"] == fid
+    # only figure 6 draws random numbers; perfbench counts the CSV bytes of the others
+    assert t.meta["seed"] == (cfg.seed if fid == 6 else "unused")
 
 
 def test_retention_series_starts_at_initial_levels(cfg):

@@ -52,7 +52,7 @@ EXAMPLES = {
     "SourceDist": lambda: SourceDist.gaussian(2.0),
     "DirectionVector": lambda: references.DirectionVector(0.6, 0.0, 0.8),
     "InfoEnsemble": lambda: InfoEnsemble((SourceDist.uniform(2.0), SourceDist.gaussian(1.0)),
-                                         4.0, 0.5, synergy={(0, 1): 0.2}),
+                                         4.0, 0.5, synergy={(0, 1): 0.2}, antagonism={}),
     "EconomyParams": CFG.wealth_params,
     "FirmPolicy": lambda: FirmPolicy(5.0, 2.0, 0.3, 1.5),
     "PolicyCoefficients": lambda: policy_functions(CFG.wealth_params()),

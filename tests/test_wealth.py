@@ -199,6 +199,57 @@ def test_paired_friction_drift_identity(theta, sigma, r, lam, rho):
     assert law.mu == pytest.approx(0.25 * q - rho, rel=1e-10, abs=1e-12)
 
 
+# The exact identities behind the wealth claims: the stationary law depends on
+# the friction f and the leverage cap lambda only through the drift mu.
+def _q_and_sigma_x(p: EconomyParams) -> tuple[float, float]:
+    """q = (theta - r)^2 / (gamma sigma^2) and sigma_x = (theta - r) / (gamma sigma)."""
+    return (p.theta - p.r) ** 2 / (p.gamma * p.sigma**2), (p.theta - p.r) / (p.gamma * p.sigma)
+
+
+@pytest.mark.parametrize("p", [p for _, p in benchmark_combos()])
+def test_log_wealth_moments_are_mu_over_beta_and_its_variance(p):
+    law = drift_diffusion(p)
+    stats = density_stats(stationary_wealth_density(law))
+    mu, beta = law.mu, law.reset_rate
+    assert stats.mean_x == pytest.approx(mu / beta, rel=2e-15, abs=0.0)
+    assert stats.var_x == pytest.approx(law.sigma_x**2 / beta + mu**2 / beta**2,
+                                        rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+def test_friction_f0_makes_the_drift_leverage_neutral(gamma):
+    # at f0 = (gamma - 1)/gamma the profit terms cancel from mu, so lambda,
+    # z, w, delta and alpha drop out: mu = q/2 - sigma_x^2/2 - rho/(gamma - 1)
+    f0 = (gamma - 1.0) / gamma
+    mus = [drift_diffusion(EconomyParams(gamma=gamma, f_sigma=f0, lam=lam, z=z, w=w, delta=delta,
+                                         alpha=alpha)).mu
+           for lam, z, w, delta, alpha in itertools.product(
+               (1.0, 5.0, 50.0), (5.0, 8.0), (0.5, 1.0), (0.1, 0.6), (0.3, 0.5))]
+    base = EconomyParams(gamma=gamma)
+    q, sigma_x = _q_and_sigma_x(base)
+    closed_form = 0.5 * q - 0.5 * sigma_x**2 - base.rho / (gamma - 1.0)
+    assert max(mus) - min(mus) <= 5e-14
+    assert max(abs(mu - closed_form) for mu in mus) <= 5e-14
+    if gamma == 2.0:
+        assert closed_form == pytest.approx(0.03, abs=1e-16)
+
+
+@pytest.mark.parametrize("lam", [5.0, 25.0, 50.0])
+def test_friction_f_star_zeroes_the_drift_at_the_minimum_variance(lam):
+    # mu = Pi_lev + r + q - sigma_x^2/2 - B/(gamma f), so mu(f*) = 0 at
+    # f* = B/(gamma (Pi_lev + r + q - sigma_x^2/2)), where Var = sigma_x^2/beta
+    p = EconomyParams(lam=lam)
+    q, sigma_x = _q_and_sigma_x(p)
+    bracket = policy_functions(p).c_coeff * p.gamma * p.f_sigma
+    f_star = bracket / (p.gamma * (profit_rate(p) * p.lam + p.r + q - 0.5 * sigma_x**2))
+    assert 0.0 < f_star < (p.gamma - 1.0) / p.gamma
+    law = drift_diffusion(replace(p, f_sigma=f_star))
+    assert abs(law.mu) < 1e-16
+    var_x = density_stats(stationary_wealth_density(law)).var_x
+    assert var_x == pytest.approx(sigma_x**2 / p.beta, rel=1e-15)
+    assert var_x == pytest.approx(0.16 / 0.3, rel=1e-15)
+
+
 def test_density_stats_flags_divergent_wealth_mean():
     heavy = density_stats(stationary_wealth_density(
         drift_diffusion(EconomyParams(lam=50.0))))
