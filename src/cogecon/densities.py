@@ -84,9 +84,6 @@ class PiecewiseExpDensity:
     def second_moment(self) -> float:
         return 2.0 * self.norm_K * (1.0 / self.rate_right**3 + 1.0 / self.rate_left**3)
 
-    def var(self) -> float:
-        return self.second_moment() - self.mean() ** 2
-
     def exp_moment(self) -> float | None:
         """E[exp(x)] (level-space mean when x is a log state).
 

@@ -200,8 +200,13 @@ def reproduce(figure_id: int, cfg: ScenarioConfig) -> SeriesTable:
                           "config pins agent_type = two")
     import numpy as np
 
-    columns, params = _BUILDERS[figure_id](cfg)
+    # An overflow shows as a non-finite cell, which is refused below, not written.
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns, params = _BUILDERS[figure_id](cfg)
+    data = np.column_stack(tuple(columns.values()))
+    if not np.isfinite(data).all():
+        bad = [label for label, column in columns.items() if not np.isfinite(column).all()]
+        raise ValueError(f"non-finite values in column {', '.join(bad)}")
     meta = {"figure": figure_id, "seed": cfg.seed if figure_id == SEEDED_FIGURE else "unused",
             "params": " ".join(f"{k}={v}" for k, v in params.items())}
-    return SeriesTable(f"figure{figure_id:02d}", tuple(columns),
-                       np.column_stack(tuple(columns.values())), meta)
+    return SeriesTable(f"figure{figure_id:02d}", tuple(columns), data, meta)

@@ -100,14 +100,14 @@ def implied_investor_mass(mu_bar: float, sigma_mu: float, k_cut: float) -> float
     return normal_sf((k_cut - mu_bar) / sigma_mu)
 
 
-def check_mass_consistency(e: TaxEconomy, tol: float = 1e-6) -> float:
+def check_mass_consistency(e: TaxEconomy) -> float:
     """Warn when the configured investor mass disagrees with the cutoff.
 
     m and K_cut are accepted independently; this recomputes the mass implied
-    by the cutoff and returns it, warning on a mismatch beyond tol.
+    by the cutoff and returns it, warning on a mismatch beyond 1e-6.
     """
     implied = implied_investor_mass(e.mu_bar, e.sigma_mu, e.k_cut)
-    if abs(implied - e.m) > tol:
+    if abs(implied - e.m) > 1e-6:
         warnings.warn(
             f"investor mass m = {e.m} differs from the cutoff-implied mass {implied:.6g}",
             RuntimeWarning, stacklevel=2)
@@ -145,26 +145,26 @@ def consumptions(e: TaxEconomy, eps_agg: float, eps_idio: float,
 
 
 @functools.cache
-def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights, solved once per n_nodes on first use.
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 64 Gauss-Hermite nodes and weights, solved on first use.
 
     The arrays are shared by every caller, so they are made read-only.
     """
     import numpy as np
 
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    nodes, weights = np.polynomial.hermite.hermgauss(64)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
-def _hermite_expectation(fn, sigma: float, n_nodes: int = 64) -> float:
+def _hermite_expectation(fn, sigma: float) -> float:
     """E[fn(eps)] for eps ~ N(-sigma^2/2, sigma^2) by Gauss-Hermite quadrature."""
     import numpy as np
 
     if sigma == 0.0:
         return float(fn(0.0))
-    nodes, weights = _hermite_rule(n_nodes)
+    nodes, weights = _hermite_rule()
     eps = -0.5 * sigma**2 + math.sqrt(2.0) * sigma * nodes
     return float(np.sum(weights * fn(eps)) / math.sqrt(math.pi))
 

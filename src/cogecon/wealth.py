@@ -124,14 +124,6 @@ def firm_policy(p: EconomyParams, a: float) -> FirmPolicy:
     return FirmPolicy(capital=capital, labor=labor, profit=profit, output=output)
 
 
-@record
-class PolicyCoefficients:
-    """Both optimal controls are linear in wealth: kappa(a) = kappa_coeff * a, etc."""
-
-    kappa_coeff: float
-    c_coeff: float
-
-
 def _policy_terms(p: EconomyParams) -> tuple[float, float, float, float, float]:
     """(theta - r, gamma sigma^2, q, Pi_lev, c_coeff) of the policies, each computed once."""
     excess = p.theta - p.r
@@ -143,8 +135,9 @@ def _policy_terms(p: EconomyParams) -> tuple[float, float, float, float, float]:
     return excess, gamma_var, q, pi_lev, bracket / (p.gamma * p.f_sigma)
 
 
-def policy_functions(p: EconomyParams) -> PolicyCoefficients:
-    """Risky-share and consumption coefficients of the linear optimal policies.
+def policy_functions(p: EconomyParams) -> tuple[float, float]:
+    """(kappa_coeff, c_coeff) of the linear optimal policies: both controls are
+    linear in wealth, kappa(a) = kappa_coeff * a and c(a) = c_coeff * a.
 
     The consumption bracket rho - (1 - gamma)(Pi + r) - (1 - gamma)/2 * q,
     with q = (theta - r)^2 / (gamma sigma^2) and Pi the leveraged profit
@@ -152,7 +145,7 @@ def policy_functions(p: EconomyParams) -> PolicyCoefficients:
     there.
     """
     excess, gamma_var, _, _, c_coeff = _policy_terms(p)
-    return PolicyCoefficients(kappa_coeff=excess / gamma_var, c_coeff=c_coeff)
+    return excess / gamma_var, c_coeff
 
 
 def drift_diffusion(p: EconomyParams) -> ResetLaw:

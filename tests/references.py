@@ -6,7 +6,8 @@ CRRA utility of an effective consumption, a draw-by-draw simulation of the
 shrinkage model, the Hermitian matrix of a directed source value, the
 equilibrium wage as a bracketed root of the labor-market residual, and the
 KS distance over a whole sorted sample, with a sample on which pruning its
-blocks is easy to get wrong.
+blocks is easy to get wrong, and the reflected OU's stationary law, the
+truncated Gibbs law its sampler's states are tested against.
 """
 
 import math
@@ -15,10 +16,11 @@ from dataclasses import replace
 import numpy as np
 
 from cogecon.cognition import RetentionParams
-from cogecon.consumption import EffectiveConsumption, implied_shrinkage
+from cogecon.consumption import implied_shrinkage
 from cogecon.errors import DegenerateModelError
 from cogecon.records import record
 from cogecon.rng import RngSpec
+from cogecon.sde import OuProcessSpec
 from cogecon.wealth import EconomyParams, labor_residual_at
 
 _UNIT_NORM_TOL = 1e-9
@@ -29,11 +31,10 @@ def retention_ode_rhs(p: RetentionParams, r: float) -> float:
     return -p.dilution_rate * r + p.recovery_rate * r * (1.0 - r)
 
 
-def net_utility(e: EffectiveConsumption, gamma: float) -> float:
-    """CRRA utility of the adjustment-scaled consumption; gamma = 1 is log."""
+def net_utility(c: float, gamma: float) -> float:
+    """CRRA utility of the adjustment-scaled consumption c; gamma = 1 is log."""
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    c = e.utility_consumption()
     if gamma == 1.0:
         return math.log(c)
     return c ** (1.0 - gamma) / (1.0 - gamma)
@@ -136,6 +137,36 @@ def whole_array_ks(samples, density) -> float:
     ecdf = np.arange(n + 1, dtype=float)
     ecdf /= n
     return float(max(np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1])))
+
+
+# The reflected-OU sampler's oracle: in 1-D, reflection keeps the Gibbs
+# density, so the states at the horizon follow N(mean, volatility^2 / (2
+# reversion)) truncated to the bounds (the start's pull has decayed by e^-10).
+# Their KS distance from that law must stay below the DKW bound at
+# alpha = 1e-6 (Massart 1990): 0.0190 at these 20 000 paths.
+OU_ORACLE_SPEC = OuProcessSpec(mean=0.3, reversion=1.0, volatility=0.5, lower_bound=0.0,
+                               upper_bound=1.0, horizon=10.0, dt=0.01)
+OU_ORACLE_PATHS = 20_000
+OU_ORACLE_BOUND = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * OU_ORACLE_PATHS))
+
+
+class TruncatedNormal:
+    """N(mean, variance) truncated to [lower, upper], with the cdf that whole_array_ks reads."""
+
+    def __init__(self, mean: float, variance: float, lower: float, upper: float):
+        self.mean, self.sd, self.lower, self.upper = mean, math.sqrt(variance), lower, upper
+
+    def cdf(self, x):
+        from scipy.special import ndtr
+
+        lo, hi = ndtr((self.lower - self.mean) / self.sd), ndtr((self.upper - self.mean) / self.sd)
+        return (ndtr((np.asarray(x) - self.mean) / self.sd) - lo) / (hi - lo)
+
+
+def ou_gibbs_law(spec: OuProcessSpec) -> TruncatedNormal:
+    """The reflected OU's stationary law: N(mean, volatility^2 / (2 reversion)) on the bounds."""
+    return TruncatedNormal(spec.mean, spec.volatility**2 / (2.0 * spec.reversion),
+                           spec.lower_bound, spec.upper_bound)
 
 
 def block_end_ks_sample(density, block: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import errno
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -665,6 +666,30 @@ def test_figures_written_before_an_out_of_range_figure_stay(tmp_path, capsys):
     assert run_cli(["reproduce", "--config", path, "--out", str(out)]) == 1
     assert sorted(p.name for p in out.iterdir()) == [f"figure{i:02d}.csv" for i in range(1, 9)]
     assert capsys.readouterr().err == "config error: figure 9: float division by zero\n"
+
+
+def test_non_finite_figure_is_refused_and_earlier_figures_stay(tmp_path, capsys):
+    # Every report accepts scale = 1e308, but figure 6's curves overflow.
+    path = write_config(tmp_path, "[consumption]\nscale = 1e308\n")
+    out = tmp_path / "series"
+    assert run_cli(["reproduce", "--config", path, "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == [f"figure{i:02d}.csv" for i in range(1, 6)]
+    err = capsys.readouterr().err
+    assert err.startswith("config error: figure 6: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("figure", ["5", "6"])
+@pytest.mark.parametrize("scale", ["1e300", "1e306", "1e308"])
+def test_reproduce_writes_only_finite_tables(tmp_path, capsys, figure, scale):
+    path = write_config(tmp_path, f"[consumption]\nscale = {scale}\n")
+    out = tmp_path / "series"
+    code = run_cli(["reproduce", "--figure", figure, "--config", path, "--out", str(out)])
+    assert code in (0, 1)
+    if code == 1:
+        assert capsys.readouterr().err.count("\n") == 1
+    for table in out.glob("*.csv"):
+        rows = [line for line in table.read_text().splitlines() if not line.startswith("#")][1:]
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
 def test_reproduce_rejects_mismatched_agent_type(tmp_path, capsys):

@@ -9,15 +9,15 @@ from hypothesis import given, strategies as st
 
 from cogecon.config import default_config
 from cogecon.consumption import (
+    N_GRID,
     CawfParams,
-    EffectiveConsumption,
     ShrinkageParams,
     bayes_adjustment,
     cawf,
     cawf_bayes_limit,
     cawf_montecarlo,
     cawf_nonbayes_limit,
-    default_n_grid,
+    effective_consumption,
     implied_shrinkage,
     nonbayes_adjustment,
     shrinkage_crossover,
@@ -124,7 +124,7 @@ def test_cawf_can_rise_with_crowding_when_scale_small():
 
 
 def test_default_grid_shape():
-    grid = default_n_grid()
+    grid = np.geomspace(*N_GRID)
     assert grid.size == 50
     assert grid[0] == pytest.approx(1.0)
     assert grid[-1] == pytest.approx(300.0)
@@ -149,12 +149,14 @@ def test_montecarlo_deterministic():
 
 
 def test_effective_consumption_and_utility():
-    e = EffectiveConsumption(c_delta=0.15)
-    assert e.utility_consumption() == 1.15
-    assert net_utility(e, gamma=1.0) == pytest.approx(math.log(1.15), rel=1e-14)
-    assert net_utility(e, gamma=2.0) == pytest.approx(1.15 ** (-1.0) / (-1.0), rel=1e-14)
-    with pytest.raises(ValueError):
-        EffectiveConsumption(c_delta=-1.0)
+    p = _params()
+    c = effective_consumption(0.75, p)
+    assert c == 1.0 + cawf(0.75, p.omega, p)
+    assert net_utility(c, gamma=1.0) == pytest.approx(math.log(c), rel=1e-14)
+    assert net_utility(c, gamma=2.0) == pytest.approx(c ** (-1.0) / (-1.0), rel=1e-14)
+    # scale 5 with d_bar 1 puts the CAWF at D = 0.75, n = omega below -1
+    with pytest.raises(ValueError, match="at or below -1"):
+        effective_consumption(0.75, _params(scale=5.0, d_bar=1.0))
 
 
 def test_cawf_param_validation():

@@ -1,5 +1,7 @@
 """Structure and determinism of the CSV series builders."""
 
+import json
+import math
 import os
 import re
 import subprocess
@@ -9,9 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cogecon.cli import main
 from cogecon.config import parse_config
 from cogecon.errors import ConfigError
 from cogecon.figures import FIGURE_IDS, SeriesTable, reproduce
+
+
+VALUES_GOLDEN = Path(__file__).parent / "golden" / "reproduce_seed42_values.json"
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +130,36 @@ def test_csv_bytes_equal_per_element_formatter(data):
     t = SeriesTable("t", tuple(f"c{j}" for j in range(data.shape[1])), data,
                     {"figure": 0, "seed": "unused"})
     assert t.to_csv_bytes() == per_element_csv_bytes(t)
+
+
+def csv_values(path: Path) -> dict:
+    """The parsed cells of one reproduce CSV, summarised: the row count, then per
+    column math.fsum, min, max and the first, middle and last cells."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    return {"rows": len(rows), "columns": {
+        label: {"fsum": math.fsum(cells), "min": min(cells), "max": max(cells),
+                "first": cells[0], "middle": cells[len(cells) // 2], "last": cells[-1]}
+        for label, cells in zip(lines[0].split(","), zip(*rows))}}
+
+
+def test_reproduce_values_match_golden(tmp_path):
+    # Unlike the sha256 manifest, this golden tells roundoff drift in the last
+    # digits (within 1e-12 relative) from a change in behaviour; zeros are exact.
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--seed", "42", "--out", str(tmp_path)])
+    assert not exc.value.code
+    golden = json.loads(VALUES_GOLDEN.read_text())
+    fresh = {path.stem: csv_values(path) for path in sorted(tmp_path.glob("*.csv"))}
+    assert fresh.keys() == golden.keys()
+    for name, table in golden.items():
+        assert fresh[name]["rows"] == table["rows"], name
+        assert list(fresh[name]["columns"]) == list(table["columns"]), name
+        for label, stats in table["columns"].items():
+            for stat, want in stats.items():
+                got = fresh[name]["columns"][label][stat]
+                assert (got == want if want == 0.0 else math.isclose(got, want, rel_tol=1e-12)), \
+                    (name, label, stat, got, want)
 
 
 def test_reproduce_rejects_unknown_figure(cfg):

@@ -13,9 +13,12 @@ and the one inside ks_distance is compiled from its edited source.
 The equilibrium rows patch the closed-form prices instead, and count the
 square-root-technology economies whose wage is not the bracketed root of
 the labor-market residual.  The CAWF rows name the checks of the weight's
-limits and shape that fail.
+limits and shape that fail.  The reflected-OU rows replace the sampler's
+fold, or put a wrong stationary law in place of the truncated Gibbs law,
+and must each take the KS distance of the oracle's states past its DKW bound.
 """
 
+import functools
 import inspect
 import math
 from dataclasses import replace
@@ -23,13 +26,15 @@ from dataclasses import replace
 import pytest
 
 import cogecon.consumption as consumption_mod
+import cogecon.sde as sde_mod
 import cogecon.validate as validate_mod
 import cogecon.wealth as wealth_mod
 from cogecon.config import default_config
 from cogecon.densities import PiecewiseExpDensity, ResetLaw
 from cogecon.rng import RngSpec
 from cogecon.sde import simulate_gbm_reset
-from references import (EQUILIBRIUM_GRID, block_end_ks_sample, equilibrium_wage_root,
+from references import (EQUILIBRIUM_GRID, OU_ORACLE_BOUND, OU_ORACLE_PATHS, OU_ORACLE_SPEC,
+                        block_end_ks_sample, equilibrium_wage_root, ou_gibbs_law,
                         whole_array_ks)
 
 SEED = 42
@@ -181,3 +186,31 @@ CAWF_MUTANTS = [
 def test_cawf_mutation_row(monkeypatch, mutant, kills):
     monkeypatch.setattr(consumption_mod, "cawf", mutant)
     assert _failed_cawf_checks(consumption_mod.cawf) == kills
+
+
+@functools.cache
+def _ou_oracle_states(sampler):
+    """The reflected-OU oracle's states at the horizon, drawn by sampler; the
+    unmutated sampler passes this oracle in test_stochastic_core.py."""
+    spec = OU_ORACLE_SPEC
+    return sampler(spec, RngSpec(1, stream_id=300), OU_ORACLE_PATHS, [spec.horizon])[:, 0]
+
+
+# name, sampler, the spec whose Gibbs law the states are compared with.
+# Clipping piles mass on the bounds; each wrong law is one a sampler could
+# settle into.  Halving the reversion gives the variance volatility^2/reversion.
+OU_MUTANTS = [
+    ("fold replaced by np.clip", _edited(
+        sde_mod.simulate_ou_reflected, "np.subtract(x, lo, out=y)",
+        "np.clip(x, lo, hi, out=x)\n            np.subtract(x, lo, out=y)"), OU_ORACLE_SPEC),
+    ("variance volatility^2/reversion", sde_mod.simulate_ou_reflected,
+     replace(OU_ORACLE_SPEC, reversion=OU_ORACLE_SPEC.reversion / 2.0)),
+    ("mean + 0.05", sde_mod.simulate_ou_reflected,
+     replace(OU_ORACLE_SPEC, mean=OU_ORACLE_SPEC.mean + 0.05)),
+]
+
+
+@pytest.mark.parametrize("sampler,law_spec", [row[1:] for row in OU_MUTANTS],
+                         ids=[row[0] for row in OU_MUTANTS])
+def test_ou_oracle_mutation_row(sampler, law_spec):
+    assert whole_array_ks(_ou_oracle_states(sampler), ou_gibbs_law(law_spec)) > OU_ORACLE_BOUND

@@ -12,11 +12,11 @@ import pytest
 
 import cogecon
 from cogecon.config import default_config
-from cogecon.consumption import CawfCurves, EffectiveConsumption
+from cogecon.consumption import CawfCurves
 from cogecon.data_value import InfoEnsemble, SourceDist
 from cogecon.records import record
 from cogecon.rng import RngSpec
-from cogecon.wealth import FirmPolicy, drift_diffusion, equilibrium_prices, policy_functions
+from cogecon.wealth import FirmPolicy, drift_diffusion, equilibrium_prices
 import references
 
 
@@ -41,7 +41,6 @@ EXAMPLES = {
     "ShrinkageParams": CFG.shrinkage_params,
     "CawfParams": CFG.cawf_params,
     "CawfCurves": lambda: CawfCurves(*[np.ones(3)] * 4, 1, 2),
-    "EffectiveConsumption": lambda: EffectiveConsumption(0.1),
     "ComboReport": lambda: cogecon.validate.ComboReport("x", LAW, 1e-5, 1e-3, 1e-3, 0.02),
     "RetentionParams": CFG.retention_params,
     "CognitionParams": CFG.cognition_params,
@@ -55,7 +54,6 @@ EXAMPLES = {
                                          4.0, 0.5, synergy={(0, 1): 0.2}, antagonism={}),
     "EconomyParams": CFG.wealth_params,
     "FirmPolicy": lambda: FirmPolicy(5.0, 2.0, 0.3, 1.5),
-    "PolicyCoefficients": lambda: policy_functions(CFG.wealth_params()),
     "ResetLaw": lambda: LAW,
     "DensityStats": lambda: cogecon.density_stats(cogecon.stationary_wealth_density(LAW)),
     "EquilibriumPrices": lambda: equilibrium_prices(CFG.equilibrium_params()),

@@ -20,6 +20,8 @@ from cogecon.rng import RngSpec
 from cogecon.sde import OuProcessSpec, simulate_gbm_reset, simulate_ou_reflected
 from cogecon.validate import benchmark_combos, fd_grid_for
 from cogecon.wealth import drift_diffusion
+from references import (OU_ORACLE_BOUND, OU_ORACLE_PATHS, OU_ORACLE_SPEC, ou_gibbs_law,
+                        whole_array_ks)
 
 drifts = st.floats(min_value=-2.0, max_value=2.0)
 vols = st.floats(min_value=0.05, max_value=3.0)
@@ -184,6 +186,14 @@ def test_ou_zero_vol_relaxes_to_mean():
     path = simulate_ou_reflected(spec, RngSpec(1), n_paths=1, record_times=t)[0]
     analytic = 0.5 + (0.9 - 0.5) * np.exp(-0.5 * t)
     assert np.max(np.abs(path - analytic)) < 1e-2
+
+
+def test_ou_reflected_states_follow_the_truncated_gibbs_law():
+    # A law symmetric about the mean passes the mean test above; this one does not.
+    spec = OU_ORACLE_SPEC
+    states = simulate_ou_reflected(spec, RngSpec(1, stream_id=300), OU_ORACLE_PATHS,
+                                   [spec.horizon])[:, 0]
+    assert whole_array_ks(states, ou_gibbs_law(spec)) < OU_ORACLE_BOUND
 
 
 def plain_ou_loop(spec: OuProcessSpec, rng: RngSpec, n_paths: int, record_times):

@@ -83,16 +83,16 @@ def test_inactive_firm_below_cutoff():
 
 
 def test_policy_coefficients_reference_values():
-    pol = policy_functions(EconomyParams())
-    assert pol.kappa_coeff == pytest.approx(8.0, rel=1e-14)
-    assert pol.c_coeff == pytest.approx(0.21652360320202862, rel=1e-12)
+    kappa_coeff, c_coeff = policy_functions(EconomyParams())
+    assert kappa_coeff == pytest.approx(8.0, rel=1e-14)
+    assert c_coeff == pytest.approx(0.21652360320202862, rel=1e-12)
 
 
 def test_friction_scales_consumption_only():
-    base = policy_functions(EconomyParams())
-    damped = policy_functions(EconomyParams(f_sigma=0.5))
-    assert damped.kappa_coeff == base.kappa_coeff
-    assert damped.c_coeff == pytest.approx(2.0 * base.c_coeff, rel=1e-14)
+    base_kappa, base_c = policy_functions(EconomyParams())
+    damped_kappa, damped_c = policy_functions(EconomyParams(f_sigma=0.5))
+    assert damped_kappa == base_kappa
+    assert damped_c == pytest.approx(2.0 * base_c, rel=1e-14)
 
 
 def test_drift_diffusion_reference_values():
@@ -138,15 +138,15 @@ BIT_ECONOMIES = benchmark_combos() + [
                          ids=[label for label, _ in BIT_ECONOMIES])
 def test_policy_and_law_equal_written_out_formulas_bit_for_bit(p):
     kappa, c, law = _written_out_policy(p)
-    pol = policy_functions(p)
-    assert (pol.kappa_coeff, pol.c_coeff) == (kappa, c)
+    assert policy_functions(p) == (kappa, c)
     got = drift_diffusion(p)
     assert (got.mu, got.sigma_x, got.reset_rate) == law
     d = stationary_wealth_density(got)
     rate_left, rate_right, norm_k = _written_out_density(*law)
     assert (d.rate_left, d.rate_right, d.norm_K) == (rate_left, rate_right, norm_k)
     s = density_stats(d)
-    assert (s.mean_x, s.var_x, s.wealth_mean) == (d.mean(), d.var(), d.exp_moment())
+    assert (s.mean_x, s.var_x, s.wealth_mean) == (
+        d.mean(), d.second_moment() - d.mean() ** 2, d.exp_moment())
     assert (s.tail_exponent_left, s.tail_exponent_right) == (rate_left, rate_right)
     assert s.wealth_mean_exists is (rate_right > 1.0)
 
@@ -240,7 +240,7 @@ def test_friction_f_star_zeroes_the_drift_at_the_minimum_variance(lam):
     # f* = B/(gamma (Pi_lev + r + q - sigma_x^2/2)), where Var = sigma_x^2/beta
     p = EconomyParams(lam=lam)
     q, sigma_x = _q_and_sigma_x(p)
-    bracket = policy_functions(p).c_coeff * p.gamma * p.f_sigma
+    bracket = policy_functions(p)[1] * p.gamma * p.f_sigma
     f_star = bracket / (p.gamma * (profit_rate(p) * p.lam + p.r + q - 0.5 * sigma_x**2))
     assert 0.0 < f_star < (p.gamma - 1.0) / p.gamma
     law = drift_diffusion(replace(p, f_sigma=f_star))
