@@ -20,9 +20,9 @@ and its wall time and exit code are kept as ``tier1_s`` and ``tier1_exit``.
 The JSON file keeps the last line of every run (the benchmark's result), the
 seeds, and for each workload and end-to-end metric of BENCHMARK.json the
 median and quartiles of each side, the pairs the change won, the parent's
-interquartile distance and ``gain_met``: the change won at least nine in ten
-of all pairs (a tie counts for neither side) and its median beats the
-parent's by more than that distance.  It is rewritten after every run, so an
+interquartile distance and ``gain_met``: at least ten pairs ran, the change
+won at least nine in ten of them (a tie counts for neither side) and its
+median beats the parent's by more than that distance.  It is rewritten after every run, so an
 interrupted session keeps the runs it finished.
 """
 
@@ -126,7 +126,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                            f"change_{better}_pairs": won, "pairs": len(done),
                            "median_change_pct": 100.0 * gap / parent["median"],
                            "parent_iqr": parent_iqr,
-                           "gain_met": (10 * won >= 9 * len(done)
+                           "gain_met": (len(done) >= 10 and 10 * won >= 9 * len(done)
                                         and (-gap if better == "lower" else gap) > parent_iqr)}
         entry["failed"] = {side: sum(p[side]["failed"] for p in done) for side in ("parent", "change")}
         entry["attempted"] = {side: sum(p[side]["attempted"] for p in done)

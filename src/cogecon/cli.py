@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
+import math
 import sys
 import warnings
+from contextlib import suppress
 from dataclasses import replace
 
 # numpy is imported inside the functions that use it, here and in every module
@@ -71,13 +72,34 @@ from .wealth import (
 
 
 def _fmt(x: float) -> str:
+    """A number as a report prints it; inf and nan are refused."""
+    if not math.isfinite(x):
+        raise FloatingPointError(f"value {x} is not finite")
     return f"{x:.10g}"
 
 
-def _render(rows) -> None:
-    """Print each row as it is yielded: a "[section]" header, or a (label, text) line."""
-    for row in rows:
-        print(row if isinstance(row, str) else f"  {row[0]:<34} {row[1]}")
+def _line(row) -> str:
+    """A row's printed line: a text row as it is, or a (label, value) row."""
+    if isinstance(row, str):
+        return row
+    label, value = row
+    if isinstance(value, bool):
+        value = str(value).lower()
+    elif not isinstance(value, str):
+        value = _fmt(value)
+    return f"  {label:<34} {value}"
+
+
+def _lines(name: str, rows):
+    """Each row's printed line, as it is yielded.  A value the rows reject
+    becomes the one-line config error of verb name, naming the last row printed."""
+    label = None
+    try:
+        for row in rows:
+            yield _line(row)
+            label = row if isinstance(row, str) else row[0]
+    except (ValueError, ArithmeticError) as exc:
+        raise config_error(name, exc, label) from exc
 
 
 def _seed(text: str) -> int:
@@ -104,61 +126,35 @@ _SCENARIO_OPTIONS = (
             help="print every resolved key with value, origin, meaning"),
 )
 
-# Every verb's (docstring, options, runner), and the report verbs' row
-# generators, by verb name, in registration order.
+# Every verb's (docstring, options, runner), by verb name, in registration order.
 _VERBS = {}
-_REPORTS = {}
-
-
-def _evaluate_reports(cfg) -> None:
-    """Drain every report verb's rows once, printing nothing: the load check.
-
-    A value that a report's rows reject exits 1 under every verb, labelled
-    with that verb's name: a validator's own message, or an overflow or a
-    division by zero named with the last row the report yielded before it.
-    A degenerate model is in range; the verb that uses it exits 3.
-    """
-    for name, rows in _REPORTS.items():
-        row = None
-        try:
-            for row in rows(cfg):
-                pass
-        except DegenerateModelError:
-            continue
-        except (ValueError, ArithmeticError) as exc:
-            label = row if row is None or isinstance(row, str) else row[0]
-            raise config_error(name, exc, label) from exc
 
 
 def scenario_command(*extra_options):
     """Register a verb with the four scenario flags plus its own options.
 
     The verb receives the loaded ScenarioConfig, after --explain has printed
-    it, followed by its own options as keyword arguments.  A report verb
-    yields its rows, printed as they come.  With a scenario file, every
-    report's rows are drained at load, under every verb: that is where the
-    values the reports consume are checked.
+    it, then its own options as keyword arguments, and yields rows that
+    _lines prints as they come.  With a scenario file, every verb in _REPORTS
+    is drained at load, unprinted: that is where the values the reports
+    consume are checked, numbers that are not finite among them.  A
+    degenerate model is in range there; the verb that uses it exits 3.
     """
     def register(verb):
-        report = inspect.isgeneratorfunction(verb)
-        if report:
-            _REPORTS[verb.__name__] = verb
-
         def run(config_path, seed, out_dir, explain, **extra) -> None:
             # a silent load: each verb prints, once, the warnings of what it computes
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 cfg = parse_config(config_path)
-                if config_path is not None:
-                    _evaluate_reports(cfg)
+                for report in _REPORTS if config_path is not None else ():
+                    with suppress(DegenerateModelError):
+                        for _ in _lines(report.__name__, report(cfg)):
+                            pass
             cfg = apply_overrides(cfg, seed, out_dir)
             if explain:
-                for line in explain_lines(cfg):
-                    print(line)
-                print()
-            result = verb(cfg, **extra)
-            if report:
-                _render(result)
+                print(*explain_lines(cfg), "", sep="\n")
+            for line in _lines(verb.__name__, verb(cfg, **extra)):
+                print(line)
 
         _VERBS[verb.__name__] = verb.__doc__, extra_options + _SCENARIO_OPTIONS, run
         return verb
@@ -170,27 +166,27 @@ def cognition(cfg):
     """Retention dynamics and the stationary cognition density."""
     rp = cfg.retention_params()
     yield "[retention]"
-    yield "gap (recovery - dilution)", _fmt(rp.gap())
-    yield "limit as t -> inf", _fmt(retention_limit(rp))
+    yield "gap (recovery - dilution)", rp.gap()
+    yield "limit as t -> inf", retention_limit(rp)
     times = (1.0, 5.0, 10.0)
     for t, r in zip(times, retention_trajectory(rp, times)):
-        yield f"r(t = {t:g})", _fmt(r)
+        yield f"r(t = {t:g})", r
     p = cfg.cognition_params()
     yield "[cognition]"
-    yield "crowding load", _fmt(p.crowding_load())
-    yield "steady-state resource", _fmt(steady_state_resource(p))
-    yield "dilution fraction", _fmt(dilution_fraction(p))
-    yield "half-dilution crowd size n*", _fmt(dilution_threshold(p))
+    yield "crowding load", p.crowding_load()
+    yield "steady-state resource", steady_state_resource(p)
+    yield "dilution fraction", dilution_fraction(p)
+    yield "half-dilution crowd size n*", dilution_threshold(p)
     phi, omega, sigma = gbm_coefficients(p)
-    yield "resource drift phi", _fmt(phi)
-    yield "resource volatility omega", _fmt(omega)
-    yield "effective log drift", _fmt(sigma)
+    yield "resource drift phi", phi
+    yield "resource volatility omega", omega
+    yield "effective log drift", sigma
     stats = density_stats(cognition_law(p).density())
     yield "[stationary log density]"
-    yield "mean", _fmt(stats.mean_x)
-    yield "variance", _fmt(stats.var_x)
-    yield "left tail rate", _fmt(stats.tail_exponent_left)
-    yield "right tail rate", _fmt(stats.tail_exponent_right)
+    yield "mean", stats.mean_x
+    yield "variance", stats.var_x
+    yield "left tail rate", stats.tail_exponent_left
+    yield "right tail rate", stats.tail_exponent_right
 
 
 @scenario_command(_option(
@@ -205,11 +201,11 @@ def datavalue(cfg, ensemble_path=None):
         yield f"{idx}: {s.kind}", (f"entropy {_fmt(differential_entropy(s))}  value {_fmt(v)}  "
                                    f"weight {_fmt(value_weight(v))}")
     yield "[aggregate]"
-    yield "entropy cap", _fmt(ensemble.sigma_max)
-    yield "coupling J", _fmt(ensemble.j_coupling)
+    yield "entropy cap", ensemble.sigma_max
+    yield "coupling J", ensemble.j_coupling
     d = aggregate_data_value(ensemble, values)
-    yield "ensemble data value", _fmt(d)
-    yield "squashed index", _fmt(data_value_index([d]))
+    yield "ensemble data value", d
+    yield "squashed index", data_value_index([d])
 
 
 @scenario_command()
@@ -221,21 +217,21 @@ def consumption(cfg):
     p1 = cfg.get("consumption", "p1")
     s = bayes_adjustment(p1)
     yield "[belief adjustment]"
-    yield "upward belief p1", _fmt(p1)
-    yield "exact log-odds adjustment S", _fmt(s)
-    yield "shrunken adjustment", _fmt(nonbayes_adjustment(s, sp))
+    yield "upward belief p1", p1
+    yield "exact log-odds adjustment S", s
+    yield "shrunken adjustment", nonbayes_adjustment(s, sp)
     crossover = shrinkage_crossover(sp)
     if crossover is None:
         yield "crossover", "none (slope one)"
     else:
-        yield "crossover ln S", _fmt(crossover)
+        yield "crossover ln S", crossover
         # The two lines meet at S = 1 only when mu_b = 1; any level shift
         # moves the intersection, so it is reported rather than assumed.
-        yield "crossover S", _fmt(np.exp(crossover))
+        yield "crossover S", np.exp(crossover)
     sh = cfg.values["shrinkage"]
     implied = implied_shrinkage(sh["sigma_s"], sh["sigma_n"], sh["mu_s"])
-    yield "implied beta from noise model", _fmt(implied.beta_b)
-    yield "implied mu from noise model", _fmt(implied.mu_b)
+    yield "implied beta from noise model", implied.beta_b
+    yield "implied mu from noise model", implied.mu_b
     cp = cfg.cawf_params()
     yield "[adjustment weight]"
     for d in (0.25, 0.5, 0.75):
@@ -243,7 +239,7 @@ def consumption(cfg):
                f"n=omega {_fmt(cawf(d, cp.omega, cp)):>14}  "
                f"n->inf {_fmt(cawf_nonbayes_limit(d, cp)):>14}")
         yield f"D = {d:g}", row
-    yield "effective consumption at D=0.75, n=omega", _fmt(effective_consumption(0.75, cp))
+    yield "effective consumption at D=0.75, n=omega", effective_consumption(0.75, cp)
 
 
 @scenario_command()
@@ -254,31 +250,31 @@ def tax(cfg):
     tau_low, tau_high = cfg.get("tax", "tau_low"), cfg.get("tax", "tau_high")
     check_tax_rates(tau_low, tau_high)
     yield "[population]"
-    yield "truncated level-ability mean", _fmt(truncated_exp_mean(e.mu_bar, e.sigma_mu, e.k_cut))
-    yield "implied investor mass", _fmt(check_mass_consistency(e))
-    yield "configured investor mass m", _fmt(e.m)
+    yield "truncated level-ability mean", truncated_exp_mean(e.mu_bar, e.sigma_mu, e.k_cut)
+    yield "implied investor mass", check_mass_consistency(e)
+    yield "configured investor mass m", e.m
     h_zero, h_shift = hazard_ratio_check(e.k_cut - e.mu_bar, e.sigma_mu)
-    yield "hazard at cutoff (zero mean)", _fmt(h_zero)
-    yield "hazard at cutoff (shifted mean)", _fmt(h_shift)
+    yield "hazard at cutoff (zero mean)", h_zero
+    yield "hazard at cutoff (shifted mean)", h_shift
     yield "[consumption at zero shocks]"
     c_gov, c_inv = consumptions(e, 0.0, 0.0, mu_b=0.0)
-    yield "government worker", _fmt(c_gov)
-    yield "investor", _fmt(c_inv)
+    yield "government worker", c_gov
+    yield "investor", c_inv
     yield "[tax preference]"
     u_low, u_high, prefers_low = proposition1_check(e, tau_low, tau_high)
-    yield f"expected utility at tau = {tau_low:g}", _fmt(u_low)
-    yield f"expected utility at tau = {tau_high:g}", _fmt(u_high)
-    yield "investor prefers the lower rate", str(prefers_low).lower()
+    yield f"expected utility at tau = {tau_low:g}", u_low
+    yield f"expected utility at tau = {tau_high:g}", u_high
+    yield "investor prefers the lower rate", bool(prefers_low)
 
 
 def _wealth_stats_rows(header: str, density):
     stats = density_stats(density)
     yield header
-    yield "mean log wealth", _fmt(stats.mean_x)
-    yield "log wealth variance", _fmt(stats.var_x)
-    yield "left tail rate", _fmt(stats.tail_exponent_left)
-    yield "right tail rate", _fmt(stats.tail_exponent_right)
-    yield "mean level wealth", (_fmt(stats.wealth_mean) if stats.wealth_mean_exists
+    yield "mean log wealth", stats.mean_x
+    yield "log wealth variance", stats.var_x
+    yield "left tail rate", stats.tail_exponent_left
+    yield "right tail rate", stats.tail_exponent_right
+    yield "mean level wealth", (stats.wealth_mean if stats.wealth_mean_exists
                                 else "divergent (right tail rate <= 1)")
 
 
@@ -288,24 +284,24 @@ def wealth(cfg):
     p = cfg.wealth_params()
     z_min = productivity_cutoff(p.r, p.delta, p.alpha, p.w)
     yield "[technology]"
-    yield "productivity cutoff z_min", _fmt(z_min)
-    yield "configured productivity z", _fmt(p.z)
+    yield "productivity cutoff z_min", z_min
+    yield "configured productivity z", p.z
     if p.z >= z_min:
         policy = firm_policy(p, a=1.0)
-        yield "capital per unit wealth", _fmt(policy.capital)
-        yield "labor per unit wealth", _fmt(policy.labor)
-        yield "profit per unit wealth", _fmt(policy.profit)
+        yield "capital per unit wealth", policy.capital
+        yield "labor per unit wealth", policy.labor
+        yield "profit per unit wealth", policy.profit
     else:
         yield "firm activity", "inactive (z below cutoff)"
     kappa_coeff, c_coeff = policy_functions(p)
     yield "[policies]"
-    yield "risky share coefficient", _fmt(kappa_coeff)
-    yield "consumption coefficient", _fmt(c_coeff)
+    yield "risky share coefficient", kappa_coeff
+    yield "consumption coefficient", c_coeff
     law = drift_diffusion(p)
     yield "[log-wealth law]"
-    yield "drift mu", _fmt(law.mu)
-    yield "volatility sigma_x", _fmt(law.sigma_x)
-    yield "reset rate", _fmt(law.reset_rate)
+    yield "drift mu", law.mu
+    yield "volatility sigma_x", law.sigma_x
+    yield "reset rate", law.reset_rate
     yield from _wealth_stats_rows("[stationary density]", law.density())
 
 
@@ -315,26 +311,30 @@ def equilibrium(cfg):
     p = cfg.equilibrium_params()
     prices = equilibrium_prices(p)
     yield "[prices]"
-    yield "equilibrium rate r*", _fmt(prices.r_star)
-    yield "clearing constant", _fmt(prices.clearing_constant)
+    yield "equilibrium rate r*", prices.r_star
+    yield "clearing constant", prices.clearing_constant
     if prices.w_star is None:
         yield "equilibrium wage w*", "none"
         raise DegenerateModelError(
             "clearing constant is nonnegative "
             f"({_fmt(prices.clearing_constant)}); no equilibrium wage exists")
-    yield "equilibrium wage w*", _fmt(prices.w_star)
+    yield "equilibrium wage w*", prices.w_star
     eq = replace(p, w=prices.w_star, r=prices.r_star)
     density = drift_diffusion(eq).density()
     yield from _wealth_stats_rows("[equilibrium density]", density)
     yield "[consistency]"
-    yield "labor-market residual", _fmt(labor_residual_at(eq, density))
-    yield "firm profit rate at w*", _fmt(profit_rate(eq))
-    yield "firms active at w*", str(prices.firms_active).lower()
+    yield "labor-market residual", labor_residual_at(eq, density)
+    yield "firm profit rate at w*", profit_rate(eq)
+    yield "firms active at w*", prices.firms_active
+
+
+# The report verbs, whose rows the load check drains.
+_REPORTS = (cognition, datavalue, consumption, tax, wealth, equilibrium)
 
 
 @scenario_command(_option("--figure", dest="figure_spec", default="all",
                           choices=["all", *map(str, FIGURE_IDS)], help="one figure's id, or all"))
-def reproduce(cfg, figure_spec) -> None:
+def reproduce(cfg, figure_spec):
     """Write the CSV data series behind the reference figures."""
     # Every figure needs numpy: loaded here, its import is not timed as figure 1's build.
     importlib.import_module("numpy")
@@ -349,35 +349,35 @@ def reproduce(cfg, figure_spec) -> None:
         except OSError as exc:
             raise ConfigError(f"figure {fid}: cannot write {series.name}.csv "
                               f"under {cfg.out_dir}: {exc.strerror or exc}") from exc
-        print(f"wrote {path}")
+        yield f"wrote {path}"
 
 
 @scenario_command()
-def validate(cfg) -> None:
+def validate(cfg):
     """Cross-validate closed-form densities against the FD and MC oracles."""
 
-    def echo_report(rep) -> None:
+    def report_line(rep) -> str:
         verdict = "PASS" if rep.passed else "FAIL"
-        print(f"  {rep.label:<40} fd {rep.fd_error:.3e} (tol {rep.fd_tol:g})  "
-              f"ks {rep.ks_distance:.3e} (tol {rep.ks_tol:g})  {verdict}")
+        return (f"  {rep.label:<40} fd {rep.fd_error:.3e} (tol {rep.fd_tol:g})  "
+                f"ks {rep.ks_distance:.3e} (tol {rep.ks_tol:g})  {verdict}")
 
-    print("[configured law]")
+    yield "[configured law]"
     law = drift_diffusion(cfg.wealth_params())
     results = run_validations(validation_jobs(cfg.seed, configured=law),
                               cfg.get("validate", "n_points"), cfg.get("validate", "n_samples"))
     try:
         reports = [next(results)]
     except DegenerateModelError as exc:
-        print(f"  configured{'':<30} DEGENERATE  sigma_x = {law.sigma_x:g}")
+        yield f"  configured{'':<30} DEGENERATE  sigma_x = {law.sigma_x:g}"
         raise DegenerateModelError(
             f"configured wealth law is degenerate: {exc}") from exc
-    echo_report(reports[0])
-    print("[benchmark combinations]")
+    yield report_line(reports[0])
+    yield "[benchmark combinations]"
     for rep in results:
-        echo_report(rep)
+        yield report_line(rep)
         reports.append(rep)
     check_reports(reports)
-    print(f"all {len(reports)} density checks passed")
+    yield f"all {len(reports)} density checks passed"
 
 
 class _Parser(argparse.ArgumentParser):

@@ -73,8 +73,8 @@ def information_value(sigma_t: float, sigma_max: float) -> float:
     """
     if sigma_max <= 0.0:
         raise ValueError(f"sigma_max must be positive, got {sigma_max}")
-    if sigma_t < 0.0:
-        raise ValueError(f"sigma_t must be nonnegative, got {sigma_t}")
+    if not 0.0 <= sigma_t < math.inf:
+        raise ValueError(f"sigma_t must be finite and nonnegative, got {sigma_t}")
     if sigma_t > sigma_max:
         warnings.warn(
             f"entropy {sigma_t} exceeds the cap {sigma_max}; clamping to the cap",

@@ -51,6 +51,13 @@ def test_gain_met_needs_nine_in_ten_wins_and_a_gap_beyond_the_iqr(change, won, m
     assert summary["wall_s"]["parent_iqr"] == pytest.approx(0.045)
 
 
+def test_gain_met_needs_ten_pairs():
+    # four wide wins out of four pairs pass nine in ten, but are too few pairs
+    summary = bench_pairs.summarize(paired_runs(PARENT[:4], [0.5] * 4), METRICS)["sweep"]
+    assert summary["wall_s"]["change_lower_pairs"] == 4
+    assert summary["wall_s"]["gain_met"] is False
+
+
 def test_gain_met_false_when_the_change_is_worse():
     summary = bench_pairs.summarize(paired_runs(PARENT, [v + 1.0 for v in PARENT]), METRICS)
     assert summary["sweep"]["wall_s"]["change_lower_pairs"] == 0

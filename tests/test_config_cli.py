@@ -29,6 +29,7 @@ from cogecon.config import (
     parse_config,
 )
 from cogecon.errors import ConfigError
+from cogecon.figures import FIGURE_IDS
 from cogecon.tax_model import hazard_ratio_check
 from cogecon.validate import ComboReport, benchmark_combos
 from cogecon.wealth import (
@@ -271,6 +272,11 @@ IN_RANGE_EXTREMES = {
     ("cognition", "mu_c = 1e9"),      # the right decay rate cancels to 0
     ("tax", "mu_bar = 1e9"),          # the truncated ability mean overflows
     ("wealth", "beta = 1e300"),       # the density's second moment overflows
+    ("consumption", "scale = 1.7e308"),  # the CAWF rows overflow to inf
+    ("consumption", "mu_b = 1e200"),
+    ("tax", "gamma_b = 1e4"),         # the expected utilities are -inf
+    ("equilibrium", "theta = 1e308"),
+    ("equilibrium", "rho = -1e308"),
 ])
 def test_finite_extremes_exit_one_without_traceback(tmp_path, capsys, verb, section, line):
     path = write_config(tmp_path, f"[{section}]\n{line}\n")
@@ -363,11 +369,12 @@ def test_degenerate_tax_row_fails_only_the_tax_verb(tmp_path, capsys, verb):
 
 def test_warning_of_the_load_check_prints_once(tmp_path, capsys):
     # The tax validators and the tax report both evaluate the overflowing
-    # utility; the warning is one line all the same.
+    # utility, whose -inf the report refuses: the silent load prints no
+    # warning, only the one error line.
     path = write_config(tmp_path, "[tax]\ngamma_b = 1e100\n")
-    assert run_cli(["tax", "--config", path]) == 0
-    err = capsys.readouterr().err
-    assert err.splitlines().count("warning: overflow encountered in expm1") == 1
+    assert run_cli(["tax", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and not err[0].startswith("warning:")
 
 
 @pytest.mark.parametrize("line", ["horizon = 1e300", "reversion = 1e300"])
@@ -581,6 +588,15 @@ def test_reproduce_all_figures(tmp_path):
     assert names == [f"figure{i:02d}.csv" for i in range(1, 15)]
 
 
+def test_reproduce_prints_one_wrote_line_per_figure_in_order(tmp_path, capsys):
+    out = tmp_path / "series"
+    assert run_cli(["reproduce", "--figure", "4", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'figure04.csv'}\n"
+    assert run_cli(["reproduce", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {out / f'figure{fid:02d}.csv'}" for fid in FIGURE_IDS]
+
+
 def test_reproduce_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for target in (a, b):
@@ -775,6 +791,7 @@ gaussian 0.25
      "line 3: ensemble header 'ref_variance' set twice"),
     ("j = 0.5\nref_variance = 1e308\n[sources]\nuniform 1.0\n",
      "line 2: ref_variance 1e+308 implies an infinite entropy cap"),
+    ("[sources]\ngaussian 1e308\n", "[datavalue] sigma_t must be finite and nonnegative, got inf"),
 ])
 def test_bad_ensemble_files_exit_one(tmp_path, capsys, body, needle):
     path = tmp_path / "sources.txt"
