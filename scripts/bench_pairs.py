@@ -79,7 +79,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"result": None, "error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
-    return {"result": json.loads(lines[-1])}
+    try:
+        return {"result": json.loads(lines[-1])}
+    except ValueError:
+        return {"result": None, "error": f"malformed result line: {lines[-1][-2000:]}"}
 
 
 def run_tier1(checkout: Path) -> tuple[float, int]:

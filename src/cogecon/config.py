@@ -8,7 +8,7 @@ with the offending line number, as are unparseable or non-finite values and
 a scenario key set twice.  No scenario file, or an empty one, resolves to the
 documented defaults.
 
-parse_config checks a scenario's values against the four rules that no
+parse_config checks a scenario's values against the three rules that no
 report verb evaluates; every other value is checked by the validator of the
 function that consumes it, which the CLI reaches by draining every report
 verb's rows at load.
@@ -27,7 +27,7 @@ from .data_value import InfoEnsemble, SourceDist, gaussian_entropy
 from .errors import ConfigError
 from .records import record
 from .rng import RngSpec
-from .sde import REVERSION_PER_STEP, OuProcessSpec
+from .sde import OuProcessSpec
 from .tax_model import TaxEconomy
 from .wealth import EQUILIBRIUM_ALPHA, EconomyParams
 
@@ -262,10 +262,10 @@ def _parse_value(raw: str, kind: type, name: str):
 def parse_config(path: str | Path | None) -> ScenarioConfig:
     """Load a scenario file; None gives pure defaults.
 
-    Beyond the grammar, only the rules that no report verb evaluates are
-    checked here: the agent_type pair, the seed, the Euler budget and the
-    [validate] sizes.  The values the report verbs consume are checked by
-    those verbs' own validators: the CLI drains every report at load.
+    Beyond the grammar, only the three rules that no report verb evaluates
+    are checked here: the agent_type pair, the seed and the [validate] sizes.
+    The values the report verbs consume, the Euler budget among them, are
+    checked by those verbs' own validators: the CLI drains every report at load.
     """
     cfg = default_config()
     if path is None:
@@ -291,7 +291,6 @@ def parse_config(path: str | Path | None) -> ScenarioConfig:
         raise ConfigError("wealth.agent_type = two requires an explicit f_sigma; "
                           "the type pairs the friction weight to the leverage tier")
     _check("run", lambda: RngSpec(cfg.seed))
-    _check("consumption", lambda: _check_euler_budget(cfg.values["consumption"]))
     for key, low, high in (("n_points", 3, MAX_FD_POINTS), ("n_samples", 100, MAX_MC_SAMPLES)):
         n = cfg.values["validate"][key]
         if not low <= n <= high:
@@ -323,24 +322,11 @@ def _check(section: str, view) -> None:
         raise config_error(section, exc) from exc
 
 
-# Most Euler path-steps figure 6 may take; the defaults take 6e6.
-MAX_EULER_WORK = 1e9
-
 # Largest [validate] sizes, 250 and 100 times the defaults: the FD oracle's
 # Thomas sweep holds O(n) Python lists, about 230 bytes per point, and the MC
 # oracle 8 bytes per sample for each law in flight (up to one per CPU).
 MAX_FD_POINTS = 1_000_000
 MAX_MC_SAMPLES = 100_000_000
-
-
-def _check_euler_budget(c: dict) -> None:
-    """Refuse a data-value simulation over MAX_EULER_WORK at the sampler's
-    default step REVERSION_PER_STEP / reversion; the work is a float, so one
-    that overflows to inf is refused too."""
-    work = c["n_paths"] * c["horizon"] * c["reversion"] / REVERSION_PER_STEP
-    if work > MAX_EULER_WORK:
-        raise ValueError(f"n_paths * horizon / step size is {work:.3g} Euler path-steps, "
-                         f"above the budget of {MAX_EULER_WORK:.0e}")
 
 
 def apply_overrides(cfg: ScenarioConfig, seed: int | None, out: str | None) -> ScenarioConfig:

@@ -69,6 +69,10 @@ def implied_shrinkage(sigma_s: float, sigma_n: float, mu_s: float) -> ShrinkageP
     return ShrinkageParams(beta_b=beta, mu_b=math.exp(ln_mu))
 
 
+# Most Euler path-steps the Monte Carlo curves may take; the defaults take 6e6.
+MAX_EULER_WORK = 1e9
+
+
 @record
 class CawfParams:
     """Consumption adjustment weight function and its data-value environment.
@@ -93,6 +97,11 @@ class CawfParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.n_paths <= 1:
             raise ValueError(f"n_paths must exceed 1, got {self.n_paths}")
+        # a float, so work that overflows to inf is refused too
+        work = self.n_paths * self.ou.horizon / self.ou.step_size()
+        if work > MAX_EULER_WORK:
+            raise ValueError(f"n_paths * horizon / step size is {work:.3g} Euler path-steps, "
+                             f"above the budget of {MAX_EULER_WORK:.0e}")
 
 
 def cawf_bayes_limit(d_value: float, p: CawfParams) -> float:

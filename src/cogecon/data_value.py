@@ -105,7 +105,6 @@ class InfoEnsemble:
     antagonism: dict
 
     def __post_init__(self) -> None:
-        _set_sources(self, tuple(self.sources))
         if len(self.sources) == 0:
             raise ValueError("ensemble needs at least one source")
         if self.sigma_max <= 0.0:
@@ -123,10 +122,6 @@ class InfoEnsemble:
 
         return np.array([information_value(differential_entropy(s), self.sigma_max)
                          for s in self.sources])
-
-
-# The frozen record refuses setattr; the sources tuple is stored through its slot.
-_set_sources = InfoEnsemble.sources.__set__
 
 
 def aggregate_data_value(e: InfoEnsemble, values=None) -> float:

@@ -75,28 +75,25 @@ def _bernoulli(z: float) -> float:
         return z / np.expm1(z)
 
 
-def _solve_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """Thomas sweep for the system with sub-, main and super-diagonals given.
+def _solve_tridiagonal(sub: float, diag: float, sup: float, source_idx: int, source: float,
+                       n: int) -> np.ndarray:
+    """Thomas sweep for n nodes: zero at both ends, and on interior row i
+    sub x[i-1] + diag x[i] + sup x[i+1] = source if i == source_idx, else 0.
 
-    No pivoting: the caller's matrix is strictly diagonally dominant.  The
-    loop runs on Python floats, which is as fast as a sparse direct solve at
-    a few thousand nodes and needs no linear-algebra library.
+    No pivoting: the rows are strictly diagonally dominant.  The loop runs on
+    Python floats, which is as fast as a sparse direct solve at a few thousand
+    nodes and needs no linear-algebra library.
     """
     import numpy as np
 
-    sub, diag, d = lower.tolist(), main.tolist(), rhs.tolist()
-    sup = upper.tolist() + [0.0]
-    n = len(diag)
-    ratio = [0.0] * n  # eliminated super-diagonal, sup[i] / pivot_i
-    x = [0.0] * n
-    ratio[0] = sup[0] / diag[0]
-    x[0] = d[0] / diag[0]
-    for i in range(1, n):
-        pivot = diag[i] - sub[i - 1] * ratio[i - 1]
-        ratio[i] = sup[i] / pivot
-        x[i] = (d[i] - sub[i - 1] * x[i - 1]) / pivot
-    for i in range(n - 2, -1, -1):
+    ratio = [0.0] * n  # eliminated super-diagonal, sup / pivot_i
+    x = [0.0] * n  # the right-hand side, then the solution
+    x[source_idx] = source
+    for i in range(1, n - 1):
+        pivot = diag - sub * ratio[i - 1]
+        ratio[i] = sup / pivot
+        x[i] = (x[i] - sub * x[i - 1]) / pivot
+    for i in range(n - 2, 0, -1):
         x[i] -= ratio[i] * x[i + 1]
     return np.array(x)
 
@@ -119,33 +116,20 @@ def solve_stationary_kfe_fd(drift: float, sigma: float, reset_rate: float,
         raise ValueError("the reset point 0 must lie strictly inside the grid")
 
     n = grid.n_points
-    h = grid.h
+    h = float(grid.h)
     diff = 0.5 * float(sigma) ** 2
 
     # Flux between nodes i and i+1:
     #   F = (diff / h) * (B(-nu) p_i - B(nu) p_{i+1}),  nu = mu h / diff,
     # and the balance at node i reads (F_{i+1/2} - F_{i-1/2})/h + beta p_i = source_i.
     nu = float(drift) * h / diff
-    b_minus = _bernoulli(-nu)
-    b_plus = _bernoulli(nu)
+    b_minus = float(_bernoulli(-nu))
+    b_plus = float(_bernoulli(nu))
     coeff = diff / h**2
 
-    lower = np.full(n - 1, -coeff * b_minus)
-    upper = np.full(n - 1, -coeff * b_plus)
-    main = np.full(n, coeff * (b_minus + b_plus) + reset_rate)
-
-    # Dirichlet zero boundaries.
-    main[0] = 1.0
-    main[-1] = 1.0
-    upper[0] = 0.0
-    lower[-1] = 0.0
-
-    rhs = np.zeros(n)
-    source_idx = int(round(-grid.x_min / h))
-    source_idx = min(max(source_idx, 1), n - 2)
-    rhs[source_idx] = reset_rate / h
-
-    density = _solve_tridiagonal(lower, main, upper, rhs)
+    source_idx = min(max(int(round(-grid.x_min / h)), 1), n - 2)
+    density = _solve_tridiagonal(-coeff * b_minus, float(coeff * (b_minus + b_plus) + reset_rate),
+                                 -coeff * b_plus, source_idx, float(reset_rate / h), n)
     if not np.all(np.isfinite(density)):
         raise SingularSystemError("stationary system produced non-finite values (singular discretization)")
 

@@ -6,8 +6,9 @@ CRRA utility of an effective consumption, a draw-by-draw simulation of the
 shrinkage model, the Hermitian matrix of a directed source value, the
 equilibrium wage as a bracketed root of the labor-market residual, and the
 KS distance over a whole sorted sample, with a sample on which pruning its
-blocks is easy to get wrong, and the reflected OU's stationary law, the
-truncated Gibbs law its sampler's states are tested against.
+blocks is easy to get wrong, the reflected OU's stationary law, the
+truncated Gibbs law its sampler's states are tested against, the CAWF's mean
+under that law, and the FD solve with its whole system assembled as arrays.
 """
 
 import math
@@ -16,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from cogecon.cognition import RetentionParams
-from cogecon.consumption import implied_shrinkage
+from cogecon.consumption import N_GRID, CawfParams, implied_shrinkage
 from cogecon.errors import DegenerateModelError
 from cogecon.records import record
 from cogecon.rng import RngSpec
@@ -162,11 +163,36 @@ class TruncatedNormal:
         lo, hi = ndtr((self.lower - self.mean) / self.sd), ndtr((self.upper - self.mean) / self.sd)
         return (ndtr((np.asarray(x) - self.mean) / self.sd) - lo) / (hi - lo)
 
+    def mgf(self, t: float) -> float:
+        """E[e^(t X)]: the untruncated MGF times the ratio of the bounds' mass
+        under the tilted law N(mean + t variance, variance) to their mass here."""
+        from scipy.special import ndtr
+
+        a, b = (self.lower - self.mean) / self.sd, (self.upper - self.mean) / self.sd
+        shift = self.sd * t
+        return float(math.exp(self.mean * t + 0.5 * shift**2)
+                     * (ndtr(b - shift) - ndtr(a - shift)) / (ndtr(b) - ndtr(a)))
+
 
 def ou_gibbs_law(spec: OuProcessSpec) -> TruncatedNormal:
     """The reflected OU's stationary law: N(mean, volatility^2 / (2 reversion)) on the bounds."""
     return TruncatedNormal(spec.mean, spec.volatility**2 / (2.0 * spec.reversion),
                            spec.lower_bound, spec.upper_bound)
+
+
+def cawf_stationary(p: CawfParams, lo: float, hi: float) -> np.ndarray:
+    """Mean CAWF on the crowd sizes np.geomspace(*N_GRID) with D drawn from
+    the data-value process's stationary law truncated to [lo, hi].
+
+    The CAWF is w (scale e^(D - d_bar) - 1) + (1 - w)(1 - scale e^(d_bar - D))
+    with w = 1 / (1 + n / omega), affine in e^D and e^-D, so its mean needs
+    only the truncated law's MGF at t = 1 and t = -1.
+    """
+    law = TruncatedNormal(p.ou.mean, p.ou.volatility**2 / (2.0 * p.ou.reversion), lo, hi)
+    up = p.scale * math.exp(-p.d_bar) * law.mgf(1.0) - 1.0
+    down = 1.0 - p.scale * math.exp(p.d_bar) * law.mgf(-1.0)
+    w = 1.0 / (1.0 + np.geomspace(*N_GRID) / p.omega)
+    return w * up + (1.0 - w) * down
 
 
 def block_end_ks_sample(density, block: int) -> np.ndarray:
@@ -185,3 +211,66 @@ def block_end_ks_sample(density, block: int) -> np.ndarray:
     left_mass = density.norm_K / density.rate_left
     return np.where(p < left_mass, np.log(p / left_mass) / density.rate_left,
                     -np.log((1.0 - p) * density.rate_right / density.norm_K) / density.rate_right)
+
+
+def _fitting_factor(z: float) -> float:
+    """B(z) = z / (e^z - 1), the fitting factor of the Scharfetter-Gummel flux."""
+    if abs(z) < 1e-10:
+        return 1.0 - 0.5 * z
+    # Above z ~ 709.8 expm1 overflows to inf, and z / inf = 0.0 is the limit.
+    with np.errstate(over="ignore"):
+        return z / np.expm1(z)
+
+
+def _full_system_sweep(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Thomas sweep for the system with sub-, main and super-diagonals given."""
+    sub, diag, d = lower.tolist(), main.tolist(), rhs.tolist()
+    sup = upper.tolist() + [0.0]
+    n = len(diag)
+    ratio = [0.0] * n  # eliminated super-diagonal, sup[i] / pivot_i
+    x = [0.0] * n
+    ratio[0] = sup[0] / diag[0]
+    x[0] = d[0] / diag[0]
+    for i in range(1, n):
+        pivot = diag[i] - sub[i - 1] * ratio[i - 1]
+        ratio[i] = sup[i] / pivot
+        x[i] = (d[i] - sub[i - 1] * x[i - 1]) / pivot
+    for i in range(n - 2, -1, -1):
+        x[i] -= ratio[i] * x[i + 1]
+    return np.array(x)
+
+
+def array_assembled_kfe_fd(drift: float, sigma: float, reset_rate: float, grid) -> np.ndarray:
+    """The FD solve as it stood with the whole system assembled as arrays.
+
+    Three np.full diagonals with their Dirichlet rows patched in and a
+    right-hand side holding the one source entry, swept over every row.
+    kfe.solve_stationary_kfe_fd passes only the three interior coefficients
+    and the source, and must return the same bits.
+    """
+    n = grid.n_points
+    h = grid.h
+    diff = 0.5 * float(sigma) ** 2
+    nu = float(drift) * h / diff
+    b_minus = _fitting_factor(-nu)
+    b_plus = _fitting_factor(nu)
+    coeff = diff / h**2
+
+    lower = np.full(n - 1, -coeff * b_minus)
+    upper = np.full(n - 1, -coeff * b_plus)
+    main = np.full(n, coeff * (b_minus + b_plus) + reset_rate)
+
+    # Dirichlet zero boundaries.
+    main[0] = 1.0
+    main[-1] = 1.0
+    upper[0] = 0.0
+    lower[-1] = 0.0
+
+    rhs = np.zeros(n)
+    source_idx = int(round(-grid.x_min / h))
+    source_idx = min(max(source_idx, 1), n - 2)
+    rhs[source_idx] = reset_rate / h
+
+    density = _full_system_sweep(lower, main, upper, rhs)
+    return density / np.trapezoid(density, dx=h)

@@ -113,3 +113,31 @@ def test_a_parent_that_is_not_a_git_work_tree_is_refused_before_any_run(tmp_path
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and "git worktree add" in proc.stderr
     assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def fake_checkout(root: Path, last_line: str) -> Path:
+    """A checkout whose perfbench/run.py prints last_line and exits 0."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(f"print('warming up')\nprint({last_line!r})\n")
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    return root
+
+
+def test_a_malformed_result_is_recorded_as_an_error_and_the_pairs_go_on(tmp_path, monkeypatch):
+    result = {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "attempted": 1, "correct": True}
+    parent = fake_checkout(tmp_path / "parent", "Traceback: not JSON")
+    change = fake_checkout(tmp_path / "change", json.dumps(result))
+    monkeypatch.setattr(bench_pairs, "parent_commit", lambda parent: "c0ffee")
+    monkeypatch.setattr(bench_pairs, "run_tier1", lambda checkout: (1.0, 0))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(parent), str(change),
+                                      "--label", "t", "--runs", "sweep:1-2"])
+    bench_pairs.main()
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert [(r["side"], r["result"] is None) for r in out["runs"]] == [
+        ("parent", True), ("change", False), ("change", False), ("parent", True)]
+    assert all(r["error"] == "malformed result line: Traceback: not JSON"
+               for r in out["runs"] if r["side"] == "parent")
+    # no pair has both sides, so there is nothing to summarize
+    assert out["summary"] == {} and out["tier1_exit"] == {"parent": 0, "change": 0}

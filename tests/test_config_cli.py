@@ -19,7 +19,6 @@ import cogecon.cli as cli_mod
 import cogecon.wealth as wealth_mod
 from cogecon.cli import _fmt, main
 from cogecon.config import (
-    MAX_EULER_WORK,
     MAX_FD_POINTS,
     MAX_MC_SAMPLES,
     SCHEMA,
@@ -28,6 +27,7 @@ from cogecon.config import (
     explain_lines,
     parse_config,
 )
+from cogecon.consumption import MAX_EULER_WORK
 from cogecon.errors import ConfigError
 from cogecon.figures import FIGURE_IDS
 from cogecon.tax_model import hazard_ratio_check

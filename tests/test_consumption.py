@@ -166,3 +166,14 @@ def test_cawf_param_validation():
         _params(omega=-1.0)
     with pytest.raises(ValueError):
         cawf(0.5, -1.0, _params())
+
+
+def test_cawf_params_refuse_euler_work_above_the_budget():
+    # built without parse_config, as a library caller builds them
+    ou = _params().ou
+    for kw in ({"n_paths": 10**9}, {"ou": dataclasses.replace(ou, horizon=1e300)},
+               {"ou": dataclasses.replace(ou, dt=1e-300)}):
+        with pytest.raises(ValueError, match="above the budget"):
+            _params(**kw)
+    # the budget counts the step the sampler takes: a coarse dt fits 1e9 paths
+    assert _params(n_paths=10**9, ou=dataclasses.replace(ou, dt=60.0)).n_paths == 10**9

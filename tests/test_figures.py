@@ -13,8 +13,12 @@ import pytest
 
 from cogecon.cli import main
 from cogecon.config import parse_config
+from cogecon.consumption import cawf
 from cogecon.errors import ConfigError
-from cogecon.figures import FIGURE_IDS, SeriesTable, reproduce
+from cogecon.figures import FIGURE_IDS, SEEDED_FIGURE, SeriesTable, reproduce
+from cogecon.rng import RngSpec
+from cogecon.sde import simulate_ou_reflected
+from references import cawf_stationary, ou_gibbs_law
 
 
 VALUES_GOLDEN = Path(__file__).parent / "golden" / "reproduce_seed42_values.json"
@@ -86,6 +90,33 @@ def test_montecarlo_series_records_seed_and_is_stable(cfg):
     second = reproduce(6, cfg).to_csv_bytes()
     assert first == second
     assert b"# seed: 42" in first
+
+
+@pytest.mark.parametrize("seed", [42, 1, 7])
+def test_montecarlo_curves_match_the_stationary_law(seed):
+    # Each curve is a sample mean of the CAWF over its group's draws; at every
+    # crowd size it must lie within 4 standard errors, from those same draws,
+    # of the CAWF's mean under the truncated stationary law of its group.
+    cfg = parse_config(None)
+    cfg.values["run"]["seed"] = seed
+    table = reproduce(6, cfg)
+    p = cfg.cawf_params()
+    draws = simulate_ou_reflected(p.ou, RngSpec(seed, stream_id=SEEDED_FIGURE), p.n_paths,
+                                  record_times=[p.ou.horizon])[:, -1]
+    n_grid = table.data[:, table.columns.index("n")]
+    groups = {"average": (draws, 0.0, 1.0),
+              "high_value": (draws[draws > p.d_bar], p.d_bar, 1.0),
+              "low_value": (draws[draws <= p.d_bar], 0.0, p.d_bar)}
+    for column, (group, lo, hi) in groups.items():
+        values = np.array([cawf(group, n, p) for n in n_grid])
+        se = values.std(axis=1, ddof=1) / math.sqrt(group.size)
+        curve = table.data[:, table.columns.index(column)]
+        assert np.array_equal(curve, values.mean(axis=1)), column  # the figure's own draws
+        assert np.all(np.abs(curve - cawf_stationary(p, lo, hi)) <= 4.0 * se), column
+    # the split at d_bar: a binomial count around the law's mass above it
+    p_high = 1.0 - float(ou_gibbs_law(p.ou).cdf(p.d_bar))
+    n_high = int(re.search(r"n_high=(\d+)", table.meta["params"]).group(1))
+    assert abs(n_high - p.n_paths * p_high) <= 4.0 * math.sqrt(p.n_paths * p_high * (1.0 - p_high))
 
 
 def test_csv_bytes_roundtrip_at_full_precision(cfg, tmp_path):

@@ -13,15 +13,15 @@ from scipy.stats import ks_2samp
 
 from cogecon import kfe, sde
 from cogecon.config import default_config
-from cogecon.densities import PiecewiseExpDensity
+from cogecon.densities import PiecewiseExpDensity, ResetLaw
 from cogecon.errors import DegenerateDiffusionError
 from cogecon.kfe import Grid1D, _bernoulli, solve_stationary_kfe_fd
 from cogecon.rng import RngSpec
 from cogecon.sde import OuProcessSpec, simulate_gbm_reset, simulate_ou_reflected
 from cogecon.validate import benchmark_combos, fd_grid_for
 from cogecon.wealth import drift_diffusion
-from references import (OU_ORACLE_BOUND, OU_ORACLE_PATHS, OU_ORACLE_SPEC, ou_gibbs_law,
-                        whole_array_ks)
+from references import (OU_ORACLE_BOUND, OU_ORACLE_PATHS, OU_ORACLE_SPEC,
+                        array_assembled_kfe_fd, ou_gibbs_law, whole_array_ks)
 
 drifts = st.floats(min_value=-2.0, max_value=2.0)
 vols = st.floats(min_value=0.05, max_value=3.0)
@@ -524,7 +524,13 @@ def test_fd_validation():
         solve_stationary_kfe_fd(0.1, 0.4, 0.3, Grid1D(1.0, 5.0, 201))
 
 
-def _sparse_direct_solve(lower, main, upper, rhs):
+def _sparse_direct_solve(sub, diag, sup, source_idx, source, n):
+    # The whole matrix, with its Dirichlet rows, and the one-spike right-hand side.
+    lower, main, upper = np.full(n - 1, sub), np.full(n, diag), np.full(n - 1, sup)
+    main[0] = main[-1] = 1.0
+    upper[0] = lower[-1] = 0.0
+    rhs = np.zeros(n)
+    rhs[source_idx] = source
     matrix = sp.diags([lower, main, upper], offsets=[-1, 0, 1], format="csc")
     return spla.spsolve(matrix, rhs)
 
@@ -543,3 +549,30 @@ def test_thomas_sweep_matches_sparse_direct_solve(monkeypatch):
     monkeypatch.setattr(kfe, "_solve_tridiagonal", _sparse_direct_solve)
     for swept, reference in zip(thomas, solve_all()):
         assert np.max(np.abs(swept - reference)) <= 1e-10 * np.max(reference)
+
+
+def _bit_lock_cases():
+    """(law, grid) pairs: the 13 validate laws on their own grids, then 120
+    seeded random laws, each on its own grid and on a random one whose source
+    node is clamped or off-centre."""
+    laws = [drift_diffusion(params) for _, params in benchmark_combos()]
+    laws.append(drift_diffusion(default_config().wealth_params()))
+    gen = np.random.default_rng(20261020)
+    random_laws = [ResetLaw(mu=float(gen.uniform(-3.0, 3.0)),
+                            sigma_x=float(gen.choice([-1.0, 1.0]) * 10.0 ** gen.uniform(-1.7, 0.5)),
+                            reset_rate=float(10.0 ** gen.uniform(-2.0, 0.7))) for _ in range(120)]
+    for n in (5, 401, 4001):
+        yield from ((law, fd_grid_for(law, n)) for law in laws + random_laws)
+        for law in random_laws:
+            left, right = 10.0 ** gen.uniform(-1.0, 2.0, size=2)
+            yield law, Grid1D(-float(left), float(right), n)
+
+
+def test_fd_solve_is_bit_identical_to_the_array_assembled_system():
+    # The solver passes the interior coefficients and the source as scalars;
+    # the reference assembles every row, Dirichlet rows included, as arrays.
+    for law, grid in _bit_lock_cases():
+        args = (law.mu, abs(law.sigma_x), law.reset_rate, grid)
+        solved, reference = solve_stationary_kfe_fd(*args), array_assembled_kfe_fd(*args)
+        assert np.array_equal(solved, reference), (law, grid)
+        assert np.array_equal(np.signbit(solved), np.signbit(reference)), (law, grid)
