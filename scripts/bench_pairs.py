@@ -70,8 +70,12 @@ def parent_commit(parent: Path) -> str:
     return head.strip()
 
 
+# What summarize reads of a run's result object.
+RESULT_KEYS = {"metrics", "failed", "attempted", "correct"}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; its parsed last line, or the error it ended with."""
+    """One perfbench run; its last line parsed as a result object, or the error it ended with."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -80,9 +84,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     if proc.returncode != 0 or not lines:
         return {"result": None, "error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
     try:
-        return {"result": json.loads(lines[-1])}
+        result = json.loads(lines[-1])
     except ValueError:
+        result = None
+    if not (isinstance(result, dict) and RESULT_KEYS <= result.keys()):
         return {"result": None, "error": f"malformed result line: {lines[-1][-2000:]}"}
+    return {"result": result}
 
 
 def run_tier1(checkout: Path) -> tuple[float, int]:

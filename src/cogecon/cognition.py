@@ -44,7 +44,7 @@ def retention_trajectory(p: RetentionParams, times) -> np.ndarray:
     import numpy as np
 
     t = np.asarray(times, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):
         raise ValueError("times must be nonnegative")
     g = p.gap()
     v = p.recovery_rate
@@ -54,7 +54,7 @@ def retention_trajectory(p: RetentionParams, times) -> np.ndarray:
         ratio = p.r0 * v / g
         with np.errstate(over="ignore"):
             denom = np.exp(-g * t) * (1.0 - ratio) + ratio
-        out = np.where(np.isfinite(denom), p.r0 / denom, 0.0)
+        out = p.r0 / denom
     return out if out.ndim else float(out)
 
 

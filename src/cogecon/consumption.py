@@ -124,11 +124,9 @@ def cawf(d_value, n, p: CawfParams):
 
     d_value = np.asarray(d_value, dtype=float)
     n_arr = np.asarray(n, dtype=float)
-    if np.any(n_arr < 0.0):
+    if not np.all(n_arr >= 0.0):
         raise ValueError("crowd size n must be nonnegative")
-    with np.errstate(divide="ignore"):
-        w = 1.0 / (1.0 + n_arr / p.omega)
-    w = np.where(np.isinf(n_arr), 0.0, w)
+    w = 1.0 / (1.0 + n_arr / p.omega)
     up = p.scale * np.exp(d_value - p.d_bar) - 1.0
     down = 1.0 - p.scale * np.exp(p.d_bar - d_value)
     out = up * w + down * (1.0 - w)

@@ -162,7 +162,7 @@ def run_validations(jobs: Sequence[tuple[str, ResetLaw, RngSpec]], n_points: int
     numpy releases the interpreter lock in its draws, sorts and large ufuncs,
     so laws really overlap, and each job's own rng stream keeps its report
     independent of the scheduling.  When the caller stops early, or a job
-    raises, the jobs not yet started are cancelled.
+    raises, Executor.map cancels the jobs not yet started.
     """
     # Imported here: start-up of every other command skips its ~10 ms.
     from concurrent.futures import ThreadPoolExecutor
@@ -171,15 +171,9 @@ def run_validations(jobs: Sequence[tuple[str, ResetLaw, RngSpec]], n_points: int
         cpus = len(os.sched_getaffinity(0))
     else:  # macOS and Windows have no affinity mask
         cpus = os.cpu_count() or 1
-    pool = ThreadPoolExecutor(max_workers=max(1, min(cpus, len(jobs))))
-    try:
-        futures = [pool.submit(run_density_validation, law, rng, label=label,
-                               n_points=n_points, n_samples=n_samples)
-                   for label, law, rng in jobs]
-        for future in futures:
-            yield future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(max_workers=max(1, min(cpus, len(jobs)))) as pool:
+        yield from pool.map(lambda job: run_density_validation(
+            job[1], job[2], label=job[0], n_points=n_points, n_samples=n_samples), jobs)
 
 
 def check_reports(reports: Sequence[ComboReport]) -> None:

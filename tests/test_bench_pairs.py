@@ -124,9 +124,11 @@ def fake_checkout(root: Path, last_line: str) -> Path:
     return root
 
 
-def test_a_malformed_result_is_recorded_as_an_error_and_the_pairs_go_on(tmp_path, monkeypatch):
+def run_pairs_with_parent_printing(tmp_path, monkeypatch, last_line: str) -> dict:
+    """BENCH_t.json of two pairs whose parent prints last_line and whose change
+    prints a well-formed result."""
     result = {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "attempted": 1, "correct": True}
-    parent = fake_checkout(tmp_path / "parent", "Traceback: not JSON")
+    parent = fake_checkout(tmp_path / "parent", last_line)
     change = fake_checkout(tmp_path / "change", json.dumps(result))
     monkeypatch.setattr(bench_pairs, "parent_commit", lambda parent: "c0ffee")
     monkeypatch.setattr(bench_pairs, "run_tier1", lambda checkout: (1.0, 0))
@@ -137,7 +139,20 @@ def test_a_malformed_result_is_recorded_as_an_error_and_the_pairs_go_on(tmp_path
     out = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert [(r["side"], r["result"] is None) for r in out["runs"]] == [
         ("parent", True), ("change", False), ("change", False), ("parent", True)]
-    assert all(r["error"] == "malformed result line: Traceback: not JSON"
+    assert all(r["error"] == f"malformed result line: {last_line}"
                for r in out["runs"] if r["side"] == "parent")
     # no pair has both sides, so there is nothing to summarize
     assert out["summary"] == {} and out["tier1_exit"] == {"parent": 0, "change": 0}
+    return out
+
+
+def test_a_malformed_result_is_recorded_as_an_error_and_the_pairs_go_on(tmp_path, monkeypatch):
+    run_pairs_with_parent_printing(tmp_path, monkeypatch, "Traceback: not JSON")
+
+
+@pytest.mark.parametrize("last_line", ["42", '{"error": "x"}',
+                                       '{"metrics": {}, "failed": 0, "attempted": 1}'])
+def test_json_that_is_not_a_result_object_is_recorded_as_an_error(tmp_path, monkeypatch,
+                                                                   last_line):
+    # summarize indexes a result's metrics, failed, attempted and correct
+    run_pairs_with_parent_printing(tmp_path, monkeypatch, last_line)

@@ -1,11 +1,14 @@
 """Retention ODE closed form, crowding dilution, and the cognition density."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import solve_ivp
 
 from cogecon.cognition import (
+    _GAP_TOL,
     CognitionParams,
     RetentionParams,
     cognition_law,
@@ -55,6 +58,36 @@ def test_balanced_branch_is_the_limit(r0, rate):
     nudged = retention_trajectory(
         RetentionParams(r0=r0, dilution_rate=rate, recovery_rate=rate + 1e-9), times)
     assert np.max(np.abs(balanced - nudged)) < 1e-6
+
+
+def test_retention_at_infinite_time_is_positive_zero():
+    p = RetentionParams(r0=0.5, dilution_rate=3.0, recovery_rate=2.0)
+    with np.errstate(all="raise"):
+        r = retention_trajectory(p, [1e3, np.inf])
+    assert np.array_equal(r, [0.0, 0.0]) and not np.any(np.signbit(r))
+
+
+def test_unbalanced_retention_is_a_positively_signed_number_at_extreme_values():
+    # off the balanced branch the denominator is finite or +inf, so
+    # r0 / denom is never NaN or -0.0
+    values = (0.0, 1e-300, 1e-12, 0.5, 3.0, 1e12, 1e300)
+    times = np.array([0.0, 1e-300, 1e-6, 1.0, 1e3, 1e12, 1e300, np.inf])
+    checked = 0
+    for r0, dil, rec in itertools.product((1e-300, 1e-12, 0.5, 1.0), values, values):
+        p = RetentionParams(r0, dil, rec)
+        if abs(p.gap()) < _GAP_TOL * max(1.0, rec):
+            continue
+        r = retention_trajectory(p, times)
+        assert np.all(r >= 0.0) and not np.any(np.signbit(r))
+        checked += 1
+    assert checked == 4 * 40
+
+
+def test_retention_refuses_a_negative_or_nan_time():
+    p = RetentionParams(r0=0.5, dilution_rate=3.0, recovery_rate=2.0)
+    for times in (-1.0, np.nan, [1.0, np.nan]):
+        with pytest.raises(ValueError, match="times must be nonnegative"):
+            retention_trajectory(p, times)
 
 
 def test_limit_values():

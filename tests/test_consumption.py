@@ -164,8 +164,19 @@ def test_cawf_param_validation():
         _params(scale=0.0)
     with pytest.raises(ValueError):
         _params(omega=-1.0)
-    with pytest.raises(ValueError):
-        cawf(0.5, -1.0, _params())
+    for n in (-1.0, math.nan, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="crowd size n must be nonnegative"):
+            cawf(0.5, n, _params())
+
+
+def test_cawf_at_an_infinite_crowd_is_the_non_bayes_limit_bit_for_bit():
+    # 1 / (1 + inf / omega) is +0.0, with no floating-point exception
+    p = _params()
+    d = np.linspace(-5.0, 5.0, 201)
+    with np.errstate(all="raise"):
+        got = cawf(d, np.inf, p)
+    expected = 1.0 - p.scale * np.exp(p.d_bar - d)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_cawf_params_refuse_euler_work_above_the_budget():

@@ -1,6 +1,7 @@
 """Benchmark combination table and the dual-oracle harness itself."""
 
 import os
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -200,6 +201,25 @@ def test_pool_cancels_jobs_not_started_after_a_failure(monkeypatch):
     with pytest.raises(DegenerateModelError):
         next(run_validations(jobs, n_points=401, n_samples=1000))
     assert len(started) < n_jobs
+
+
+def test_closing_the_reports_early_cancels_jobs_not_started_and_ends_the_pool(monkeypatch):
+    started = []
+
+    def fake_validation(law, rng, label, n_points, n_samples):
+        started.append(label)
+        time.sleep(0.05)
+        return ComboReport(label, law, 0.0, 1.0, 0.0, 1.0)
+
+    monkeypatch.setattr(validate_mod, "run_density_validation", fake_validation)
+    n_jobs = 4 * (os.cpu_count() or 1) + 8   # more than the pool has workers
+    jobs = [(str(i), LAW, RngSpec(1, stream_id=i)) for i in range(n_jobs)]
+    before = set(threading.enumerate())
+    reports = run_validations(jobs, n_points=401, n_samples=1000)
+    assert next(reports).label == "0"
+    reports.close()
+    assert len(started) < n_jobs
+    assert set(threading.enumerate()) <= before
 
 
 def test_jobs_put_configured_law_on_stream_99_and_benchmarks_on_100_up():
