@@ -92,6 +92,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return {"result": result}
 
 
+def with_metrics(outcome: dict, names: list[str]) -> dict:
+    """run_once's outcome, or an error naming the first metric of names its result lacks."""
+    if outcome["result"] is not None:
+        for name in names:
+            if name not in outcome["result"]["metrics"]:
+                return {"result": None, "error": f"result lacks metric {name}"}
+    return outcome
+
+
 def run_tier1(checkout: Path) -> tuple[float, int]:
     """Wall time and exit code of one tier-1 pytest run in checkout."""
     env = dict(os.environ)
@@ -179,9 +188,10 @@ def main() -> None:
             for pair, seed in enumerate(workload_seeds):
                 order = (("parent", parent), ("change", change))
                 for side, checkout in order if pair % 2 == 0 else order[::-1]:
+                    outcome = run_once(checkout, workload, seed, seconds, trace)
                     record = {"workload": workload, "side": side, "seed": seed, "pair": pair,
                               "seconds": seconds, "trace": trace,
-                              **run_once(checkout, workload, seed, seconds, trace)}
+                              **with_metrics(outcome, [m["name"] for m in bench["end_to_end"]])}
                     out[key].append(record)
                     out["summary"] = summarize(out["runs"], bench["end_to_end"])
                     path.write_text(json.dumps(out, indent=1) + "\n")

@@ -39,7 +39,9 @@ def retention_trajectory(p: RetentionParams, times) -> np.ndarray:
 
     Written in the form r0 / (exp(-g t)(1 - r0 v / g) + r0 v / g) with
     g = recovery - dilution, which is overflow-safe on both signs of g; the
-    balanced case g -> 0 uses the limit r0 / (1 + r0 v t).
+    balanced case g -> 0 with v > 0 uses the limit r0 / (1 + r0 v t).  At
+    v = 0 the share decays as r0 exp(-dilution t), and stays r0 when both
+    rates are 0.
     """
     import numpy as np
 
@@ -48,7 +50,9 @@ def retention_trajectory(p: RetentionParams, times) -> np.ndarray:
         raise ValueError("times must be nonnegative")
     g = p.gap()
     v = p.recovery_rate
-    if abs(g) < _GAP_TOL * max(1.0, v):
+    if p.dilution_rate == v == 0.0:
+        out = np.full(t.shape, p.r0)
+    elif v > 0.0 and abs(g) < _GAP_TOL * max(1.0, v):
         out = p.r0 / (1.0 + p.r0 * v * t)
     else:
         ratio = p.r0 * v / g
@@ -59,8 +63,11 @@ def retention_trajectory(p: RetentionParams, times) -> np.ndarray:
 
 
 def retention_limit(p: RetentionParams) -> float:
-    """Long-run retention share: 0 when dilution wins, 1 - dilution/recovery otherwise."""
-    if p.recovery_rate == 0.0 or p.dilution_rate >= p.recovery_rate:
+    """Long-run retention share: r0 when both rates are 0, 0 when dilution
+    wins, 1 - dilution/recovery otherwise."""
+    if p.dilution_rate == p.recovery_rate == 0.0:
+        return p.r0
+    if p.dilution_rate >= p.recovery_rate:
         return 0.0
     return 1.0 - p.dilution_rate / p.recovery_rate
 
@@ -133,7 +140,7 @@ def cognition_law(p: CognitionParams) -> ResetLaw:
     """Law of the log resource between Poisson refreshes at rate beta_c.
 
     At n = 1 the volatility channel shuts off, and the law's density()
-    raises DegenerateDiffusionError.
+    raises DegenerateModelError.
     """
     _, omega, sigma = gbm_coefficients(p)
     return ResetLaw(sigma, omega, p.beta_c)

@@ -355,13 +355,12 @@ def explain_lines(cfg: ScenarioConfig) -> list[str]:
 def entropy_cap_from_variance(ref_variance: float) -> float:
     """Entropy cap implied by a reference gaussian variance."""
     if ref_variance <= 0.0:
-        raise ConfigError(f"ref_variance must be positive, got {ref_variance}")
+        raise ValueError(f"ref_variance must be positive, got {ref_variance}")
     cap = gaussian_entropy(ref_variance)
     if cap <= 0.0:
-        raise ConfigError(
-            f"ref_variance {ref_variance} implies a nonpositive entropy cap {cap:.6g}")
+        raise ValueError(f"ref_variance {ref_variance} implies a nonpositive entropy cap {cap:.6g}")
     if not math.isfinite(cap):
-        raise ConfigError(f"ref_variance {ref_variance} implies an infinite entropy cap")
+        raise ValueError(f"ref_variance {ref_variance} implies an infinite entropy cap")
     return cap
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import field
 
-from .errors import DegenerateDiffusionError
+from .errors import DegenerateModelError
 from .records import record
 
 
@@ -43,7 +43,7 @@ class PiecewiseExpDensity:
         stationary density in this family and raises.
         """
         if vol == 0.0:
-            raise DegenerateDiffusionError("zero diffusion: stationary law degenerates to a point mass")
+            raise DegenerateModelError("zero diffusion: stationary law degenerates to a point mass")
         if reset_rate <= 0.0:
             raise ValueError(f"reset_rate must be positive, got {reset_rate}")
         v2 = float(vol) * float(vol)
@@ -59,21 +59,17 @@ class PiecewiseExpDensity:
         import numpy as np
 
         x = np.asarray(x, dtype=float)
-        out = np.where(x < 0.0,
-                       self.norm_K * np.exp(self.rate_left * np.minimum(x, 0.0)),
-                       self.norm_K * np.exp(-self.rate_right * np.maximum(x, 0.0)))
+        out = self.norm_K * np.exp(-np.where(x < 0.0, self.rate_left, self.rate_right) * np.abs(x))
         return out if out.ndim else float(out)
 
     def cdf(self, x):
         import numpy as np
 
         x = np.asarray(x, dtype=float)
+        e = np.exp(-np.where(x < 0.0, self.rate_left, self.rate_right) * np.abs(x))
         left_mass = self.norm_K / self.rate_left
         right_mass = self.norm_K / self.rate_right
-        out = np.where(
-            x < 0.0,
-            left_mass * np.exp(self.rate_left * np.minimum(x, 0.0)),
-            left_mass + right_mass * (1.0 - np.exp(-self.rate_right * np.maximum(x, 0.0))))
+        out = np.where(x < 0.0, left_mass * e, left_mass + right_mass * (1.0 - e))
         return out if out.ndim else float(out)
 
     # -- moments ---------------------------------------------------------------
@@ -109,7 +105,7 @@ class ResetLaw:
             raise ValueError(f"reset_rate must be positive, got {self.reset_rate}")
 
     def density(self) -> PiecewiseExpDensity:
-        """The stationary law; raises DegenerateDiffusionError when sigma_x = 0."""
+        """The stationary law; raises DegenerateModelError when sigma_x = 0."""
         # Through the class attribute, which perfbench's tracer patches.
         return PiecewiseExpDensity.from_reset_law(self.mu, self.sigma_x, self.reset_rate)
 

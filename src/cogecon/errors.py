@@ -1,33 +1,15 @@
-"""Exception types shared across the package.
-
-The CLI maps these onto exit codes: ConfigError -> 1, ValidationError -> 2,
-DegenerateModelError and its subclasses -> 3.
+"""The three ways a run fails, one exception type per CLI exit code:
+ConfigError -> 1, ValidationError -> 2, DegenerateModelError -> 3.
 """
 
 
-class CogeconError(Exception):
-    """Base class for all package errors."""
-
-
-class ConfigError(CogeconError):
+class ConfigError(Exception):
     """Bad user input: unknown keys, malformed values, out-of-range parameters."""
 
 
-class ValidationError(CogeconError):
+class ValidationError(Exception):
     """A cross-check between independent numerical routes failed."""
 
 
-class DegenerateModelError(CogeconError):
+class DegenerateModelError(Exception):
     """Parameters put the model on a degenerate branch (not merely out of range)."""
-
-
-class DegenerateDiffusionError(DegenerateModelError):
-    """Zero diffusion coefficient: the stationary problem loses its second-order term."""
-
-
-class SingularSystemError(DegenerateModelError):
-    """The discretized operator is numerically singular (grid too coarse, etc.)."""
-
-
-class TailUnderflowError(DegenerateModelError):
-    """A Gaussian tail probability underflowed to zero where a ratio is required."""

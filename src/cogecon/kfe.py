@@ -22,7 +22,7 @@ two-sided exponential densities; it shares no algebra with them.
 
 from __future__ import annotations
 
-from .errors import DegenerateDiffusionError, SingularSystemError
+from .errors import DegenerateModelError
 from .records import record
 
 
@@ -109,7 +109,7 @@ def solve_stationary_kfe_fd(drift: float, sigma: float, reset_rate: float,
     import numpy as np
 
     if sigma == 0.0:
-        raise DegenerateDiffusionError("zero volatility: the stationary equation loses its diffusion term")
+        raise DegenerateModelError("zero volatility: the stationary equation loses its diffusion term")
     if reset_rate <= 0.0:
         raise ValueError(f"reset_rate must be positive, got {reset_rate}")
     if not grid.x_min < 0.0 < grid.x_max:
@@ -131,9 +131,9 @@ def solve_stationary_kfe_fd(drift: float, sigma: float, reset_rate: float,
     density = _solve_tridiagonal(-coeff * b_minus, float(coeff * (b_minus + b_plus) + reset_rate),
                                  -coeff * b_plus, source_idx, float(reset_rate / h), n)
     if not np.all(np.isfinite(density)):
-        raise SingularSystemError("stationary system produced non-finite values (singular discretization)")
+        raise DegenerateModelError("stationary system produced non-finite values (singular discretization)")
 
     total = np.trapezoid(density, dx=h)
     if total <= 0.0:
-        raise SingularSystemError("discrete density has nonpositive mass; grid is unusable")
+        raise DegenerateModelError("discrete density has nonpositive mass; grid is unusable")
     return density / total

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DegenerateDiffusionError
+from .errors import DegenerateModelError
 from .records import record
 from .rng import RngSpec
 
@@ -180,7 +180,7 @@ def simulate_gbm_reset(drift: float, volatility: float, reset_rate: float,
     import numpy as np
 
     if volatility == 0.0:
-        raise DegenerateDiffusionError("zero volatility: reset process collapses onto the drift line")
+        raise DegenerateModelError("zero volatility: reset process collapses onto the drift line")
     if reset_rate <= 0.0:
         raise ValueError(f"reset_rate must be positive, got {reset_rate}")
     if n_samples <= 0:

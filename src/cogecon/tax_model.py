@@ -14,7 +14,7 @@ import math
 import sys
 import warnings
 
-from .errors import TailUnderflowError
+from .errors import DegenerateModelError
 from .records import record
 
 
@@ -88,7 +88,7 @@ def truncated_exp_mean(mu_bar: float, sigma_mu: float, k_cut: float) -> float:
     den = implied_investor_mass(mu_bar, sigma_mu, k_cut)
     num = normal_sf((k_cut - mu_bar) / sigma_mu - sigma_mu)
     if den == 0.0:
-        raise TailUnderflowError(
+        raise DegenerateModelError(
             f"cutoff {k_cut} leaves no ability mass above it at double precision")
     return math.exp(mu_bar + 0.5 * sigma_mu**2) * num / den
 

@@ -17,14 +17,10 @@ from __future__ import annotations
 import math
 
 from .densities import PiecewiseExpDensity, ResetLaw
-from .errors import ConfigError, DegenerateModelError
+from .errors import DegenerateModelError
 from .records import record
 
 EQUILIBRIUM_ALPHA = 0.5
-
-
-class InactiveFirmError(ConfigError):
-    """Productivity below the activity cutoff: the firm problem has no interior solution."""
 
 
 @record
@@ -108,15 +104,14 @@ def firm_policy(p: EconomyParams, a: float) -> FirmPolicy:
     """Leverage-capped firm choices for a household with wealth a.
 
     Capital binds at the cap lam * a; labor follows from the first-order
-    condition.  Raises InactiveFirmError when productivity is below the
+    condition.  Raises ValueError when productivity is below the
     break-even cutoff (profit would be negative at any scale).
     """
     if a <= 0.0:
         raise ValueError(f"wealth must be positive, got {a}")
     z_min = productivity_cutoff(p.r, p.delta, p.alpha, p.w)
     if p.z < z_min:
-        raise InactiveFirmError(
-            f"productivity z = {p.z} is below the activity cutoff {z_min:.6g}")
+        raise ValueError(f"productivity z = {p.z} is below the activity cutoff {z_min:.6g}")
     capital = p.lam * a
     labor = p.labor_per_capital() * p.z * capital
     profit = profit_rate(p) * capital
@@ -217,11 +212,10 @@ def equilibrium_prices(p: EconomyParams) -> EquilibriumPrices:
 
     Requires alpha = 1/2 exactly; other exponents have no closed-form
     clearing condition here and mixing them in silently would corrupt the
-    comparison, so any other alpha is a configuration error.
+    comparison, so any other alpha raises ValueError.
     """
     if p.alpha != EQUILIBRIUM_ALPHA:
-        raise ConfigError(
-            f"equilibrium prices need alpha = {EQUILIBRIUM_ALPHA}, got alpha = {p.alpha}")
+        raise ValueError(f"equilibrium prices need alpha = {EQUILIBRIUM_ALPHA}, got alpha = {p.alpha}")
     r_star = p.theta - p.gamma * p.sigma**2 * (1.0 - p.lam)
     c_const = _clearing_constant(p, r_star)
     if c_const >= 0.0:

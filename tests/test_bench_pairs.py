@@ -124,9 +124,11 @@ def fake_checkout(root: Path, last_line: str) -> Path:
     return root
 
 
-def run_pairs_with_parent_printing(tmp_path, monkeypatch, last_line: str) -> dict:
+def run_pairs_with_parent_printing(tmp_path, monkeypatch, last_line: str,
+                                   error: str | None = None) -> dict:
     """BENCH_t.json of two pairs whose parent prints last_line and whose change
-    prints a well-formed result."""
+    prints a well-formed result; each parent run is recorded with error, by
+    default that of a malformed result line."""
     result = {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "attempted": 1, "correct": True}
     parent = fake_checkout(tmp_path / "parent", last_line)
     change = fake_checkout(tmp_path / "change", json.dumps(result))
@@ -139,8 +141,8 @@ def run_pairs_with_parent_printing(tmp_path, monkeypatch, last_line: str) -> dic
     out = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert [(r["side"], r["result"] is None) for r in out["runs"]] == [
         ("parent", True), ("change", False), ("change", False), ("parent", True)]
-    assert all(r["error"] == f"malformed result line: {last_line}"
-               for r in out["runs"] if r["side"] == "parent")
+    error = f"malformed result line: {last_line}" if error is None else error
+    assert all(r["error"] == error for r in out["runs"] if r["side"] == "parent")
     # no pair has both sides, so there is nothing to summarize
     assert out["summary"] == {} and out["tier1_exit"] == {"parent": 0, "change": 0}
     return out
@@ -156,3 +158,10 @@ def test_json_that_is_not_a_result_object_is_recorded_as_an_error(tmp_path, monk
                                                                    last_line):
     # summarize indexes a result's metrics, failed, attempted and correct
     run_pairs_with_parent_printing(tmp_path, monkeypatch, last_line)
+
+
+def test_a_result_without_an_end_to_end_metric_is_recorded_as_an_error(tmp_path, monkeypatch):
+    # the fake BENCHMARK.json names wall_s, which this well-formed result lacks
+    last_line = json.dumps({"metrics": {}, "failed": 0, "attempted": 1, "correct": True})
+    run_pairs_with_parent_printing(tmp_path, monkeypatch, last_line,
+                                   error="result lacks metric wall_s")

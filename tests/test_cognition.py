@@ -90,6 +90,20 @@ def test_retention_refuses_a_negative_or_nan_time():
             retention_trajectory(p, times)
 
 
+def test_retention_without_recovery_is_a_number_at_every_time():
+    # At recovery 0 the balanced limit r0 / (1 + r0 v t) is 0 * inf at t = inf:
+    # with no dilution either the share stays r0, and any dilution takes it to 0.
+    times = [0.0, 1.0, 10.0, 1e300, np.inf]
+    with np.errstate(all="raise"):
+        still = retention_trajectory(RetentionParams(0.5, 0.0, 0.0), times)
+        gone = [retention_trajectory(RetentionParams(0.5, dil, 0.0), np.inf)
+                for dil in (1e-300, 1e-13, 0.3)]
+    assert np.array_equal(still, [0.5] * 5)
+    assert gone == [0.0] * 3 and not np.any(np.signbit(gone))
+    assert retention_limit(RetentionParams(0.5, 0.0, 0.0)) == 0.5
+    assert retention_limit(RetentionParams(0.5, 1e-13, 0.0)) == 0.0
+
+
 def test_limit_values():
     assert retention_limit(RetentionParams(0.5, 3.0, 2.0)) == 0.0
     assert retention_limit(RetentionParams(0.5, 2.0, 2.0)) == 0.0

@@ -317,7 +317,8 @@ ALL_VERBS = REPORT_VERBS + ("reproduce", "validate")
      "[consumption] math range error (values out of floating-point range)"),
     ("[wealth]\nr = -0.7\n", "[wealth] r + delta must be positive"),
     ("[datavalue]\nj_coupling = -1\n", "[datavalue] j_coupling must be nonnegative, got -1.0"),
-    ("[datavalue]\nref_variance = 1e308\n", "ref_variance 1e+308 implies an infinite entropy cap"),
+    ("[datavalue]\nref_variance = 1e308\n",
+     "[datavalue] ref_variance 1e+308 implies an infinite entropy cap"),
     ("[retention]\nr0 = 2\n", "[cognition] r0 must lie in (0, 1], got 2.0"),
     ("[cognition]\ngamma_c = 2\n", "[cognition] gamma_c must lie in (0, 1), got 2.0"),
     ("[consumption]\nomega = -1\n", "[consumption] omega must be positive, got -1.0"),

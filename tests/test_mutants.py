@@ -8,7 +8,7 @@ from the whole-array KS in any bit.  A gate that loses its power, or a
 mutant that a gate starts to miss, changes a count and fails the test.  A
 mutant that every gate lets through stays in the table with zero kills, as
 a known gap.  No source file is edited: a mutant replaces an attribute,
-and the one inside ks_distance is compiled from its edited source.
+and one inside a function is compiled from that function's edited source.
 
 The equilibrium rows patch the closed-form prices instead, and count the
 square-root-technology economies whose wage is not the bracketed root of
@@ -85,12 +85,27 @@ MUTANTS = [
     ("KS block bound one short", validate_mod, "ks_distance", _edited(
         validate_mod.ks_distance, "starts + _KS_BLOCK, n)", "starts + _KS_BLOCK - 1, n)"),
      0, 0, 1),
+    # Broken prunings of ks_distance.  A bound that is too low drops a block
+    # that holds the largest gap; only the first-gap bound at the block's
+    # first sample loses a whole block's 1/n steps, which the block-end
+    # sample resolves.  The slack and the second-gap bound at the block's
+    # first sample stay exact on both samples, a known gap.  The last sample
+    # is one of the marks, whose gaps are exact before any block is kept, so
+    # dropping it from the batches changes nothing: an equivalent mutant.
+    ("KS slack + 1e-4", validate_mod, "ks_distance", _edited(
+        validate_mod.ks_distance, "dist - _KS_SLACK]", "dist + 1e-4]"), 0, 0, 0),
+    ("KS first-gap bound from starts / n", validate_mod, "ks_distance", _edited(
+        validate_mod.ks_distance, "ends / n - cdf[:-1]", "starts / n - cdf[:-1]"), 0, 0, 1),
+    ("KS second-gap bound from cdf[:-1]", validate_mod, "ks_distance", _edited(
+        validate_mod.ks_distance, "cdf[1:] - starts / n", "cdf[:-1] - starts / n"), 0, 0, 0),
+    ("KS last sample dropped from the batches", validate_mod, "ks_distance", _edited(
+        validate_mod.ks_distance, "k = k[k < n]", "k = k[k < n - 1]"), 0, 0, 0),
     # The right branch written as 1 - right_mass * exp(-rate_right x), equal to
     # it in exact arithmetic.  On these samples it moves only last bits (a KS
     # distance by at most one ulp), which no gate resolves: a known gap.
     ("cdf right branch as 1 - right_mass * exp", PiecewiseExpDensity, "cdf", _edited(
-        PiecewiseExpDensity.cdf, "left_mass + right_mass * (1.0 - np.exp(",
-        "1.0 - right_mass * (np.exp("), 0, 0, 0),
+        PiecewiseExpDensity.cdf, "left_mass + right_mass * (1.0 - e)", "1.0 - right_mass * e"),
+     0, 0, 0),
 ]
 
 

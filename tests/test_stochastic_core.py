@@ -14,7 +14,7 @@ from scipy.stats import ks_2samp
 from cogecon import kfe, sde
 from cogecon.config import default_config
 from cogecon.densities import PiecewiseExpDensity, ResetLaw
-from cogecon.errors import DegenerateDiffusionError
+from cogecon.errors import DegenerateModelError
 from cogecon.kfe import Grid1D, _bernoulli, solve_stationary_kfe_fd
 from cogecon.rng import RngSpec
 from cogecon.sde import OuProcessSpec, simulate_gbm_reset, simulate_ou_reflected
@@ -130,7 +130,7 @@ def test_exp_moment_threshold():
 
 
 def test_zero_vol_degenerates():
-    with pytest.raises(DegenerateDiffusionError):
+    with pytest.raises(DegenerateModelError, match="zero diffusion: stationary law degenerates"):
         PiecewiseExpDensity.from_reset_law(drift=0.1, vol=0.0, reset_rate=0.3)
 
 
@@ -462,7 +462,7 @@ def test_gbm_reset_chunks_equal_one_whole_draw(n):
 
 
 def test_gbm_reset_zero_vol_rejected():
-    with pytest.raises(DegenerateDiffusionError):
+    with pytest.raises(DegenerateModelError, match="zero volatility: reset process collapses"):
         simulate_gbm_reset(0.2, 0.0, 0.3, RngSpec(1), n_samples=10)
 
 
@@ -516,7 +516,7 @@ def test_fd_second_order_convergence():
 
 def test_fd_validation():
     grid = Grid1D(-5.0, 5.0, 201)
-    with pytest.raises(DegenerateDiffusionError):
+    with pytest.raises(DegenerateModelError, match="zero volatility: the stationary equation"):
         solve_stationary_kfe_fd(0.1, 0.0, 0.3, grid)
     with pytest.raises(ValueError):
         solve_stationary_kfe_fd(0.1, 0.4, -0.3, grid)

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erfcx, ndtr
 
-from cogecon.errors import TailUnderflowError
+from cogecon.errors import DegenerateModelError
 from cogecon.tax_model import (
     TaxEconomy,
     check_mass_consistency,
@@ -63,7 +63,7 @@ def test_truncated_mean_exceeds_unconditional(mu_bar, sigma, k):
 
 
 def test_truncated_mean_underflow_raises():
-    with pytest.raises(TailUnderflowError):
+    with pytest.raises(DegenerateModelError, match="leaves no ability mass above it"):
         truncated_exp_mean(0.0, 1.0, 40.0)
 
 

@@ -14,11 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cogecon.densities import ResetLaw
-from cogecon.errors import ConfigError
 from cogecon.validate import benchmark_combos
 from cogecon.wealth import (
     EconomyParams,
-    InactiveFirmError,
     density_stats,
     drift_diffusion,
     equilibrium_prices,
@@ -76,7 +74,7 @@ def test_firm_policy_reference_values():
 
 def test_inactive_firm_below_cutoff():
     p = EconomyParams(z=4.0)  # cutoff is about 4.6735 at the default prices
-    with pytest.raises(InactiveFirmError, match="cutoff"):
+    with pytest.raises(ValueError, match="cutoff"):
         firm_policy(p, 1.0)
     with pytest.raises(ValueError, match="wealth"):
         firm_policy(EconomyParams(), 0.0)
@@ -333,7 +331,7 @@ def test_equilibrium_grid_has_few_economies_with_active_firms():
 
 
 def test_equilibrium_requires_square_root_technology():
-    with pytest.raises(ConfigError, match="alpha"):
+    with pytest.raises(ValueError, match="alpha"):
         equilibrium_prices(EconomyParams(alpha=0.3))
 
 
