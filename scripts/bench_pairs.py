@@ -18,11 +18,12 @@ After the pairs, each side runs the tier-1 suite once with src on the path,
 and its wall time and exit code are kept as ``tier1_s`` and ``tier1_exit``.
 
 The JSON file keeps the last line of every run (the benchmark's result), the
-seeds, and for each workload and end-to-end metric of BENCHMARK.json the
-median and quartiles of each side, the pairs the change won, the parent's
-interquartile distance and ``gain_met``: at least ten pairs ran, the change
-won at least nine in ten of them (a tie counts for neither side) and its
-median beats the parent's by more than that distance.  It is rewritten after every run, so an
+seeds, and over the untraced pairs (a traced result has per-layer metrics only),
+for each workload and end-to-end metric of BENCHMARK.json, the median and
+quartiles of each side, the pairs the change won, the parent's interquartile
+distance and ``gain_met``: at least ten pairs ran, the change won at least nine
+in ten of them (a tie counts for neither side) and its median beats the
+parent's by more than that distance.  It is rewritten after every run, so an
 interrupted session keeps the runs it finished.
 """
 
@@ -93,11 +94,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 
 
 def with_metrics(outcome: dict, names: list[str]) -> dict:
-    """run_once's outcome, or an error naming the first metric of names its result lacks."""
+    """run_once's outcome, or an error naming the first metric of names without a numeric value."""
     if outcome["result"] is not None:
+        metrics = outcome["result"]["metrics"]
         for name in names:
-            if name not in outcome["result"]["metrics"]:
+            if not (isinstance(metrics, dict) and name in metrics):
                 return {"result": None, "error": f"result lacks metric {name}"}
+            value = metrics[name].get("value") if isinstance(metrics[name], dict) else None
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return {"result": None, "error": f"metric {name} has no numeric value"}
     return outcome
 
 
@@ -189,9 +194,10 @@ def main() -> None:
                 order = (("parent", parent), ("change", change))
                 for side, checkout in order if pair % 2 == 0 else order[::-1]:
                     outcome = run_once(checkout, workload, seed, seconds, trace)
+                    if not trace:  # a traced result carries per-layer metrics only
+                        outcome = with_metrics(outcome, [m["name"] for m in bench["end_to_end"]])
                     record = {"workload": workload, "side": side, "seed": seed, "pair": pair,
-                              "seconds": seconds, "trace": trace,
-                              **with_metrics(outcome, [m["name"] for m in bench["end_to_end"]])}
+                              "seconds": seconds, "trace": trace, **outcome}
                     out[key].append(record)
                     out["summary"] = summarize(out["runs"], bench["end_to_end"])
                     path.write_text(json.dumps(out, indent=1) + "\n")

@@ -161,8 +161,7 @@ class ScenarioConfig:
     def cawf_params(self) -> CawfParams:
         c = self.values["consumption"]
         ou = OuProcessSpec(mean=c["d_bar"], reversion=c["reversion"],
-                           volatility=c["volatility"], lower_bound=0.0,
-                           upper_bound=1.0, horizon=c["horizon"])
+                           volatility=c["volatility"], horizon=c["horizon"])
         return CawfParams(scale=c["scale"], omega=c["omega"], d_bar=c["d_bar"],
                           ou=ou, n_paths=c["n_paths"])
 

@@ -48,19 +48,18 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
     @classmethod
-    def around_point(cls, point: float, left_width: float, right_width: float,
-                     n_points: int) -> "Grid1D":
-        """Grid spanning [point - left_width, point + right_width] with a node on point.
+    def around_zero(cls, left_width: float, right_width: float, n_points: int) -> "Grid1D":
+        """Grid spanning [-left_width, right_width] with a node on the reset point 0.
 
-        The left edge is nudged by less than one cell so the point lands
-        exactly on a node; that keeps the Dirac source from being displaced
-        by up to half a cell.
+        The left edge is nudged by less than one cell so 0 lands exactly on
+        a node; that keeps the Dirac source from being displaced by up to
+        half a cell.
         """
         if left_width <= 0.0 or right_width <= 0.0:
             raise ValueError("widths must be positive")
         h = (left_width + right_width) / (n_points - 1)
         k = max(1, min(n_points - 2, round(left_width / h)))
-        x_min = point - k * h
+        x_min = -k * h
         return cls(x_min=x_min, x_max=x_min + (n_points - 1) * h, n_points=n_points)
 
 

@@ -1,4 +1,4 @@
-"""Path simulators: reflected Ornstein-Uhlenbeck and Brownian motion with resets.
+"""Path simulators: Ornstein-Uhlenbeck reflected into [0, 1], Brownian motion with resets.
 
 Both are Monte Carlo counterparts to closed-form results elsewhere in the
 package and are written to stay independent of those formulas: the reflected
@@ -29,18 +29,15 @@ REVERSION_PER_STEP = 1e-3
 
 @record
 class OuProcessSpec:
-    """Mean-reverting process reflected into [lower_bound, upper_bound].
+    """Mean-reverting process reflected into [0, 1].
 
-    dX = reversion * (mean - X) dt + volatility dW, folded back into the
-    bounds whenever a step oversteps them.  start defaults to the long-run
-    mean when omitted.
+    dX = reversion * (mean - X) dt + volatility dW, folded back whenever a step
+    oversteps [0, 1].  start defaults to the long-run mean when omitted.
     """
 
     mean: float
     reversion: float
     volatility: float
-    lower_bound: float
-    upper_bound: float
     horizon: float
     dt: float | None = None
     start: float | None = None
@@ -50,11 +47,9 @@ class OuProcessSpec:
             raise ValueError(f"reversion must be positive, got {self.reversion}")
         if self.volatility < 0.0:
             raise ValueError(f"volatility must be nonnegative, got {self.volatility}")
-        if not self.lower_bound < self.upper_bound:
-            raise ValueError("lower_bound must be below upper_bound")
-        if not self.lower_bound <= self.mean <= self.upper_bound:
+        if not 0.0 <= self.mean <= 1.0:
             raise ValueError("mean must lie inside the reflection bounds")
-        if self.start is not None and not self.lower_bound <= self.start <= self.upper_bound:
+        if self.start is not None and not 0.0 <= self.start <= 1.0:
             raise ValueError("start must lie inside the reflection bounds")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
@@ -72,8 +67,8 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
 
     Returns an array of shape (n_paths, len(record_times)) with the state of
     every path at each requested time.  Reflection folds an overshoot back
-    into the interval symmetrically (repeatedly if the step is violent), which
-    keeps every recorded value inside [lower_bound, upper_bound] exactly.
+    into [0, 1] symmetrically (repeatedly if the step is violent), which
+    keeps every recorded value inside [0, 1] exactly.
     """
     import numpy as np
 
@@ -114,11 +109,7 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
 
     x = np.full(n_paths, spec.mean if spec.start is None else spec.start, dtype=float)
     out = np.empty((n_paths, len(record_times)), dtype=float)
-    # + 0.0 turns a -0.0 bound into +0.0; the fold below relies on lo != -0.0.
-    lo, hi = spec.lower_bound + 0.0, spec.upper_bound
-    period = 2.0 * (hi - lo)
     # One step's scratch, reused so that stepping allocates nothing.
-    y = np.empty(n_paths)
     tmp = np.empty(n_paths)
     negative = np.empty(n_paths, dtype=bool)
 
@@ -140,24 +131,21 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
             tmp *= step
             x += tmp
             x += shocks
-            # Fold back into [lo, hi] as lo + min(y, period - y) with
-            # y = (x - lo) mod period; the modular form resolves any
-            # number of bounces in one shot.  For period > 0, np.mod's
-            # remainder is fmod's (which is exact, and y itself where
-            # |y| < period, so fmod runs only after an overshoot of a
-            # period or more), plus period where that is negative, and +0
-            # where it is zero.  Adding period only where y < 0 keeps a
-            # zero's sign from fmod, but lo + min(+-0, period) has one bit
-            # pattern for lo != -0.0, so x has np.mod's bits.
-            np.subtract(x, lo, out=y)
-            np.abs(y, out=tmp)
-            if tmp.max() >= period:
-                np.fmod(y, period, out=y)
-            np.less(y, 0.0, out=negative)
-            np.add(y, period, out=y, where=negative)
-            np.subtract(period, y, out=tmp)
-            np.minimum(y, tmp, out=x)
-            x += lo
+            # Fold back into [0, 1] as min(y, 2 - y) with y = x mod 2; the
+            # modular form resolves any number of bounces in one shot.
+            # np.mod's remainder is fmod's (which is exact, and x itself
+            # where |x| < 2, so fmod runs only after an overshoot of 2 or
+            # more), plus 2 where that is negative, and +0 where it is zero.
+            # Adding 2 only where x < 0 keeps a zero's sign from fmod, and
+            # + 0.0 clears it, so x has np.mod's bits.
+            np.abs(x, out=tmp)
+            if tmp.max() >= 2.0:
+                np.fmod(x, 2.0, out=x)
+            np.less(x, 0.0, out=negative)
+            np.add(x, 2.0, out=x, where=negative)
+            np.subtract(2.0, x, out=tmp)
+            np.minimum(x, tmp, out=x)
+            x += 0.0
             while next_record < len(record_times) and record_times[next_record] <= t + 1e-12:
                 out[:, next_record] = x
                 next_record += 1

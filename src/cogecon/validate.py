@@ -113,7 +113,7 @@ def fd_grid_for(law: ResetLaw, n_points: int) -> Grid1D:
     analytic = law.density()
     left_width = TAIL_DECADES_LOG / analytic.rate_left
     right_width = TAIL_DECADES_LOG / analytic.rate_right
-    return Grid1D.around_point(0.0, left_width, right_width, n_points)
+    return Grid1D.around_zero(left_width, right_width, n_points)
 
 
 def fd_density_error(law: ResetLaw, n_points: int) -> float:

@@ -142,11 +142,10 @@ def whole_array_ks(samples, density) -> float:
 
 # The reflected-OU sampler's oracle: in 1-D, reflection keeps the Gibbs
 # density, so the states at the horizon follow N(mean, volatility^2 / (2
-# reversion)) truncated to the bounds (the start's pull has decayed by e^-10).
+# reversion)) truncated to [0, 1] (the start's pull has decayed by e^-10).
 # Their KS distance from that law must stay below the DKW bound at
 # alpha = 1e-6 (Massart 1990): 0.0190 at these 20 000 paths.
-OU_ORACLE_SPEC = OuProcessSpec(mean=0.3, reversion=1.0, volatility=0.5, lower_bound=0.0,
-                               upper_bound=1.0, horizon=10.0, dt=0.01)
+OU_ORACLE_SPEC = OuProcessSpec(mean=0.3, reversion=1.0, volatility=0.5, horizon=10.0, dt=0.01)
 OU_ORACLE_PATHS = 20_000
 OU_ORACLE_BOUND = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * OU_ORACLE_PATHS))
 
@@ -175,9 +174,8 @@ class TruncatedNormal:
 
 
 def ou_gibbs_law(spec: OuProcessSpec) -> TruncatedNormal:
-    """The reflected OU's stationary law: N(mean, volatility^2 / (2 reversion)) on the bounds."""
-    return TruncatedNormal(spec.mean, spec.volatility**2 / (2.0 * spec.reversion),
-                           spec.lower_bound, spec.upper_bound)
+    """The reflected OU's stationary law: N(mean, volatility^2 / (2 reversion)) on [0, 1]."""
+    return TruncatedNormal(spec.mean, spec.volatility**2 / (2.0 * spec.reversion), 0.0, 1.0)
 
 
 def cawf_stationary(p: CawfParams, lo: float, hi: float) -> np.ndarray:

@@ -124,21 +124,29 @@ def fake_checkout(root: Path, last_line: str) -> Path:
     return root
 
 
+def run_bench_pairs(tmp_path, monkeypatch, parent_line: str, change_line: str,
+                    *runs: str) -> dict:
+    """BENCH_t.json of bench_pairs.py run with the arguments runs on two fake
+    checkouts whose runs print parent_line and change_line."""
+    parent = fake_checkout(tmp_path / "parent", parent_line)
+    change = fake_checkout(tmp_path / "change", change_line)
+    monkeypatch.setattr(bench_pairs, "parent_commit", lambda parent: "c0ffee")
+    monkeypatch.setattr(bench_pairs, "run_tier1", lambda checkout: (1.0, 0))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(parent), str(change),
+                                      "--label", "t", *runs])
+    bench_pairs.main()
+    return json.loads((tmp_path / "BENCH_t.json").read_text())
+
+
 def run_pairs_with_parent_printing(tmp_path, monkeypatch, last_line: str,
                                    error: str | None = None) -> dict:
     """BENCH_t.json of two pairs whose parent prints last_line and whose change
     prints a well-formed result; each parent run is recorded with error, by
     default that of a malformed result line."""
     result = {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "attempted": 1, "correct": True}
-    parent = fake_checkout(tmp_path / "parent", last_line)
-    change = fake_checkout(tmp_path / "change", json.dumps(result))
-    monkeypatch.setattr(bench_pairs, "parent_commit", lambda parent: "c0ffee")
-    monkeypatch.setattr(bench_pairs, "run_tier1", lambda checkout: (1.0, 0))
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(parent), str(change),
-                                      "--label", "t", "--runs", "sweep:1-2"])
-    bench_pairs.main()
-    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    out = run_bench_pairs(tmp_path, monkeypatch, last_line, json.dumps(result),
+                          "--runs", "sweep:1-2")
     assert [(r["side"], r["result"] is None) for r in out["runs"]] == [
         ("parent", True), ("change", False), ("change", False), ("parent", True)]
     error = f"malformed result line: {last_line}" if error is None else error
@@ -165,3 +173,24 @@ def test_a_result_without_an_end_to_end_metric_is_recorded_as_an_error(tmp_path,
     last_line = json.dumps({"metrics": {}, "failed": 0, "attempted": 1, "correct": True})
     run_pairs_with_parent_printing(tmp_path, monkeypatch, last_line,
                                    error="result lacks metric wall_s")
+
+
+@pytest.mark.parametrize("entry", [1.0, {"value": "x"}, {"value": True}, {}])
+def test_an_end_to_end_metric_without_a_numeric_value_is_recorded_as_an_error(
+        tmp_path, monkeypatch, entry):
+    # summarize reads metrics[name]["value"] as a number
+    last_line = json.dumps({"metrics": {"wall_s": entry}, "failed": 0, "attempted": 1,
+                            "correct": True})
+    run_pairs_with_parent_printing(tmp_path, monkeypatch, last_line,
+                                   error="metric wall_s has no numeric value")
+
+
+def test_a_traced_run_is_recorded_with_its_per_layer_metrics(tmp_path, monkeypatch):
+    # a traced result carries no end-to-end metric, and summarize reads none of it
+    result = {"metrics": {"sde.ou_path_steps": {"value": 6_000_000}}, "failed": 0,
+              "attempted": 1, "correct": True}
+    out = run_bench_pairs(tmp_path, monkeypatch, json.dumps(result), json.dumps(result),
+                          "--trace-runs", "reproduce:1-1")
+    assert [(r["side"], r["trace"], r["result"]) for r in out["trace_runs"]] == [
+        ("parent", 1, result), ("change", 1, result)]
+    assert out["runs"] == [] and out["summary"] == {}

@@ -223,8 +223,8 @@ def _ou_oracle_states(sampler):
 # settle into.  Halving the reversion gives the variance volatility^2/reversion.
 OU_MUTANTS = [
     ("fold replaced by np.clip", _edited(
-        sde_mod.simulate_ou_reflected, "np.subtract(x, lo, out=y)",
-        "np.clip(x, lo, hi, out=x)\n            np.subtract(x, lo, out=y)"), OU_ORACLE_SPEC),
+        sde_mod.simulate_ou_reflected, "np.abs(x, out=tmp)",
+        "np.clip(x, 0.0, 1.0, out=x)\n            np.abs(x, out=tmp)"), OU_ORACLE_SPEC),
     ("variance volatility^2/reversion", sde_mod.simulate_ou_reflected,
      replace(OU_ORACLE_SPEC, reversion=OU_ORACLE_SPEC.reversion / 2.0)),
     ("mean + 0.05", sde_mod.simulate_ou_reflected,

@@ -162,8 +162,7 @@ def test_rng_spec_validation():
 # -- reflected OU -------------------------------------------------------------
 
 def test_ou_paths_stay_inside_bounds():
-    spec = OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8,
-                         lower_bound=0.0, upper_bound=1.0, horizon=30.0)
+    spec = OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8, horizon=30.0)
     paths = simulate_ou_reflected(spec, RngSpec(7), n_paths=64,
                                   record_times=np.linspace(0.0, 30.0, 31))
     assert paths.shape == (64, 31)
@@ -172,16 +171,14 @@ def test_ou_paths_stay_inside_bounds():
 
 
 def test_ou_stationary_mean_centered():
-    spec = OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8,
-                         lower_bound=0.0, upper_bound=1.0, horizon=60.0)
+    spec = OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8, horizon=60.0)
     paths = simulate_ou_reflected(spec, RngSpec(11), n_paths=4000,
                                   record_times=np.array([60.0]))
     assert float(paths.mean()) == pytest.approx(0.5, abs=0.02)
 
 
 def test_ou_zero_vol_relaxes_to_mean():
-    spec = OuProcessSpec(mean=0.5, reversion=0.5, volatility=0.0,
-                         lower_bound=0.0, upper_bound=1.0, horizon=8.0, start=0.9)
+    spec = OuProcessSpec(mean=0.5, reversion=0.5, volatility=0.0, horizon=8.0, start=0.9)
     t = np.array([0.0, 2.0, 8.0])
     path = simulate_ou_reflected(spec, RngSpec(1), n_paths=1, record_times=t)[0]
     analytic = 0.5 + (0.9 - 0.5) * np.exp(-0.5 * t)
@@ -205,7 +202,7 @@ def plain_ou_loop(spec: OuProcessSpec, rng: RngSpec, n_paths: int, record_times)
     gen = rng.generator()
     x = np.full(n_paths, spec.mean if spec.start is None else spec.start, dtype=float)
     out = np.empty((n_paths, record_times.size), dtype=float)
-    lo, hi = spec.lower_bound, spec.upper_bound
+    lo, hi = 0.0, 1.0
     period = 2.0 * (hi - lo)
     widest = 0.0
     t = 0.0
@@ -234,8 +231,7 @@ def plain_ou_loop(spec: OuProcessSpec, rng: RngSpec, n_paths: int, record_times)
     return out, widest
 
 
-FIGURE6_OU = OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8,
-                           lower_bound=0.0, upper_bound=1.0, horizon=60.0)
+FIGURE6_OU = OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8, horizon=60.0)
 
 # Steps per block of shocks at 1000 paths, and horizons of that many steps
 # around the block boundaries (dt = 0.25 is exact, so k steps end at k / 4).
@@ -244,35 +240,32 @@ BLOCK_STEPS = (1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3)
 
 
 def steps_spec(n_steps: int) -> OuProcessSpec:
-    return OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8, lower_bound=0.0,
-                         upper_bound=1.0, horizon=0.25 * n_steps, dt=0.25)
+    return OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8, horizon=0.25 * n_steps,
+                         dt=0.25)
 
 
 @pytest.mark.parametrize("spec,seed,n_paths,record_times", [
     (FIGURE6_OU, 42, 1000, [60.0]),
     (FIGURE6_OU, 1, 1000, [60.0]),
-    # lo != 0, asymmetric about the mean
-    (OuProcessSpec(mean=-0.9, reversion=0.7, volatility=1.3, lower_bound=-1.25,
-                   upper_bound=0.4, horizon=5.0, dt=0.01), 3, 257, [5.0]),
-    # steps far wider than the period: |x - lo| >= period is common
-    (OuProcessSpec(mean=0.5, reversion=0.2, volatility=25.0, lower_bound=0.0,
-                   upper_bound=1.0, horizon=2.0, dt=0.01), 4, 300, [0.5, 2.0]),
+    # a mean near a bound, so the law is asymmetric about the interval's middle
+    (OuProcessSpec(mean=0.1, reversion=0.7, volatility=1.3, horizon=5.0, dt=0.01),
+     3, 257, [5.0]),
+    # steps far wider than the period: |x| >= 2 is common
+    (OuProcessSpec(mean=0.5, reversion=0.2, volatility=25.0, horizon=2.0, dt=0.01),
+     4, 300, [0.5, 2.0]),
     # start on a bound, several record times including 0
-    (OuProcessSpec(mean=2.0, reversion=0.4, volatility=0.6, lower_bound=1.5,
-                   upper_bound=3.0, horizon=4.0, start=1.5, dt=0.02), 5, 64,
-     [0.0, 0.02, 1.0, 2.5, 4.0]),
+    (OuProcessSpec(mean=0.5, reversion=0.4, volatility=0.6, horizon=4.0, start=0.0, dt=0.02),
+     5, 64, [0.0, 0.02, 1.0, 2.5, 4.0]),
     # dt does not divide the horizon: the last step is shorter
-    (OuProcessSpec(mean=0.2, reversion=1.5, volatility=0.9, lower_bound=-0.5,
-                   upper_bound=0.5, horizon=1.0, start=0.5, dt=0.03), 6, 100,
-     [0.0, 0.45, 1.0]),
+    (OuProcessSpec(mean=0.7, reversion=1.5, volatility=0.9, horizon=1.0, start=1.0, dt=0.03),
+     6, 100, [0.0, 0.45, 1.0]),
     *[(steps_spec(k), 8, 1000, [0.25 * k]) for k in BLOCK_STEPS],
     # more paths than CHUNK: one step per block
     (steps_spec(5), 9, sde.CHUNK + 3, [0.5, 1.25]),
     # 100 steps, the short last one inside the second block
-    (OuProcessSpec(mean=0.2, reversion=1.5, volatility=0.9, lower_bound=-0.5,
-                   upper_bound=0.5, horizon=2.995, dt=0.03), 10, 1000,
-     [1.5, 2.995]),
-], ids=["fig6-seed42", "fig6-seed1", "lo-nonzero", "vol25", "start-on-bound",
+    (OuProcessSpec(mean=0.7, reversion=1.5, volatility=0.9, horizon=2.995, dt=0.03),
+     10, 1000, [1.5, 2.995]),
+], ids=["fig6-seed42", "fig6-seed1", "mean-near-bound", "vol25", "start-on-bound",
         "ragged-dt", *[f"steps{k}" for k in BLOCK_STEPS], "rows1",
         "ragged-dt-in-block"])
 def test_ou_reflected_equals_plain_loop(spec, seed, n_paths, record_times):
@@ -283,7 +276,7 @@ def test_ou_reflected_equals_plain_loop(spec, seed, n_paths, record_times):
     # Compared as bit patterns, so -0 against +0 would also fail.
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     if spec.volatility == 25.0:
-        assert widest >= 2.0 * (spec.upper_bound - spec.lower_bound)
+        assert widest >= 2.0
 
 
 class ConstantNormals:
@@ -300,11 +293,11 @@ class ConstantNormals:
 
 
 def test_ou_reflected_signed_zero_fold(monkeypatch):
-    # A shock of -1 takes x from 0 to -1, so (x - lo) fmod 1 is -0.  With
-    # lower_bound -0.0 the sampler must still record +0, as np.mod's fold does.
-    monkeypatch.setattr(RngSpec, "generator", lambda self: ConstantNormals(-1.0))
-    spec = OuProcessSpec(mean=0.0, reversion=0.1, volatility=1.0, lower_bound=-0.0,
-                         upper_bound=0.5, horizon=1.0, dt=1.0, start=0.0)
+    # A shock of -2 takes x from 0 to -2, so x fmod 2 is -0.  The sampler
+    # must still record +0, as np.mod's fold does.
+    monkeypatch.setattr(RngSpec, "generator", lambda self: ConstantNormals(-2.0))
+    spec = OuProcessSpec(mean=0.0, reversion=0.1, volatility=1.0, horizon=1.0, dt=1.0,
+                         start=0.0)
     got = simulate_ou_reflected(spec, RngSpec(1), 3, [1.0])
     want, _ = plain_ou_loop(spec, RngSpec(1), 3, [1.0])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -363,11 +356,11 @@ def test_ou_reflected_worker_error_reaches_caller(monkeypatch):
 
 def test_ou_spec_validation():
     with pytest.raises(ValueError):
-        OuProcessSpec(mean=0.5, reversion=-0.1, volatility=0.8,
-                      lower_bound=0.0, upper_bound=1.0, horizon=60.0)
-    with pytest.raises(ValueError):
-        OuProcessSpec(mean=2.0, reversion=0.1, volatility=0.8,
-                      lower_bound=0.0, upper_bound=1.0, horizon=60.0)  # mean outside bounds
+        OuProcessSpec(mean=0.5, reversion=-0.1, volatility=0.8, horizon=60.0)
+    with pytest.raises(ValueError, match="mean must lie inside"):
+        OuProcessSpec(mean=2.0, reversion=0.1, volatility=0.8, horizon=60.0)
+    with pytest.raises(ValueError, match="start must lie inside"):
+        OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8, horizon=60.0, start=-0.1)
 
 
 # -- reset diffusion ----------------------------------------------------------
@@ -475,7 +468,7 @@ def test_gbm_reset_rejects_bad_rate_and_size(reset_rate, n_samples):
 # -- stationary forward equation, finite differences --------------------------
 
 def test_grid_places_node_on_point():
-    g = Grid1D.around_point(0.0, 3.7, 11.3, 2001)
+    g = Grid1D.around_zero(3.7, 11.3, 2001)
     nodes = g.nodes()
     assert nodes.size == 2001
     k = int(np.argmin(np.abs(nodes)))
@@ -496,7 +489,7 @@ def test_bernoulli_overflow_gives_its_zero_limit_without_warning():
 
 def test_fd_matches_closed_form():
     d = PiecewiseExpDensity.from_reset_law(drift=0.2465236032, vol=0.4, reset_rate=0.3)
-    grid = Grid1D.around_point(0.0, 19.0 / d.rate_left, 19.0 / d.rate_right, 4001)
+    grid = Grid1D.around_zero(19.0 / d.rate_left, 19.0 / d.rate_right, 4001)
     numeric = solve_stationary_kfe_fd(0.2465236032, 0.4, 0.3, grid)
     assert np.max(np.abs(numeric - d.pdf(grid.nodes()))) < 1e-3
     assert np.trapezoid(numeric, grid.nodes()) == pytest.approx(1.0, abs=1e-10)
@@ -506,7 +499,7 @@ def test_fd_second_order_convergence():
     d = PiecewiseExpDensity.from_reset_law(drift=0.3, vol=0.5, reset_rate=0.4)
     errors = []
     for n in (1001, 2001, 4001):
-        grid = Grid1D.around_point(0.0, 19.0 / d.rate_left, 19.0 / d.rate_right, n)
+        grid = Grid1D.around_zero(19.0 / d.rate_left, 19.0 / d.rate_right, n)
         numeric = solve_stationary_kfe_fd(0.3, 0.5, 0.4, grid)
         errors.append(np.max(np.abs(numeric - d.pdf(grid.nodes()))))
     # halving h must cut the error by at least ~2x; second order gives ~4x
