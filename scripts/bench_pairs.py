@@ -23,14 +23,19 @@ for each workload and end-to-end metric of BENCHMARK.json, the median and
 quartiles of each side, the pairs the change won, the parent's interquartile
 distance and ``gain_met``: at least ten pairs ran, the change won at least nine
 in ten of them (a tie counts for neither side) and its median beats the
-parent's by more than that distance.  It is rewritten after every run, so an
-interrupted session keeps the runs it finished.
+parent's by more than that distance.  Against the metric's ``bound`` in
+BENCHMARK.json it also keeps ``worse_beyond_bound``: the change's median is
+worse than the parent's by more than bound times the parent's median; and
+``unresolved``: the parent's interquartile distance exceeds bound times its
+median, and not every run of the change beats every run of the parent.  It is
+rewritten after every run, so an interrupted session keeps the runs it finished.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -139,19 +144,26 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         entry = {}
         for metric in metrics:
             name, better = metric["name"], metric["better"]
+            # a metric without a bound is never worse beyond it
+            bound = metric.get("bound", math.inf)
+            sign = 1 if better == "lower" else -1  # sign * (change - parent) > 0 is worse
             values = {side: [p[side]["metrics"][name]["value"] for p in done]
                       for side in ("parent", "change")}
-            won = sum((c < p) if better == "lower" else (c > p)
-                      for p, c in zip(values["parent"], values["change"]))
+            won = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
             parent, change = quartiles(values["parent"]), quartiles(values["change"])
             parent_iqr = parent["q3"] - parent["q1"]
             gap = change["median"] - parent["median"]
+            every_run_beats = all(sign * (c - p) < 0
+                                  for p in values["parent"] for c in values["change"])
             entry[name] = {"parent": parent, "change": change,
                            f"change_{better}_pairs": won, "pairs": len(done),
                            "median_change_pct": 100.0 * gap / parent["median"],
                            "parent_iqr": parent_iqr,
                            "gain_met": (len(done) >= 10 and 10 * won >= 9 * len(done)
-                                        and (-gap if better == "lower" else gap) > parent_iqr)}
+                                        and -sign * gap > parent_iqr),
+                           "worse_beyond_bound": sign * gap > bound * parent["median"],
+                           "unresolved": (parent_iqr > bound * parent["median"]
+                                          and not every_run_beats)}
         entry["failed"] = {side: sum(p[side]["failed"] for p in done) for side in ("parent", "change")}
         entry["attempted"] = {side: sum(p[side]["attempted"] for p in done)
                               for side in ("parent", "change")}

@@ -8,12 +8,12 @@ compiles no method; its ``__dataclass_params__`` describes that call.  Each
 class is then built once, with a slot per field, on `_Record`.  Its one
 ``__eq__``, ``__hash__`` and ``__repr__``, its refusing ``__setattr__`` and
 ``__delattr__`` and its pickle state methods act as the dataclass ones do,
-over field-name tuples that each class keeps.  Only ``__init__`` is compiled
-per class.  It stores each field through its slot's member descriptor and
-has the dataclass signature: plain defaults (no ``default_factory``),
-``__post_init__`` last.  An ``init=False`` field is derived: it takes no
-default, and ``__post_init__`` stores it.  A record without a docstring is
-documented by that signature.
+over ``__slots__``, its one field list: every field compares, hashes, shows.
+Only ``__init__`` is compiled per class.  It stores each field through its
+slot's member descriptor and has the dataclass signature: plain defaults (no
+``default_factory``), ``__post_init__`` last.  An ``init=False`` field is
+derived: it takes no default, and ``__post_init__`` stores it.  A record
+without a docstring is documented by that signature.
 """
 
 from __future__ import annotations
@@ -30,16 +30,16 @@ class _Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (tuple([getattr(self, name) for name in self._compared])
-                    == tuple([getattr(other, name) for name in self._compared]))
+            return (tuple([getattr(self, name) for name in self.__slots__])
+                    == tuple([getattr(other, name) for name in self.__slots__]))
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple([getattr(self, name) for name in self._hashed]))
+        return hash(tuple([getattr(self, name) for name in self.__slots__]))
 
     @recursive_repr()
     def __repr__(self) -> str:
-        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown])
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name, value):
@@ -49,11 +49,11 @@ class _Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __getstate__(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
+        return [getattr(self, name) for name in self.__slots__]
 
     def __setstate__(self, state) -> None:
-        for f, value in zip(fields(self), state):
-            object.__setattr__(self, f.name, value)
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
 
 def record(cls: type) -> type:
@@ -67,11 +67,7 @@ def record(cls: type) -> type:
     own = fields(cls)
     namespace = {key: value for key, value in cls.__dict__.items()
                  if key not in cls.__dataclass_fields__ and key not in ("__dict__", "__weakref__")}
-    namespace.update(
-        __slots__=tuple(f.name for f in own),
-        _compared=tuple(f.name for f in own if f.compare),
-        _hashed=tuple(f.name for f in own if (f.compare if f.hash is None else f.hash)),
-        _shown=tuple(f.name for f in own if f.repr))
+    namespace["__slots__"] = tuple(f.name for f in own)
     qualname = cls.__qualname__
     cls = type(cls)(cls.__name__, (_Record,), namespace)
     cls.__qualname__ = qualname

@@ -94,20 +94,22 @@ def direction_value_matrix(d: DirectionVector, magnitude: float) -> np.ndarray:
 
 
 # Square-root-technology economies with a wage and a finite level-wealth mean
-# at it, on which equilibrium_wage_root checks the closed-form wage.  At z = 20
+# at it, on which equilibrium_wage_roots checks the closed-form wage.  At z = 20
 # five of them clear just above the wage below which that mean diverges.
 EQUILIBRIUM_GRID = tuple(EconomyParams(alpha=0.5, lam=lam, gamma=gamma, z=z)
                          for lam in (1.5, 5.0, 25.0) for gamma in (1.5, 2.0, 4.0)
                          for z in (2.0, 5.0, 20.0))
 
 
-def equilibrium_wage_root(p: EconomyParams) -> float:
-    """The wage at which labor_residual_at vanishes at p's rate, by bisection.
+def equilibrium_wage_roots(p: EconomyParams) -> list[float]:
+    """Every wage at which labor_residual_at vanishes at p's rate, by bisection,
+    in increasing order.
 
     Where the level-wealth mean diverges, labor demand does too, so the
     residual is +inf there.  A scan of w over [1e-4, 1e4] in steps of 0.1
-    decade must bracket exactly one sign change; a geometric bisection then
-    halves that bracket in log w until its midpoint is one of its ends.
+    decade brackets each sign change; a geometric bisection then halves each
+    bracket in log w until its midpoint is one of its ends.  Below the
+    leverage-neutral friction f_sigma = (gamma - 1) / gamma there can be two.
     """
     def residual(w: float) -> float:
         try:
@@ -116,18 +118,19 @@ def equilibrium_wage_root(p: EconomyParams) -> float:
             return math.inf
 
     scan = [(w, residual(w)) for w in (10.0 ** (k / 10) for k in range(-40, 41))]
-    brackets = [(a, b, fa < 0.0) for (a, fa), (b, fb) in zip(scan, scan[1:])
-                if (fa < 0.0) != (fb < 0.0)]
-    assert len(brackets) == 1, f"{len(brackets)} sign changes of the labor residual"
-    lo, hi, lo_negative = brackets[0]
-    mid = math.sqrt(lo * hi)
-    while lo < mid < hi:
-        if (residual(mid) < 0.0) == lo_negative:
-            lo = mid
-        else:
-            hi = mid
+    roots = []
+    for (lo, f_lo), (hi, f_hi) in zip(scan, scan[1:]):
+        if (f_lo < 0.0) == (f_hi < 0.0):
+            continue
         mid = math.sqrt(lo * hi)
-    return mid
+        while lo < mid < hi:
+            if (residual(mid) < 0.0) == (f_lo < 0.0):
+                lo = mid
+            else:
+                hi = mid
+            mid = math.sqrt(lo * hi)
+        roots.append(mid)
+    return roots
 
 
 def whole_array_ks(samples, density) -> float:

@@ -194,3 +194,39 @@ def test_a_traced_run_is_recorded_with_its_per_layer_metrics(tmp_path, monkeypat
     assert [(r["side"], r["trace"], r["result"]) for r in out["trace_runs"]] == [
         ("parent", 1, result), ("change", 1, result)]
     assert out["runs"] == [] and out["summary"] == {}
+
+
+
+def bounded(better: str) -> list[dict]:
+    """wall_s, read as a metric that is better lower or higher, with bound 0.25."""
+    return [{"name": "wall_s", "better": better, "bound": 0.25}]
+
+
+@pytest.mark.parametrize("better, factor, flagged", [
+    ("lower", 1.30, True), ("lower", 1.10, False), ("lower", 0.70, False),
+    ("higher", 0.70, True), ("higher", 0.90, False), ("higher", 1.30, False)])
+def test_worse_beyond_bound_flags_a_median_worse_by_more_than_the_bound(better, factor, flagged):
+    summary = bench_pairs.summarize(paired_runs(PARENT, [v * factor for v in PARENT]),
+                                    bounded(better))["sweep"]["wall_s"]
+    assert summary["worse_beyond_bound"] is flagged
+    # the parent's IQR, 0.045, is within 0.25 x its median
+    assert summary["unresolved"] is False
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    wide = [0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5]  # IQR 0.45, median 1.05
+    for better in ("lower", "higher"):
+        level = bench_pairs.summarize(paired_runs(wide, wide[::-1]), bounded(better))
+        assert level["sweep"]["wall_s"]["worse_beyond_bound"] is False
+        assert level["sweep"]["wall_s"]["unresolved"] is True
+    # unless every run of the change beats every run of the parent
+    for better, change, unresolved in [("lower", 0.5, False), ("higher", 2.0, False),
+                                       ("lower", 1.0, True), ("higher", 0.5, True)]:
+        summary = bench_pairs.summarize(paired_runs(wide, [change] * 10), bounded(better))
+        assert summary["sweep"]["wall_s"]["unresolved"] is unresolved
+
+
+def test_a_metric_without_a_bound_is_never_worse_beyond_it():
+    summary = bench_pairs.summarize(paired_runs(PARENT, [v * 3 for v in PARENT]), METRICS)
+    assert summary["sweep"]["wall_s"]["worse_beyond_bound"] is False
+    assert summary["sweep"]["wall_s"]["unresolved"] is False

@@ -35,7 +35,7 @@ from cogecon.densities import PiecewiseExpDensity, ResetLaw
 from cogecon.rng import RngSpec
 from cogecon.sde import simulate_gbm_reset
 from references import (EQUILIBRIUM_GRID, OU_ORACLE_BOUND, OU_ORACLE_PATHS, OU_ORACLE_SPEC,
-                        block_end_ks_sample, equilibrium_wage_root, ou_gibbs_law,
+                        block_end_ks_sample, equilibrium_wage_roots, ou_gibbs_law,
                         whole_array_ks)
 
 SEED = 42
@@ -158,7 +158,7 @@ def test_equilibrium_mutation_row(monkeypatch, mutant, kills):
     rejected = 0
     for p in EQUILIBRIUM_GRID:
         prices = wealth_mod.equilibrium_prices(p)
-        root = equilibrium_wage_root(replace(p, r=prices.r_star))
+        [root] = equilibrium_wage_roots(replace(p, r=prices.r_star))
         rejected += not math.isclose(prices.w_star, root, rel_tol=1e-12)
     assert rejected == kills
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cogecon.config import default_config
 from cogecon.densities import ResetLaw
 from cogecon.validate import benchmark_combos
 from cogecon.wealth import (
@@ -27,7 +28,7 @@ from cogecon.wealth import (
     profit_rate,
     stationary_wealth_density,
 )
-from references import EQUILIBRIUM_GRID, equilibrium_wage_root
+from references import EQUILIBRIUM_GRID, equilibrium_wage_roots
 
 EQ = EconomyParams(alpha=0.5)
 
@@ -298,8 +299,21 @@ def test_equilibrium_wage_finite_where_textbook_root_cancels():
                          ids=lambda p: f"lam{p.lam:g}_gamma{p.gamma:g}_z{p.z:g}")
 def test_equilibrium_wage_is_the_bracketed_root_of_labor_clearing(p):
     prices = equilibrium_prices(p)
-    root = equilibrium_wage_root(replace(p, r=prices.r_star))
+    [root] = equilibrium_wage_roots(replace(p, r=prices.r_star))
     assert root == pytest.approx(prices.w_star, rel=1e-12)
+
+
+def test_labor_clearing_has_two_roots_below_the_leverage_neutral_friction():
+    # At f_sigma = 0.3 < (gamma - 1) / gamma the clearing condition in w has
+    # two roots; equilibrium_prices ignores f_sigma and gives neither, so
+    # this checks the residual at each, not equilibrium_prices.
+    p = replace(default_config().equilibrium_params(), f_sigma=0.3, r=0.07)
+    assert equilibrium_prices(p).r_star == pytest.approx(0.07, rel=1e-12)
+    roots = equilibrium_wage_roots(p)
+    assert roots == [pytest.approx(0.6148, abs=1e-4), pytest.approx(1.6788, abs=1e-4)]
+    assert 0.501 < roots[0] < 0.631 and 1.585 < roots[1] < 1.995
+    for w in roots:
+        assert abs(labor_residual_at(replace(p, w=w))) < 1e-12
 
 
 def test_firms_active_flag_compares_z_with_the_cutoff_at_equilibrium_prices():
@@ -328,6 +342,45 @@ def test_equilibrium_grid_has_few_economies_with_active_firms():
                                    z=z, theta=theta, sigma=sigma)).firms_active
         for lam, beta, delta, rho, gamma, z, theta, sigma in grid)
     assert counts == {None: 936, False: 1335, True: 321}
+
+
+def equilibrium_dw_dlam(p: EconomyParams) -> float:
+    """dw*/dlam by the implicit function theorem on the clearing quadratic
+    G(s, lam) = 2 beta gamma z lam s^2 + z lam s + C(lam) = 0, with s = sqrt(t)
+    = (1 - alpha) / w*, r* = theta + gamma sigma^2 (lam - 1) and
+    C = 2 (r* - lam r* - lam delta - rho) + (1 + gamma) gamma sigma^2 (lam - 1)^2
+    - 2 beta gamma."""
+    prices = equilibrium_prices(p)
+    s = (1.0 - p.alpha) / prices.w_star
+    gamma_var = p.gamma * p.sigma**2
+    dc_dlam = (2.0 * (gamma_var * (1.0 - p.lam) - prices.r_star - p.delta)
+               + 2.0 * (1.0 + p.gamma) * gamma_var * (p.lam - 1.0))
+    dg_dlam = 2.0 * p.beta * p.gamma * p.z * s * s + p.z * s + dc_dlam
+    dg_ds = 4.0 * p.beta * p.gamma * p.z * p.lam * s + p.z * p.lam
+    return (1.0 - p.alpha) / (s * s) * dg_dlam / dg_ds
+
+
+@pytest.mark.parametrize("gamma, last_active", [(2.0, 2.70), (3.0, 2.65)])
+def test_leverage_claims_at_the_equilibrium_prices(gamma, last_active):
+    # At the code's own (r*, w*) on lam = 1.05, 1.10, ..., 3.0, firms stay
+    # active only up to last_active, and over that range E[log a] falls at
+    # every step of lam: at fixed prices it rises.
+    p = replace(default_config().equilibrium_params(), gamma=gamma)
+    economies = [replace(p, lam=k / 20) for k in range(21, 61)]
+    active = [q for q in economies if equilibrium_prices(q).firms_active]
+    assert [q.lam for q in active] == [q.lam for q in economies if q.lam <= last_active]
+    assert all(equilibrium_prices(q).firms_active is False for q in economies[len(active):])
+    mean_log_a = [density_stats(stationary_wealth_density(drift_diffusion(at_equilibrium(q))))
+                  .mean_x for q in active]
+    assert all(b < a for a, b in zip(mean_log_a, mean_log_a[1:]))
+
+    h = 1e-6
+    for q in economies:
+        up, down = (equilibrium_prices(replace(q, lam=q.lam + d)) for d in (h, -h))
+        assert (up.r_star - down.r_star) / (2 * h) == pytest.approx(gamma * q.sigma**2,
+                                                                    rel=1e-6)
+        assert (up.w_star - down.w_star) / (2 * h) == pytest.approx(equilibrium_dw_dlam(q),
+                                                                    rel=1e-6)
 
 
 def test_equilibrium_requires_square_root_technology():
