@@ -10,8 +10,9 @@ commit the JSON records; CHANGE need not be committed.  For each seed of
 each --runs workload, one pair runs
 ``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`` in
 both checkouts, one after the other; even pairs run the parent first, odd
-pairs the change.  --trace-runs pairs do the same with --trace 1.  The run
-length S is BENCHMARK.json's run_seconds in CHANGE.
+pairs the change.  --trace-runs pairs do the same with --trace 1.  A
+workload given twice to one flag is a usage error.  The run length S is
+BENCHMARK.json's run_seconds in CHANGE.
 
 After the pairs, each side runs the tier-1 suite once with src on the path,
 ``python -m pytest -q --continue-on-collection-errors -p no:cacheprovider``,
@@ -22,8 +23,9 @@ seeds, and over the untraced pairs (a traced result has per-layer metrics only),
 for each workload and end-to-end metric of BENCHMARK.json, the median and
 quartiles of each side, the pairs the change won, the parent's interquartile
 distance and ``gain_met``: at least ten pairs ran, the change won at least nine
-in ten of them (a tie counts for neither side) and its median beats the
-parent's by more than that distance.  Against the metric's ``bound`` in
+in ten of them (a tie counts for neither side), its median beats the parent's
+by more than that distance, and over those pairs it failed no larger a share of
+its attempted operations than the parent.  Against the metric's ``bound`` in
 BENCHMARK.json it also keeps ``worse_beyond_bound``: the change's median is
 worse than the parent's by more than bound times the parent's median; and
 ``unresolved``: the parent's interquartile distance exceeds bound times its
@@ -141,7 +143,12 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         done = [p for p in pairs.values() if len(p) == 2]
         if not done:
             continue
-        entry = {}
+        entry = {key: {side: sum(p[side][key] for p in done) for side in ("parent", "change")}
+                 for key in ("failed", "attempted")}
+        failed, attempted = entry["failed"], entry["attempted"]
+        # failed / attempted, cross-multiplied: a side that attempted nothing divides by nothing
+        fails_no_more = (failed["change"] * attempted["parent"]
+                         <= failed["parent"] * attempted["change"])
         for metric in metrics:
             name, better = metric["name"], metric["better"]
             # a metric without a bound is never worse beyond it
@@ -160,13 +167,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                            "median_change_pct": 100.0 * gap / parent["median"],
                            "parent_iqr": parent_iqr,
                            "gain_met": (len(done) >= 10 and 10 * won >= 9 * len(done)
-                                        and -sign * gap > parent_iqr),
+                                        and -sign * gap > parent_iqr and fails_no_more),
                            "worse_beyond_bound": sign * gap > bound * parent["median"],
                            "unresolved": (parent_iqr > bound * parent["median"]
                                           and not every_run_beats)}
-        entry["failed"] = {side: sum(p[side]["failed"] for p in done) for side in ("parent", "change")}
-        entry["attempted"] = {side: sum(p[side]["attempted"] for p in done)
-                              for side in ("parent", "change")}
         entry["all_correct"] = all(p[side]["correct"] for p in done for side in ("parent", "change"))
         summary[workload] = entry
     return summary
@@ -183,6 +187,13 @@ def main() -> None:
                     metavar="WORKLOAD:FIRST-LAST", help="traced pairs, one per seed")
     ap.add_argument("--change-note", default="", help="one line on what the change does")
     args = ap.parse_args()
+    # Pairs are numbered from 0 in each spec, so a second spec of a workload
+    # would overwrite the first one's pairs in the summary and its seeds.
+    for flag, specs in (("--runs", args.runs), ("--trace-runs", args.trace_runs)):
+        workloads = [w for w, _ in specs]
+        twice = [w for w in workloads if workloads.count(w) > 1]
+        if twice:
+            ap.error(f"{flag} gives workload {twice[0]} more than once; give it one seed range")
 
     parent, change = args.parent.resolve(), args.change.resolve()
     commit = parent_commit(parent)

@@ -2,8 +2,8 @@
 
 Both are Monte Carlo counterparts to closed-form results elsewhere in the
 package and are written to stay independent of those formulas: the reflected
-OU uses Euler-Maruyama stepping with fold-back reflection, its normals drawn
-a block of steps at a time in stream order on the calling thread, and the reset
+OU uses Euler-Maruyama stepping with fold-back reflection, drawing each step's
+normals as it takes the step, in stream order on the calling thread; the reset
 process is sampled from its stationary law exactly, in two draws per path.
 Poisson gaps are memoryless, so the time back to the last reset is
 Exp(reset_rate); since then the state is arithmetic Brownian motion, whose
@@ -18,7 +18,7 @@ from .errors import DegenerateModelError
 from .records import record
 from .rng import RngSpec
 
-# Normals per chunk of either sampler's scratch buffers, and most sorted
+# Normals per chunk of the reset sampler's scratch buffers, and most sorted
 # samples per batch of validate's pruned KS: 512 KiB per array, small enough
 # to stay in cache, large enough that the per-chunk Python overhead is noise.
 CHUNK = 1 << 16
@@ -80,36 +80,13 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
     if record_times[0] < 0.0 or record_times[-1] > spec.horizon:
         raise ValueError("record_times must lie inside [0, horizon]")
 
-    # The shocks come in blocks of `rows` steps, drawn into one reused buffer
-    # and scaled there.  A Philox stream drawn in blocks is the same stream,
-    # so these are the same normals, to the bit, as one draw per step.
+    # Each step draws its normals into a reused buffer and scales them there,
+    # so stepping allocates nothing.  The last step may be shorter than dt.
     dt, end = spec.step_size(), record_times[-1]
-    n_steps = math.ceil(end / dt)
-    rows = max(1, min(n_steps, CHUNK // n_paths))
-    buffer = np.empty((rows, n_paths))
     gen = rng.generator()
-
-    def schedule():
-        """Each block's step sizes and end times, accumulated as the stepping
-        takes them (the last step may be shorter than dt), one block at a
-        time so that no list grows with the horizon."""
-        t, steps, ends = 0.0, [], []
-        for _ in range(n_steps):
-            step = min(dt, end - t)
-            if step <= 0.0:
-                break
-            t += step
-            steps.append(step)
-            ends.append(t)
-            if len(steps) == rows:
-                yield steps, ends
-                steps, ends = [], []
-        if steps:
-            yield steps, ends
-
     x = np.full(n_paths, spec.mean if spec.start is None else spec.start, dtype=float)
     out = np.empty((n_paths, len(record_times)), dtype=float)
-    # One step's scratch, reused so that stepping allocates nothing.
+    shocks = np.empty(n_paths)
     tmp = np.empty(n_paths)
     negative = np.empty(n_paths, dtype=bool)
 
@@ -118,37 +95,40 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
         out[:, next_record] = x
         next_record += 1
 
-    for steps, ends in schedule():
-        block = buffer[:len(steps)]
-        gen.standard_normal(out=block)
-        block *= np.array([spec.volatility * math.sqrt(step) for step in steps])[:, None]
-        for shocks, step, t in zip(block, steps, ends):
-            # x + (reversion*(mean - x))*step + (volatility*sqrt(step))*shocks,
-            # in place: each product and sum is the formula's own, at most
-            # with its operands swapped, so the bits are the formula's.
-            np.subtract(spec.mean, x, out=tmp)
-            tmp *= spec.reversion
-            tmp *= step
-            x += tmp
-            x += shocks
-            # Fold back into [0, 1] as min(y, 2 - y) with y = x mod 2; the
-            # modular form resolves any number of bounces in one shot.
-            # np.mod's remainder is fmod's (which is exact, and x itself
-            # where |x| < 2, so fmod runs only after an overshoot of 2 or
-            # more), plus 2 where that is negative, and +0 where it is zero.
-            # Adding 2 only where x < 0 keeps a zero's sign from fmod, and
-            # + 0.0 clears it, so x has np.mod's bits.
-            np.abs(x, out=tmp)
-            if tmp.max() >= 2.0:
-                np.fmod(x, 2.0, out=x)
-            np.less(x, 0.0, out=negative)
-            np.add(x, 2.0, out=x, where=negative)
-            np.subtract(2.0, x, out=tmp)
-            np.minimum(x, tmp, out=x)
-            x += 0.0
-            while next_record < len(record_times) and record_times[next_record] <= t + 1e-12:
-                out[:, next_record] = x
-                next_record += 1
+    t = 0.0
+    for _ in range(math.ceil(end / dt)):
+        step = min(dt, end - t)
+        if step <= 0.0:
+            break
+        t += step
+        gen.standard_normal(out=shocks)
+        shocks *= spec.volatility * math.sqrt(step)
+        # x + (reversion*(mean - x))*step + (volatility*sqrt(step))*shocks,
+        # in place: each product and sum is the formula's own, at most
+        # with its operands swapped, so the bits are the formula's.
+        np.subtract(spec.mean, x, out=tmp)
+        tmp *= spec.reversion
+        tmp *= step
+        x += tmp
+        x += shocks
+        # Fold back into [0, 1] as min(y, 2 - y) with y = x mod 2; the
+        # modular form resolves any number of bounces in one shot.
+        # np.mod's remainder is fmod's (which is exact, and x itself
+        # where |x| < 2, so fmod runs only after an overshoot of 2 or
+        # more), plus 2 where that is negative, and +0 where it is zero.
+        # Adding 2 only where x < 0 keeps a zero's sign from fmod, and
+        # + 0.0 clears it, so x has np.mod's bits.
+        np.abs(x, out=tmp)
+        if tmp.max() >= 2.0:
+            np.fmod(x, 2.0, out=x)
+        np.less(x, 0.0, out=negative)
+        np.add(x, 2.0, out=x, where=negative)
+        np.subtract(2.0, x, out=tmp)
+        np.minimum(x, tmp, out=x)
+        x += 0.0
+        while next_record < len(record_times) and record_times[next_record] <= t + 1e-12:
+            out[:, next_record] = x
+            next_record += 1
     while next_record < len(record_times):  # pragma: no cover - guard for fp drift
         out[:, next_record] = x
         next_record += 1

@@ -230,3 +230,51 @@ def test_a_metric_without_a_bound_is_never_worse_beyond_it():
     summary = bench_pairs.summarize(paired_runs(PARENT, [v * 3 for v in PARENT]), METRICS)
     assert summary["sweep"]["wall_s"]["worse_beyond_bound"] is False
     assert summary["sweep"]["wall_s"]["unresolved"] is False
+
+
+def with_failures(runs: list[dict], side: str, failed: int, attempted: int) -> list[dict]:
+    """runs with every result of side reporting failed of attempted operations."""
+    for r in runs:
+        if r["side"] == side:
+            r["result"].update(failed=failed, attempted=attempted)
+    return runs
+
+
+@pytest.mark.parametrize("parent_failed, change_failed, met", [
+    # every pair won, but half the change's operations failed against none of the parent's
+    (0, 5, False),
+    # as many failures on both sides leave the gain standing
+    (1, 1, True),
+])
+def test_gain_met_needs_no_larger_failed_share(parent_failed, change_failed, met):
+    runs = with_failures(paired_runs(PARENT, [0.5] * 10), "parent", parent_failed, 10)
+    runs = with_failures(runs, "change", change_failed, 10)
+    summary = bench_pairs.summarize(runs, METRICS)["sweep"]
+    assert summary["failed"]["change"] == 10 * change_failed
+    assert summary["attempted"] == {"parent": 100, "change": 100}
+    assert summary["wall_s"]["change_lower_pairs"] == 10
+    assert summary["wall_s"]["gain_met"] is met
+    assert summary["ops"]["gain_met"] is met
+
+
+@pytest.mark.parametrize("flag", ["--runs", "--trace-runs"])
+def test_a_workload_given_twice_to_one_flag_is_refused_before_any_run(tmp_path, monkeypatch,
+                                                                      capsys, flag):
+    # each spec numbers its pairs from 0, so the second would overwrite the first
+    parent = fake_checkout(tmp_path / "parent", "{}")
+    change = fake_checkout(tmp_path / "change", "{}")
+    started = []
+    monkeypatch.setattr(bench_pairs, "parent_commit", lambda parent: "c0ffee")
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: started.append(args))
+    monkeypatch.setattr(bench_pairs, "run_tier1", lambda checkout: started.append(checkout))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(parent), str(change), "--label", "t",
+                                      flag, "validate:1-3", flag, "sweep:4-6",
+                                      flag, "validate:7-9"])
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main()
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert f"{flag} gives workload validate more than once" in err
+    assert started == []
+    assert not list(tmp_path.glob("BENCH_*.json"))

@@ -233,8 +233,9 @@ def plain_ou_loop(spec: OuProcessSpec, rng: RngSpec, n_paths: int, record_times)
 
 FIGURE6_OU = OuProcessSpec(mean=0.5, reversion=0.1, volatility=0.8, horizon=60.0)
 
-# Steps per block of shocks at 1000 paths, and horizons of that many steps
-# around the block boundaries (dt = 0.25 is exact, so k steps end at k / 4).
+# Horizons of k steps around multiples of ROWS, the steps per CHUNK normals at
+# 1000 paths (dt = 0.25 is exact, so k steps end at k / 4): short and long
+# horizons must all give the reference loop's bits.
 ROWS = sde.CHUNK // 1000
 BLOCK_STEPS = (1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3)
 
@@ -260,9 +261,9 @@ def steps_spec(n_steps: int) -> OuProcessSpec:
     (OuProcessSpec(mean=0.7, reversion=1.5, volatility=0.9, horizon=1.0, start=1.0, dt=0.03),
      6, 100, [0.0, 0.45, 1.0]),
     *[(steps_spec(k), 8, 1000, [0.25 * k]) for k in BLOCK_STEPS],
-    # more paths than CHUNK: one step per block
+    # more paths than CHUNK: one step's normals exceed a chunk
     (steps_spec(5), 9, sde.CHUNK + 3, [0.5, 1.25]),
-    # 100 steps, the short last one inside the second block
+    # 100 steps, the short last one beyond ROWS steps
     (OuProcessSpec(mean=0.7, reversion=1.5, volatility=0.9, horizon=2.995, dt=0.03),
      10, 1000, [1.5, 2.995]),
 ], ids=["fig6-seed42", "fig6-seed1", "mean-near-bound", "vol25", "start-on-bound",
@@ -349,8 +350,8 @@ def test_ou_reflected_worker_error_reaches_caller(monkeypatch):
     finally:
         tracemalloc.stop()
     assert set(threading.enumerate()) == before
-    # Of a million steps, a few blocks were scheduled: the memory held is the
-    # two ~0.5 MiB block buffers, not a list that grows with the horizon.
+    # Of a million steps, one was taken before the second draw failed: the
+    # memory held is one step's buffers, not a list that grows with the horizon.
     assert peak < 2**22
 
 

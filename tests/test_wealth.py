@@ -316,6 +316,19 @@ def test_labor_clearing_has_two_roots_below_the_leverage_neutral_friction():
         assert abs(labor_residual_at(replace(p, w=w))) < 1e-12
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 20: equilibrium_prices ignores f_sigma")
+@pytest.mark.parametrize("f_sigma", [0.9, 0.75, 0.6])
+def test_equilibrium_wage_clears_labor_above_the_leverage_neutral_friction(f_sigma):
+    # Above f0 = (gamma - 1) / gamma = 0.5 labor clearing has one root in w;
+    # the printed wage must be it.
+    p = replace(default_config().equilibrium_params(), lam=2.0, f_sigma=f_sigma)
+    assert f_sigma > (p.gamma - 1.0) / p.gamma
+    prices = equilibrium_prices(p)
+    [root] = equilibrium_wage_roots(replace(p, r=prices.r_star))
+    assert prices.w_star == pytest.approx(root, rel=1e-9)
+
+
 def test_firms_active_flag_compares_z_with_the_cutoff_at_equilibrium_prices():
     prices = equilibrium_prices(EQ)
     assert prices.firms_active is False
