@@ -50,6 +50,7 @@ from .data_value import (
 from .errors import ConfigError, DegenerateModelError, ValidationError
 from .figures import FIGURE_IDS
 from .figures import reproduce as build_series
+from .rng import U64_MAX
 from .tax_model import (
     check_mass_consistency,
     check_tax_rates,
@@ -103,12 +104,16 @@ def _lines(name: str, rows):
 
 
 def _seed(text: str) -> int:
-    """--seed: an integer >= 0."""
+    """--seed: an integer in [0, 2**64 - 1], the range of a master seed."""
     try:
-        if int(text) >= 0:
-            return int(text)
+        seed = int(text)
     except ValueError:
         pass
+    else:
+        if seed > U64_MAX:
+            raise argparse.ArgumentTypeError(f"expected an integer below 2**64, got {text!r}")
+        if seed >= 0:
+            return seed
     raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
 
 

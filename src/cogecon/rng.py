@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .records import record
 
-_U64_MAX = 2**64 - 1
+U64_MAX = 2**64 - 1
 
 
 @record
@@ -21,7 +21,7 @@ class RngSpec:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.master_seed) <= _U64_MAX:
+        if not 0 <= int(self.master_seed) <= U64_MAX:
             raise ValueError(f"master_seed must fit in an unsigned 64-bit int, got {self.master_seed}")
         if int(self.stream_id) < 0:
             raise ValueError(f"stream_id must be nonnegative, got {self.stream_id}")

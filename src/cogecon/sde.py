@@ -88,7 +88,6 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
     out = np.empty((n_paths, len(record_times)), dtype=float)
     shocks = np.empty(n_paths)
     tmp = np.empty(n_paths)
-    negative = np.empty(n_paths, dtype=bool)
 
     next_record = 0
     while next_record < len(record_times) and record_times[next_record] <= 0.0:
@@ -116,16 +115,14 @@ def simulate_ou_reflected(spec: OuProcessSpec, rng: RngSpec,
         # np.mod's remainder is fmod's (which is exact, and x itself
         # where |x| < 2, so fmod runs only after an overshoot of 2 or
         # more), plus 2 where that is negative, and +0 where it is zero.
-        # Adding 2 only where x < 0 keeps a zero's sign from fmod, and
-        # + 0.0 clears it, so x has np.mod's bits.
+        # Adding 2 where x < 0 and +0.0 elsewhere also turns fmod's -0
+        # into +0, so x has np.mod's bits.
         np.abs(x, out=tmp)
         if tmp.max() >= 2.0:
             np.fmod(x, 2.0, out=x)
-        np.less(x, 0.0, out=negative)
-        np.add(x, 2.0, out=x, where=negative)
+        np.add(x, np.where(x < 0.0, 2.0, 0.0), out=x)
         np.subtract(2.0, x, out=tmp)
         np.minimum(x, tmp, out=x)
-        x += 0.0
         while next_record < len(record_times) and record_times[next_record] <= t + 1e-12:
             out[:, next_record] = x
             next_record += 1

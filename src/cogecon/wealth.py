@@ -201,32 +201,50 @@ class EquilibriumPrices:
     firms_active: bool | None = None
 
 
-def _clearing_constant(p: EconomyParams, r_star: float) -> float:
-    q_star = (p.theta - r_star) ** 2 / (p.gamma * p.sigma**2)
-    return (2.0 * (r_star - p.lam * r_star - p.lam * p.delta - p.rho)
-            + (1.0 + p.gamma) * q_star - 2.0 * p.beta * p.gamma)
-
-
 def equilibrium_prices(p: EconomyParams) -> EquilibriumPrices:
     """Closed-form (r*, w*) clearing the capital and labor markets.
 
     Requires alpha = 1/2 exactly; other exponents have no closed-form
     clearing condition here and mixing them in silently would corrupt the
-    comparison, so any other alpha raises ValueError.
+    comparison, so any other alpha raises ValueError.  Below the
+    leverage-neutral friction f_sigma = (gamma - 1) / gamma labor can clear
+    at two wages; that raises DegenerateModelError naming both.
     """
     if p.alpha != EQUILIBRIUM_ALPHA:
         raise ValueError(f"equilibrium prices need alpha = {EQUILIBRIUM_ALPHA}, got alpha = {p.alpha}")
     r_star = p.theta - p.gamma * p.sigma**2 * (1.0 - p.lam)
-    c_const = _clearing_constant(p, r_star)
-    if c_const >= 0.0:
-        return EquilibriumPrices(r_star=r_star, w_star=None, clearing_constant=c_const)
+    # With s = sqrt(t) = (1-alpha)/w, E[a] = beta / (beta - mu - sigma_x^2/2)
+    # and mu affine in s, labor clears where 2 beta gamma zl s^2 + b s + c = 0.
+    # friction is 0.0 at f_sigma = 1, where every factor it enters is exact,
+    # so b = zl and c has the bits of the frictionless constant.
+    friction = (1.0 - p.f_sigma) / p.f_sigma
+    k = 1.0 - (p.gamma - 1.0) * friction
+    q_star = (p.theta - r_star) ** 2 / (p.gamma * p.sigma**2)
+    c_const = (2.0 * ((r_star - p.lam * r_star - p.lam * p.delta) * k - p.rho * (1.0 + friction))
+               + (1.0 + p.gamma - (p.gamma - 1.0) * friction) * q_star - 2.0 * p.beta * p.gamma)
     zl = p.z * p.lam
-    sqrt_arg = zl * zl - 8.0 * p.beta * zl * p.gamma * c_const
-    # The positive root (-zl + sqrt(sqrt_arg)) / (4 beta zl gamma), rationalized:
-    # as written it cancels to 0 when 8 beta gamma |c| is far below zl.
-    sqrt_t = -2.0 * c_const / (zl + math.sqrt(sqrt_arg))
+    b = zl * k
+    sqrt_arg = b * b - 8.0 * p.beta * zl * p.gamma * c_const
+    # c < 0 gives one positive root; c >= 0 gives none, or two when b < 0.
+    if c_const >= 0.0 and (b >= 0.0 or sqrt_arg < 0.0):
+        return EquilibriumPrices(r_star=r_star, w_star=None, clearing_constant=c_const)
+    root = math.sqrt(sqrt_arg)
+    # The larger root (-b + root) / (4 beta zl gamma), rationalized where
+    # b >= 0: as written it cancels to 0 when 8 beta gamma |c| is far below b.
+    if b >= 0.0:
+        sqrt_t = -2.0 * c_const / (b + root)
+    else:
+        sqrt_t = (root - b) / (4.0 * p.beta * zl * p.gamma)
     # t = ((1-alpha)/w)^(1/alpha) and alpha = 1/2, so w = (1-alpha)/sqrt(t).
     w_star = (1.0 - p.alpha) / sqrt_t
+    if c_const > 0.0:
+        # The smaller root is 2c / (root - b), by the product of the roots; it
+        # underflows to 0, and the division raises, when root overflows.
+        w_high = (1.0 - p.alpha) / (2.0 * c_const / (root - b))
+        raise DegenerateModelError(
+            f"labor clears at two wages, w = {w_star:.10g} and {w_high:.10g}, below the "
+            f"leverage-neutral friction {(p.gamma - 1.0) / p.gamma:.10g}; "
+            "no single equilibrium wage")
     # At r* + delta <= 0 the cutoff is not positive, and every z breaks even.
     active = r_star + p.delta <= 0.0 or p.z >= productivity_cutoff(r_star, p.delta, p.alpha, w_star)
     return EquilibriumPrices(r_star=r_star, w_star=w_star, clearing_constant=c_const,

@@ -655,13 +655,15 @@ def test_degenerate_data_value_draws_exit_three(tmp_path, capsys):
 
 
 def test_divergent_equilibrium_wealth_mean_exits_three(tmp_path, capsys):
-    # a tiny friction leaves the right tail rate below one: no level mean
+    # A tiny friction puts labor clearing at two wages, and a clearing wage
+    # has a finite level mean: the verb exits 3 printing neither wage.
     path = write_config(tmp_path, "[equilibrium]\nf_sigma = 0.001\n")
     assert run_cli(["equilibrium", "--config", path]) == 3
     captured = capsys.readouterr()
-    assert "divergent" in captured.out
-    assert "degenerate model" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert captured.err.startswith("degenerate model: labor clears at two wages, "
+                                   "w = 0.0006013869633 and 1.959027894, ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("gamma", ["1e-20", "1e20", "1e100", "1e-100"])
@@ -727,6 +729,8 @@ def test_unknown_flag_is_usage_error(capsys):
     (["wealth", "--seed"], "cogecon wealth: argument --seed: expected one argument"),
     (["wealth", "--seed", "-1"], "cogecon wealth: argument --seed: expected an integer >= 0"),
     (["wealth", "--seed", "7.0"], "cogecon wealth: argument --seed: expected an integer >= 0"),
+    (["wealth", "--seed", "18446744073709551616"],
+     "cogecon wealth: argument --seed: expected an integer below 2**64"),
 ])
 def test_usage_errors_are_one_stderr_line(capsys, argv, message):
     # no verb, an unknown verb, an abbreviated option and a bad seed

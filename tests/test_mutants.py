@@ -143,11 +143,24 @@ def _other_root(p):
     return replace(prices, w_star=(1.0 - p.alpha) / sqrt_t)
 
 
-# name, replacement of equilibrium_prices, economies of EQUILIBRIUM_GRID whose
-# wage the bracketed root of labor clearing rejects at a relative 1e-12.
+def _f_blind(p):
+    """The clearing quadratic of f_sigma = 1, whatever p's friction."""
+    return true_equilibrium_prices(replace(p, f_sigma=1.0))
+
+
+# The [equilibrium] defaults at lam = 2 with a friction above the
+# leverage-neutral (gamma - 1) / gamma = 0.5, where labor clears at one wage:
+# 1.7467, 1.7023 and 1.6104.  The f-blind quadratic gives 1.7653 at all three.
+FRICTION_ECONOMIES = tuple(replace(default_config().equilibrium_params(), lam=2.0, f_sigma=f)
+                           for f in (0.9, 0.75, 0.6))
+
+# name, replacement of equilibrium_prices, economies of EQUILIBRIUM_GRID and
+# FRICTION_ECONOMIES whose wage the bracketed root of labor clearing rejects
+# at a relative 1e-12.
 EQUILIBRIUM_MUTANTS = [
     ("none", true_equilibrium_prices, 0),
-    ("other root of the quadratic", _other_root, len(EQUILIBRIUM_GRID)),
+    ("other root of the quadratic", _other_root, len(EQUILIBRIUM_GRID) + len(FRICTION_ECONOMIES)),
+    ("f-blind clearing constant", _f_blind, len(FRICTION_ECONOMIES)),
 ]
 
 
@@ -156,7 +169,7 @@ EQUILIBRIUM_MUTANTS = [
 def test_equilibrium_mutation_row(monkeypatch, mutant, kills):
     monkeypatch.setattr(wealth_mod, "equilibrium_prices", mutant)
     rejected = 0
-    for p in EQUILIBRIUM_GRID:
+    for p in EQUILIBRIUM_GRID + FRICTION_ECONOMIES:
         prices = wealth_mod.equilibrium_prices(p)
         [root] = equilibrium_wage_roots(replace(p, r=prices.r_star))
         rejected += not math.isclose(prices.w_star, root, rel_tol=1e-12)

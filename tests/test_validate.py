@@ -25,7 +25,6 @@ from cogecon.validate import (
     fd_density_error,
     fd_grid_for,
     ks_distance,
-    mc_ks_for,
     run_density_validation,
     run_validations,
     benchmark_combos,
@@ -160,10 +159,16 @@ def test_mc_ks_memory_stays_near_its_sample():
     # The sample (8 bytes each) is the only n-sized array; the sort works in
     # place, and cdf and gaps run on the marks and the kept blocks alone.
     n = 1_000_000
-    mc_ks_for(LAW, RngSpec(5), 1000)
+
+    def mc_ks(n_samples):
+        samples = sde.simulate_gbm_reset(LAW.mu, abs(LAW.sigma_x), LAW.reset_rate,
+                                         RngSpec(5), n_samples)
+        return ks_distance(samples, LAW.density())
+
+    mc_ks(1000)
     tracemalloc.start()
     try:
-        mc_ks_for(LAW, RngSpec(5), n)
+        mc_ks(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,17 +4,19 @@ import collections
 import hashlib
 import itertools
 import math
+import re
 import types
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cogecon.config import default_config
 from cogecon.densities import ResetLaw
+from cogecon.errors import DegenerateModelError
 from cogecon.validate import benchmark_combos
 from cogecon.wealth import (
     EconomyParams,
@@ -198,6 +200,23 @@ def test_paired_friction_drift_identity(theta, sigma, r, lam, rho):
     assert law.mu == pytest.approx(0.25 * q - rho, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: the smaller tail rate cancels at a large |mu|")
+@example(lam=100.0, f_sigma=1e-7)
+@given(lam=st.floats(1.0, 100.0), f_sigma=st.floats(1e-7, 1.0))
+def test_tail_rates_solve_their_characteristic_equations(lam, f_sigma):
+    # e^{r x} solves (v^2/2) p'' - mu p' - beta p = 0 on either side of the
+    # reset point: the left rate solves (v^2/2) r^2 - mu r - beta = 0 and the
+    # right rate (v^2/2) r^2 + mu r - beta = 0, each to a relative 1e-12 of
+    # the equation's largest term.  At lam = 100, f_sigma = 1e-7 the left
+    # residual is 0.43 of it.
+    law = drift_diffusion(EconomyParams(lam=lam, f_sigma=f_sigma))
+    d = law.density()
+    for rate, sign in ((d.rate_left, -1.0), (d.rate_right, 1.0)):
+        terms = (0.5 * law.sigma_x**2 * rate**2, sign * law.mu * rate, -law.reset_rate)
+        assert abs(math.fsum(terms)) <= 1e-12 * max(map(abs, terms))
+
+
 # The exact identities behind the wealth claims: the stationary law depends on
 # the friction f and the leverage cap lambda only through the drift mu.
 def _q_and_sigma_x(p: EconomyParams) -> tuple[float, float]:
@@ -303,21 +322,27 @@ def test_equilibrium_wage_is_the_bracketed_root_of_labor_clearing(p):
     assert root == pytest.approx(prices.w_star, rel=1e-12)
 
 
+def named_wages(refusal: DegenerateModelError) -> list[float]:
+    """The two wages that equilibrium_prices' two-root refusal names, in order."""
+    return [float(w) for w in re.search(r"w = (\S+) and (\S+),", str(refusal)).groups()]
+
+
 def test_labor_clearing_has_two_roots_below_the_leverage_neutral_friction():
     # At f_sigma = 0.3 < (gamma - 1) / gamma the clearing condition in w has
-    # two roots; equilibrium_prices ignores f_sigma and gives neither, so
-    # this checks the residual at each, not equilibrium_prices.
+    # two roots; equilibrium_prices refuses to choose and names both.
     p = replace(default_config().equilibrium_params(), f_sigma=0.3, r=0.07)
-    assert equilibrium_prices(p).r_star == pytest.approx(0.07, rel=1e-12)
+    # r* does not depend on f_sigma
+    assert equilibrium_prices(replace(p, f_sigma=1.0)).r_star == pytest.approx(0.07, rel=1e-12)
     roots = equilibrium_wage_roots(p)
     assert roots == [pytest.approx(0.6148, abs=1e-4), pytest.approx(1.6788, abs=1e-4)]
     assert 0.501 < roots[0] < 0.631 and 1.585 < roots[1] < 1.995
     for w in roots:
         assert abs(labor_residual_at(replace(p, w=w))) < 1e-12
+    with pytest.raises(DegenerateModelError, match="^labor clears at two wages") as refusal:
+        equilibrium_prices(p)
+    assert named_wages(refusal.value) == pytest.approx(roots, rel=1e-9)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 20: equilibrium_prices ignores f_sigma")
 @pytest.mark.parametrize("f_sigma", [0.9, 0.75, 0.6])
 def test_equilibrium_wage_clears_labor_above_the_leverage_neutral_friction(f_sigma):
     # Above f0 = (gamma - 1) / gamma = 0.5 labor clearing has one root in w;
@@ -327,6 +352,40 @@ def test_equilibrium_wage_clears_labor_above_the_leverage_neutral_friction(f_sig
     prices = equilibrium_prices(p)
     [root] = equilibrium_wage_roots(replace(p, r=prices.r_star))
     assert prices.w_star == pytest.approx(root, rel=1e-9)
+
+
+# ROADMAP item 20's grid at the [equilibrium] defaults: 432 economies, 270 of
+# them at or below the leverage-neutral friction (gamma - 1) / gamma.
+FRICTION_GRID = tuple(
+    replace(default_config().equilibrium_params(), f_sigma=f, lam=lam, z=z, gamma=gamma, beta=beta)
+    for f in (1.0, 0.9, 0.75, 0.6, 0.5, 0.4, 0.3, 0.1) for lam in (2.0, 5.0, 25.0)
+    for z in (2.0, 5.0, 10.0) for gamma in (2.0, 3.0, 5.0) for beta in (0.1, 0.3))
+
+
+def test_equilibrium_wages_are_every_bracketed_root_at_every_friction():
+    # No wage, the one wage, or a refusal naming both wages, as the bracketed
+    # roots of labor clearing have it.  A single root agrees to a relative
+    # 1e-9.  A pair agrees to 1e-5, which is the reference's conditioning,
+    # not the closed form's: near its small root (worst w ~ 0.014 at
+    # f_sigma = 0.1, 9.4e-7 off) labor_residual_at cancels, so its sign is
+    # noise over a band of w that bisection cannot resolve.
+    counts = collections.Counter()
+    mismatched = []
+    for p in FRICTION_GRID:
+        try:
+            prices = equilibrium_prices(p)
+        except DegenerateModelError as exc:
+            wages, rel = named_wages(exc), 1e-5
+        else:
+            wages, rel = [] if prices.w_star is None else [prices.w_star], 1e-9
+        # r* does not depend on f_sigma
+        r_star = equilibrium_prices(replace(p, f_sigma=1.0)).r_star
+        roots = equilibrium_wage_roots(replace(p, r=r_star))
+        counts[len(roots)] += 1
+        if wages != pytest.approx(roots, rel=rel):
+            mismatched.append((p, wages, roots))
+    assert mismatched == []
+    assert counts == {0: 77, 1: 180, 2: 175}
 
 
 def test_firms_active_flag_compares_z_with_the_cutoff_at_equilibrium_prices():
