@@ -8,7 +8,7 @@ with the offending line number, as are unparseable or non-finite values and
 a scenario key set twice.  No scenario file, or an empty one, resolves to the
 documented defaults.
 
-parse_config checks a scenario's values against the three rules that no
+parse_config checks a scenario's values against the two rules that no
 report verb evaluates; every other value is checked by the validator of the
 function that consumes it, which the CLI reaches by draining every report
 verb's rows at load.
@@ -117,11 +117,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "theta_c": _Key(0.5, "risky technology share, in [0,1]"),
         "gamma_b": _Key(2.0, "CRRA curvature of investors"),
     },
-    "wealth": {
-        **_economy_keys(),
-        "agent_type": _Key("one",
-                           "leverage regime: one = fixed friction, two = friction paired to leverage"),
-    },
+    "wealth": _economy_keys(),
     # The wage and the rate are equilibrium outcomes, and the closed-form
     # clearing fixes alpha at EQUILIBRIUM_ALPHA.
     "equilibrium": _economy_keys("alpha", "w", "r"),
@@ -184,17 +180,8 @@ class ScenarioConfig:
         kw = {k: v for k, v in t.items() if k not in ("tau_low", "tau_high")}
         return TaxEconomy(**kw)
 
-    @property
-    def explicit_agent_type(self) -> str | None:
-        """The wealth agent type when set in a file or flag, else None."""
-        if self.origins["wealth"]["agent_type"] == "default":
-            return None
-        return self.values["wealth"]["agent_type"]
-
     def wealth_params(self) -> EconomyParams:
-        kw = dict(self.values["wealth"])
-        kw.pop("agent_type")
-        return EconomyParams(**kw)
+        return EconomyParams(**self.values["wealth"])
 
     def equilibrium_params(self) -> EconomyParams:
         # w and r keep the record's placeholders: the prices replace them.
@@ -211,13 +198,14 @@ def _scan_lines(path: str | Path, what: str, sections: Collection[str],
                 handle: Callable[[str | None, str], None]) -> None:
     """The line grammar both file kinds share.
 
-    Reads the file as UTF-8, drops # comments and blank lines, checks each
-    [name] header against `sections`, and calls handle(section, line) on every
-    other line, with section None before the first header.  A ValueError or
-    ConfigError raised on a line leaves as one ConfigError naming that line.
+    Reads the file as UTF-8, with or without a leading byte-order mark, drops
+    # comments and blank lines, checks each [name] header against `sections`,
+    and calls handle(section, line) on every other line, with section None
+    before the first header.  A ValueError or ConfigError raised on a line
+    leaves as one ConfigError naming that line.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise ConfigError(f"{what} file {path} does not exist") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -261,8 +249,8 @@ def _parse_value(raw: str, kind: type, name: str):
 def parse_config(path: str | Path | None) -> ScenarioConfig:
     """Load a scenario file; None gives pure defaults.
 
-    Beyond the grammar, only the three rules that no report verb evaluates
-    are checked here: the agent_type pair, the seed and the [validate] sizes.
+    Beyond the grammar, only the two rules that no report verb evaluates
+    are checked here: the seed and the [validate] sizes.
     The values the report verbs consume, the Euler budget among them, are
     checked by those verbs' own validators: the CLI drains every report at load.
     """
@@ -283,12 +271,6 @@ def parse_config(path: str | Path | None) -> ScenarioConfig:
         cfg.origins[section][key] = "file"
 
     _scan_lines(path, "config", SCHEMA, handle)
-    agent_type = cfg.values["wealth"]["agent_type"]
-    if agent_type not in ("one", "two"):
-        raise ConfigError(f"wealth.agent_type must be 'one' or 'two', got {agent_type!r}")
-    if agent_type == "two" and cfg.origins["wealth"]["f_sigma"] == "default":
-        raise ConfigError("wealth.agent_type = two requires an explicit f_sigma; "
-                          "the type pairs the friction weight to the leverage tier")
     _check("run", lambda: RngSpec(cfg.seed))
     for key, low, high in (("n_points", 3, MAX_FD_POINTS), ("n_samples", 100, MAX_MC_SAMPLES)):
         n = cfg.values["validate"][key]

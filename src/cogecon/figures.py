@@ -18,7 +18,6 @@ from pathlib import Path
 from .cognition import CognitionParams, RetentionParams, cognition_law, retention_trajectory
 from .config import ScenarioConfig
 from .consumption import cawf, cawf_montecarlo
-from .errors import ConfigError
 from .records import record
 from .rng import RngSpec
 from .wealth import EconomyParams, drift_diffusion
@@ -191,13 +190,6 @@ def reproduce(figure_id: int, cfg: ScenarioConfig) -> SeriesTable:
     """The data series behind one reference figure, an id of FIGURE_IDS, with its header."""
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"figure_id must be one of {FIGURE_IDS}, got {figure_id}")
-    explicit = cfg.explicit_agent_type
-    if explicit == "one" and figure_id in TYPE_TWO_FIGURES:
-        raise ConfigError(f"figure {figure_id} shows the paired-friction regime; "
-                          "config pins agent_type = one")
-    if explicit == "two" and figure_id in _WEALTH_ASSETS.keys() - TYPE_TWO_FIGURES:
-        raise ConfigError(f"figure {figure_id} shows the fixed-friction regime; "
-                          "config pins agent_type = two")
     import numpy as np
 
     # An overflow shows as a non-finite cell, which is refused below, not written.

@@ -14,7 +14,6 @@ import pytest
 from cogecon.cli import main
 from cogecon.config import parse_config
 from cogecon.consumption import cawf
-from cogecon.errors import ConfigError
 from cogecon.figures import FIGURE_IDS, SEEDED_FIGURE, SeriesTable, reproduce
 from cogecon.rng import RngSpec
 from cogecon.sde import simulate_ou_reflected
@@ -198,18 +197,6 @@ def test_reproduce_rejects_unknown_figure(cfg):
         reproduce(0, cfg)
     with pytest.raises(ValueError, match="figure"):
         reproduce(15, cfg)
-
-
-def test_reproduce_rejects_regime_conflicts(cfg):
-    two = parse_config(None)
-    two.values["wealth"]["agent_type"] = "two"
-    two.values["wealth"]["f_sigma"] = 0.5
-    two.origins["wealth"]["agent_type"] = "file"
-    two.origins["wealth"]["f_sigma"] = "file"
-    with pytest.raises(ConfigError, match="fixed-friction"):
-        reproduce(7, two)
-    # the paired-regime figures are exactly the ones it still builds
-    assert reproduce(9, two).name == "figure09"
 
 
 def test_series_table_rejects_ragged_data():
