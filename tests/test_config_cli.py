@@ -87,9 +87,15 @@ seed = 9
     assert cfg.origins["wealth"]["rho"] == "default"
     assert cfg.seed == 9
     assert cfg.wealth_params().lam == 25.0
+
+
+def test_scenario_file_may_start_with_a_byte_order_mark(tmp_path):
     bom = tmp_path / "bom.ini"
     bom.write_bytes(b"\xef\xbb\xbf[run]\nseed = 7\n")
-    assert parse_config(bom).seed == 7
+    cfg = parse_config(bom)
+    assert cfg.seed == 7
+    assert cfg.origins["run"]["seed"] == "file"
+    assert cfg.values == parse_config(write_config(tmp_path, "[run]\nseed = 7\n")).values
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -758,8 +764,13 @@ gaussian 0.25
 """)
     assert run_cli(["datavalue", "--ensemble", str(path)]) == 0
     assert capsys.readouterr().out == (GOLDEN / "datavalue_ensemble.txt").read_text()
-    # the same file saved with a UTF-8 byte-order mark before `j = 0.5`
-    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().lstrip())
+
+
+def test_ensemble_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # the ensemble above, saved with a UTF-8 byte-order mark before `j = 0.5`
+    path = tmp_path / "sources.txt"
+    path.write_bytes(b"\xef\xbb\xbfj = 0.5\n[sources]\nuniform 1.0\ngaussian 0.25\n"
+                     b"\n[interactions]\n1 2 0.4 0.1\n")
     assert run_cli(["datavalue", "--ensemble", str(path)]) == 0
     assert capsys.readouterr().out == (GOLDEN / "datavalue_ensemble.txt").read_text()
 
